@@ -27,7 +27,13 @@ from .experiment import (
     write_sweep_csv,
 )
 from .metrics import evaluate
-from .models import build_norm_adjacency, init_xavier, load_checkpoint, save_checkpoint
+from .models import (
+    build_norm_adjacency,
+    checkpoint_header,
+    init_xavier,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .probes import probe_one_step
 from .samplers import NegativeSampler
 from .synthetic import SyntheticSpec, generate, write_tsv
@@ -189,10 +195,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
     split = load_split(config)
-    with open(args.checkpoint) as f:
-        header = json.loads(f.readline())
     adjacency = None
-    if header.get("backbone") == "lightgcn":
+    if checkpoint_header(args.checkpoint)["backbone"] == "lightgcn":
         adjacency = build_norm_adjacency(
             split.train.users, split.train.items, split.num_users, split.num_items
         )

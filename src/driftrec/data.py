@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -108,7 +109,7 @@ def _sorted_log_arrays(users, items, times):
 
 
 def parse_log(source, format: str = "tsv", skip_header: bool = False) -> list[RawEvent]:
-    """Read raw events from a TSV/CSV byte or text stream (or a path).
+    """Read raw events from a TSV/CSV byte or text stream, or a str/PathLike path.
 
     Each record needs at least three fields: user key, item key, integer
     timestamp. Extra fields are ignored. Malformed records raise
@@ -118,8 +119,8 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> list[Ra
         raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
     delimiter = "\t" if format == "tsv" else ","
 
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
-        stream = open(source, "r", newline="")
+    if isinstance(source, (str, os.PathLike)):
+        stream = open(os.fspath(source), "r", newline="")
         close = True
     elif isinstance(source, bytes):
         stream = io.StringIO(source.decode("utf-8"))

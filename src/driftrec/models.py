@@ -12,6 +12,7 @@ never come from stale caches.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,7 @@ __all__ = [
     "propagate_matrix",
     "save_checkpoint",
     "load_checkpoint",
+    "checkpoint_header",
 ]
 
 BACKBONES = ("mf", "lightgcn")
@@ -213,55 +215,108 @@ def save_checkpoint(model: EmbeddingModel, path: str) -> None:
     """Write a line-delimited text checkpoint with hex floats.
 
     Hex float literals round-trip 64-bit values exactly, so a save/load
-    cycle is bit-identical.
+    cycle is bit-identical. The file is written to a temporary name in the
+    same directory and renamed over `path`, so a crash mid-write never
+    leaves a truncated checkpoint behind.
     """
-    with open(path, "w") as f:
-        f.write(
-            json.dumps(
-                {
-                    "format": CHECKPOINT_FORMAT,
-                    "version": CHECKPOINT_VERSION,
-                    "backbone": model.backbone,
-                    "num_prop_layers": model.num_prop_layers,
-                    "d": model.dim,
-                    "num_users": model.num_users,
-                    "num_items": model.num_items,
-                    "seed": model.seed,
-                }
-            )
-            + "\n"
-        )
-        for name, mat in (("user", model.user_emb), ("item", model.item_emb)):
-            for row_idx in range(mat.shape[0]):
-                f.write(
-                    json.dumps(
-                        {"m": name, "row": row_idx, "v": [x.hex() for x in mat[row_idx]]}
-                    )
-                    + "\n"
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w") as f:
+            f.write(
+                json.dumps(
+                    {
+                        "format": CHECKPOINT_FORMAT,
+                        "version": CHECKPOINT_VERSION,
+                        "backbone": model.backbone,
+                        "num_prop_layers": model.num_prop_layers,
+                        "d": model.dim,
+                        "num_users": model.num_users,
+                        "num_items": model.num_items,
+                        "seed": model.seed,
+                    }
                 )
+                + "\n"
+            )
+            for name, mat in (("user", model.user_emb), ("item", model.item_emb)):
+                for row_idx in range(mat.shape[0]):
+                    f.write(
+                        json.dumps(
+                            {"m": name, "row": row_idx, "v": [x.hex() for x in mat[row_idx]]}
+                        )
+                        + "\n"
+                    )
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+
+
+def _read_header(f, path: str) -> dict:
+    try:
+        header = json.loads(f.readline())
+    except ValueError:
+        raise ValueError(f"{path}: malformed checkpoint header") from None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    shape = [header.get(key) for key in ("num_users", "num_items", "d")]
+    if not all(type(n) is int and n > 0 for n in shape):
+        raise ValueError(f"{path}: bad checkpoint shape {shape}")
+    return header
+
+
+def checkpoint_header(path: str) -> dict:
+    """The validated header record of a :func:`save_checkpoint` file."""
+    with open(path) as f:
+        return _read_header(f, path)
 
 
 def load_checkpoint(path: str, adjacency: sp.csr_matrix | None = None) -> EmbeddingModel:
     """Rebuild a model from :func:`save_checkpoint` output.
 
     The adjacency operator is not serialized; pass one when loading a
-    propagation-backbone checkpoint.
+    propagation-backbone checkpoint. A malformed record, a vector of the
+    wrong length, or a missing, duplicate or out-of-range row raises
+    ValueError naming the file, so a truncated checkpoint never loads.
     """
     with open(path) as f:
-        header = json.loads(f.readline())
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        user_emb = np.empty((header["num_users"], header["d"]), dtype=np.float64)
-        item_emb = np.empty((header["num_items"], header["d"]), dtype=np.float64)
-        for line in f:
-            rec = json.loads(line)
-            mat = user_emb if rec["m"] == "user" else item_emb
-            mat[rec["row"]] = [float.fromhex(h) for h in rec["v"]]
+        header = _read_header(f, path)
+        num_users, num_items, d = (header[key] for key in ("num_users", "num_items", "d"))
+        mats = {
+            "user": np.empty((num_users, d), dtype=np.float64),
+            "item": np.empty((num_items, d), dtype=np.float64),
+        }
+        seen = {name: np.zeros(mat.shape[0], dtype=bool) for name, mat in mats.items()}
+        for lineno, line in enumerate(f, start=2):
+            try:
+                rec = json.loads(line)
+                name, row, vec = rec["m"], rec["row"], rec["v"]
+                values = [float.fromhex(h) for h in vec]
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"{path}: line {lineno}: malformed checkpoint record") from None
+            if name not in ("user", "item") or type(row) is not int or not (
+                0 <= row < mats[name].shape[0]
+            ):
+                raise ValueError(f"{path}: line {lineno}: no {name!r} row {row!r} in the header shape")
+            if seen[name][row]:
+                raise ValueError(f"{path}: line {lineno}: duplicate {name} row {row}")
+            if len(values) != d:
+                raise ValueError(
+                    f"{path}: line {lineno}: {name} row {row} has {len(values)} values, expected {d}"
+                )
+            mats[name][row] = values
+            seen[name][row] = True
+    for name, got in seen.items():
+        if not got.all():
+            missing = np.flatnonzero(~got)
+            raise ValueError(
+                f"{path}: {missing.size} {name} rows missing (first {int(missing[0])}); "
+                "the checkpoint is truncated"
+            )
     return EmbeddingModel(
-        user_emb,
-        item_emb,
+        mats["user"],
+        mats["item"],
         backbone=header["backbone"],
         num_prop_layers=header["num_prop_layers"],
         adjacency=adjacency,

@@ -9,9 +9,12 @@ interacted with in train:
   dns_mn  one of the rank-M..N candidates out of N, softening the
           hard-negative window
 
-Rejection sampling is capped; dense users fall back to explicit complement
-enumeration so validity never depends on luck. Samplers keep no mutable
-state beyond the caller's rng, so seeded runs are reproducible.
+Rejection sampling is capped at REJECTION_ROUNDS. Each round redraws, in
+index order, only the entries still interacted and re-checks only those;
+valid draws are never touched again. Entries still interacted after the cap
+fall back to explicit complement enumeration, so validity never depends on
+luck. Samplers keep no mutable state beyond the caller's rng, so seeded runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -90,16 +93,28 @@ class NegativeSampler:
     def _complement(self, u: int) -> np.ndarray:
         return np.setdiff1d(np.arange(self.num_items), self.user_items(u), assume_unique=True)
 
+    def _redraw_interacted(self, users: np.ndarray, out: np.ndarray, draw) -> np.ndarray:
+        """Redraw interacted entries of `out` in place, `draw(n)` giving n fresh items.
+
+        Each round redraws the entries still interacted, in index order, and
+        re-checks only those; entries already valid are never drawn again.
+        Returns the ascending indices still interacted after the capped rounds.
+        """
+        idx = np.flatnonzero(self._interacted(users, out))
+        rounds = 0
+        while idx.size and rounds < REJECTION_ROUNDS:
+            out[idx] = draw(idx.size)
+            idx = idx[self._interacted(users[idx], out[idx])]
+            rounds += 1
+        return idx
+
     def _draw_uniform_valid(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One uninteracted item per entry of `users` (entries may repeat)."""
         out = rng.integers(0, self.num_items, size=users.shape[0])
-        bad = self._interacted(users, out)
-        rounds = 0
-        while np.any(bad) and rounds < REJECTION_ROUNDS:
-            out[bad] = rng.integers(0, self.num_items, size=int(bad.sum()))
-            bad = self._interacted(users, out)
-            rounds += 1
-        for idx in np.nonzero(bad)[0]:
+        left = self._redraw_interacted(
+            users, out, lambda n: rng.integers(0, self.num_items, size=n)
+        )
+        for idx in left:
             comp = self._complement(int(users[idx]))
             out[idx] = comp[rng.integers(0, comp.size)]
         return out
@@ -108,20 +123,15 @@ class NegativeSampler:
         total = self._pop_cumsum[-1]
         size = users.shape[0]
         if total > 0:
-            out = np.searchsorted(self._pop_cumsum, rng.random(size) * total, side="right")
-            bad = self._interacted(users, out)
-            rounds = 0
-            while np.any(bad) and rounds < REJECTION_ROUNDS:
-                nbad = int(bad.sum())
-                out[bad] = np.searchsorted(
-                    self._pop_cumsum, rng.random(nbad) * total, side="right"
-                )
-                bad = self._interacted(users, out)
-                rounds += 1
+            def draw(n):
+                return np.searchsorted(self._pop_cumsum, rng.random(n) * total, side="right")
+
+            out = draw(size)
+            left = self._redraw_interacted(users, out, draw)
         else:
             out = np.zeros(size, dtype=np.int64)
-            bad = np.ones(size, dtype=bool)
-        for idx in np.nonzero(bad)[0]:
+            left = np.arange(size)
+        for idx in left:
             comp = self._complement(int(users[idx]))
             w = self._pop_weights[comp]
             tot = w.sum()

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import SplitDataset
@@ -71,7 +72,11 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators shaped like the embedding matrices."""
+    """First/second moment accumulators shaped like the embedding matrices.
+
+    Every step updates all rows in place; two scratch buffers per matrix
+    hold the intermediate terms, so a step allocates no full-size arrays.
+    """
 
     def __init__(self, num_users: int, num_items: int, d: int,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -83,6 +88,7 @@ class AdamState:
         self.v_user = np.zeros((num_users, d))
         self.m_item = np.zeros((num_items, d))
         self.v_item = np.zeros((num_items, d))
+        self._scratch = [(np.empty((n, d)), np.empty((n, d))) for n in (num_users, num_items)]
 
     def step(self, model: EmbeddingModel, grad_user: np.ndarray, grad_item: np.ndarray, lr: float) -> None:
         self.step_count += 1
@@ -90,13 +96,25 @@ class AdamState:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         deltas = []
-        for m, v, g in ((self.m_user, self.v_user, grad_user),
-                        (self.m_item, self.v_item, grad_item)):
+        for m, v, g, (delta, tmp) in zip(
+            (self.m_user, self.m_item), (self.v_user, self.v_item),
+            (grad_user, grad_item), self._scratch,
+        ):
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            deltas.append(-lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps))
+            np.square(g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v += tmp
+            # delta = -lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=delta)
+            delta *= -lr
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            delta /= tmp
+            deltas.append(delta)
         model.add_to_params(deltas[0], deltas[1])
 
 
@@ -111,6 +129,24 @@ def bpr_loss(margin):
     if np.isscalar(margin) or np.ndim(margin) == 0:
         return float(loss), float(grad)
     return loss, grad
+
+
+def _scatter_rows(num_rows: int, rows: np.ndarray, cols: np.ndarray, scales: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Dense (num_rows, d) sum of scales[k] * x[cols[k]] into row rows[k].
+
+    One CSR product with a selection matrix whose row r lists the entries
+    k with rows[k] == r. A CSR product adds a row's entries in stored
+    order, and a stable sort by row keeps them in entry order, so every
+    output row equals the sequential `np.add.at` result bit for bit.
+    """
+    n = rows.shape[0]
+    # unique keys, so this plain sort gives the stable order by row
+    order = np.sort(rows.astype(np.int64) * n + np.arange(n)) % n
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    select = sp.csr_matrix((scales[order], cols[order], indptr), shape=(num_rows, x.shape[0]))
+    return select @ x
 
 
 def batch_gradients(
@@ -128,43 +164,74 @@ def batch_gradients(
     acts on the base embeddings. For the propagation backbone the margin
     uses propagated embeddings, and the chain rule reuses the propagation
     operator itself (it is self-adjoint).
+
+    Each output matrix is one scatter (:func:`_scatter_rows`) of the
+    gathered rows, scaled by coeff, -coeff or l2/b. Per output row the
+    terms are added in a fixed order: loss terms in batch order (user, then
+    positive, then negative entries), then regularization terms in batch
+    order, starting from zero. For the propagation backbone the
+    regularization is added after propagation, by a second scatter whose
+    first block is the propagated gradient itself with unit scale.
     """
     b = users.shape[0]
     base_u, base_i = model.user_emb, model.item_emb
     score_u, score_i = model.scoring_embeddings()
 
-    ue = score_u[users]
-    pe = score_i[pos_items]
-    ne = score_i[neg_items]
-    margin = np.einsum("ij,ij->i", ue, pe - ne)
+    # gathered rows, one block per role: [e_u; e_p; e_n; e_p - e_n]
+    gathered = np.empty((4 * b, model.dim))
+    ue, pe, ne, diff = np.split(gathered, 4)
+    np.take(score_u, users, axis=0, out=ue)
+    np.take(score_i, pos_items, axis=0, out=pe)
+    np.take(score_i, neg_items, axis=0, out=ne)
+    np.subtract(pe, ne, out=diff)
+    margin = np.einsum("ij,ij->i", ue, diff)
     loss_vec, dmargin = bpr_loss(margin)
     if pair_weights is not None:
         loss_vec = loss_vec * pair_weights
         dmargin = dmargin * pair_weights
-    coeff = (dmargin / b)[:, None]
+    coeff = dmargin / b
+    reg_scale = np.full(b, l2 / b)
+    at_u, at_p, at_n, at_diff = np.arange(4 * b).reshape(4, b)
 
-    d = model.dim
+    num_users, num_items = model.num_users, model.num_items
     if model.backbone == "mf":
-        grad_user = np.zeros((model.num_users, d))
-        grad_item = np.zeros((model.num_items, d))
-        np.add.at(grad_user, users, coeff * (pe - ne))
-        np.add.at(grad_item, pos_items, coeff * ue)
-        np.add.at(grad_item, neg_items, -coeff * ue)
+        # scoring rows are the base rows, so they double as regularizer rows
+        reg_rows_u, reg_rows_p, reg_rows_n = ue, pe, ne
+        grad_user = _scatter_rows(
+            num_users, np.concatenate([users, users]), np.concatenate([at_diff, at_u]),
+            np.concatenate([coeff, reg_scale]), gathered,
+        )
+        grad_item = _scatter_rows(
+            num_items, np.concatenate([pos_items, neg_items, pos_items, neg_items]),
+            np.concatenate([at_u, at_u, at_p, at_n]),
+            np.concatenate([coeff, -coeff, reg_scale, reg_scale]), gathered,
+        )
     else:
-        g_stack = np.zeros((model.num_users + model.num_items, d))
-        np.add.at(g_stack, users, coeff * (pe - ne))
-        np.add.at(g_stack, model.num_users + pos_items, coeff * ue)
-        np.add.at(g_stack, model.num_users + neg_items, -coeff * ue)
-        g_base = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
-        grad_user = g_base[: model.num_users]
-        grad_item = g_base[model.num_users :]
+        n = num_users + num_items
+        item_rows_p, item_rows_n = num_users + pos_items, num_users + neg_items
+        g_stack = _scatter_rows(
+            n, np.concatenate([users, item_rows_p, item_rows_n]),
+            np.concatenate([at_diff, at_u, at_u]),
+            np.concatenate([coeff, coeff, -coeff]), gathered,
+        )
+        # the scoring rows are done with; free them before the next buffer
+        del gathered, ue, pe, ne, diff
+        # [propagated gradient; regularizer rows], scattered with the
+        # propagated block as an identity so the regularizer adds after it
+        stacked = np.empty((n + 3 * b, model.dim))
+        stacked[:n] = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
+        reg_rows_u, reg_rows_p, reg_rows_n = np.split(stacked[n:], 3)
+        np.take(base_u, users, axis=0, out=reg_rows_u)
+        np.take(base_i, pos_items, axis=0, out=reg_rows_p)
+        np.take(base_i, neg_items, axis=0, out=reg_rows_n)
+        entries = np.concatenate([np.arange(n), users, item_rows_p, item_rows_n])
+        g_base = _scatter_rows(
+            n, entries, np.arange(entries.shape[0]),
+            np.concatenate([np.ones(n), reg_scale, reg_scale, reg_scale]), stacked,
+        )
+        grad_user = g_base[:num_users]
+        grad_item = g_base[num_users:]
 
-    reg_rows_u = base_u[users]
-    reg_rows_p = base_i[pos_items]
-    reg_rows_n = base_i[neg_items]
-    np.add.at(grad_user, users, (l2 / b) * reg_rows_u)
-    np.add.at(grad_item, pos_items, (l2 / b) * reg_rows_p)
-    np.add.at(grad_item, neg_items, (l2 / b) * reg_rows_n)
     reg = 0.5 * l2 * (
         np.einsum("ij,ij->i", reg_rows_u, reg_rows_u)
         + np.einsum("ij,ij->i", reg_rows_p, reg_rows_p)

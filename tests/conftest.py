@@ -14,7 +14,10 @@ import pytest
 
 from driftrec.data import InteractionLog, RawEvent, build_log, timestamp_split
 from driftrec.decay import DecaySpec, WeightedBipartiteGraph
+from driftrec.models import propagate_matrix
+from driftrec.samplers import REJECTION_ROUNDS
 from driftrec.synthetic import SyntheticSpec, generate
+from driftrec.training import bpr_loss
 
 
 # --------------------------------------------------------------------------
@@ -131,3 +134,118 @@ def oracle_evaluate(model, split, ks, part="test"):
             for k in ks
         }
     return per_user
+
+
+# --------------------------------------------------------------------------
+# reference training step: dense np.add.at scatters and full-batch rejection
+# re-checks. The library's batch_gradients and NegativeSampler must match
+# these bit for bit (np.array_equal), not merely within a tolerance.
+
+
+def oracle_batch_gradients(model, users, pos_items, neg_items, l2, pair_weights=None):
+    """(mean loss, grad_user, grad_item) from sequential np.add.at scatters."""
+    b = users.shape[0]
+    base_u, base_i = model.user_emb, model.item_emb
+    score_u, score_i = model.scoring_embeddings()
+
+    ue = score_u[users]
+    pe = score_i[pos_items]
+    ne = score_i[neg_items]
+    margin = np.einsum("ij,ij->i", ue, pe - ne)
+    loss_vec, dmargin = bpr_loss(margin)
+    if pair_weights is not None:
+        loss_vec = loss_vec * pair_weights
+        dmargin = dmargin * pair_weights
+    coeff = (dmargin / b)[:, None]
+
+    d = model.dim
+    if model.backbone == "mf":
+        grad_user = np.zeros((model.num_users, d))
+        grad_item = np.zeros((model.num_items, d))
+        np.add.at(grad_user, users, coeff * (pe - ne))
+        np.add.at(grad_item, pos_items, coeff * ue)
+        np.add.at(grad_item, neg_items, -coeff * ue)
+    else:
+        g_stack = np.zeros((model.num_users + model.num_items, d))
+        np.add.at(g_stack, users, coeff * (pe - ne))
+        np.add.at(g_stack, model.num_users + pos_items, coeff * ue)
+        np.add.at(g_stack, model.num_users + neg_items, -coeff * ue)
+        g_base = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
+        grad_user = g_base[: model.num_users]
+        grad_item = g_base[model.num_users :]
+
+    reg_rows_u = base_u[users]
+    reg_rows_p = base_i[pos_items]
+    reg_rows_n = base_i[neg_items]
+    np.add.at(grad_user, users, (l2 / b) * reg_rows_u)
+    np.add.at(grad_item, pos_items, (l2 / b) * reg_rows_p)
+    np.add.at(grad_item, neg_items, (l2 / b) * reg_rows_n)
+    reg = 0.5 * l2 * (
+        np.einsum("ij,ij->i", reg_rows_u, reg_rows_u)
+        + np.einsum("ij,ij->i", reg_rows_p, reg_rows_p)
+        + np.einsum("ij,ij->i", reg_rows_n, reg_rows_n)
+    )
+    return float(np.mean(loss_vec + reg)), grad_user, grad_item
+
+
+def _oracle_draw_uniform_valid(sampler, users, rng):
+    out = rng.integers(0, sampler.num_items, size=users.shape[0])
+    bad = sampler._interacted(users, out)
+    rounds = 0
+    while np.any(bad) and rounds < REJECTION_ROUNDS:
+        out[bad] = rng.integers(0, sampler.num_items, size=int(bad.sum()))
+        bad = sampler._interacted(users, out)
+        rounds += 1
+    for idx in np.nonzero(bad)[0]:
+        comp = sampler._complement(int(users[idx]))
+        out[idx] = comp[rng.integers(0, comp.size)]
+    return out
+
+
+def _oracle_draw_popularity_valid(sampler, users, rng):
+    total = sampler._pop_cumsum[-1]
+    size = users.shape[0]
+    if total > 0:
+        out = np.searchsorted(sampler._pop_cumsum, rng.random(size) * total, side="right")
+        bad = sampler._interacted(users, out)
+        rounds = 0
+        while np.any(bad) and rounds < REJECTION_ROUNDS:
+            nbad = int(bad.sum())
+            out[bad] = np.searchsorted(
+                sampler._pop_cumsum, rng.random(nbad) * total, side="right"
+            )
+            bad = sampler._interacted(users, out)
+            rounds += 1
+    else:
+        out = np.zeros(size, dtype=np.int64)
+        bad = np.ones(size, dtype=bool)
+    for idx in np.nonzero(bad)[0]:
+        comp = sampler._complement(int(users[idx]))
+        w = sampler._pop_weights[comp]
+        tot = w.sum()
+        if tot > 0:
+            out[idx] = comp[np.searchsorted(np.cumsum(w), rng.random() * tot, side="right")]
+        else:
+            out[idx] = comp[rng.integers(0, comp.size)]
+    return out
+
+
+def oracle_sample_batch(sampler, users, model, rng):
+    """NegativeSampler.sample_batch with every rejection round re-checking the whole batch."""
+    users = np.asarray(users, dtype=np.int64)
+    kind = sampler.spec.kind
+    if kind == "rns":
+        return _oracle_draw_uniform_valid(sampler, users, rng)
+    if kind == "pns":
+        return _oracle_draw_popularity_valid(sampler, users, rng)
+    width = sampler.spec.pool if kind == "dns" else sampler.spec.n
+    b = users.shape[0]
+    cands = _oracle_draw_uniform_valid(sampler, np.repeat(users, width), rng).reshape(b, width)
+    scores = model.pair_scores(np.repeat(users, width), cands.ravel()).reshape(b, width)
+    if kind == "dns":
+        best = scores.max(axis=1, keepdims=True)
+        tied = np.where(scores == best, cands, sampler.num_items)
+        return tied.min(axis=1)
+    order = np.lexsort((cands, -scores), axis=-1)
+    ranks = rng.integers(sampler.spec.m - 1, sampler.spec.n, size=b)
+    return cands[np.arange(b), order[np.arange(b), ranks]]

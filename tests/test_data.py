@@ -59,6 +59,13 @@ class TestParseLog:
         p.write_text("u1\ti9\t100\n")
         assert parse_log(str(p)) == [RawEvent("u1", "i9", 100)]
 
+    def test_pathlike_source(self, tmp_path):
+        p = tmp_path / "log.tsv"
+        p.write_text("u1\ti9\t100\nu2\ti9\t101\n")
+        assert parse_log(p) == parse_log(str(p)) == [
+            RawEvent("u1", "i9", 100), RawEvent("u2", "i9", 101)
+        ]
+
     def test_text_stream_source(self):
         assert parse_log(io.StringIO("u1\ti9\t100\n")) == [RawEvent("u1", "i9", 100)]
 

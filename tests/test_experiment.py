@@ -381,6 +381,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
 
+    def test_corrupt_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--checkpoint-out", str(ckpt))
+        assert rc == 0
+        lines = ckpt.read_text().splitlines(keepends=True)
+        for corrupt, message in ((lines[:-40], "truncated"), (["{" + lines[0]], "header")):
+            ckpt.write_text("".join(corrupt))
+            capsys.readouterr()
+            rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "ValueError"
+            assert str(ckpt) in err["message"] and message in err["message"]
+
     def test_bad_flag_value_is_json_error(self, tiny_tsv, capsys):
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "2",
                           "--layers", "0")

@@ -1,9 +1,12 @@
 """Embedding model, graph propagation, and checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from driftrec import models
 from driftrec.models import (
     EmbeddingModel,
     build_norm_adjacency,
@@ -257,3 +260,75 @@ class TestCheckpoint:
         save_checkpoint(m, p1)
         save_checkpoint(m, p2)
         assert open(p1).read() == open(p2).read()
+
+    def checkpoint_lines(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_xavier(5, 60, 3, seed=23), str(path))
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path, lines = self.checkpoint_lines(tmp_path)
+        path.write_text("".join(lines[:-40]))
+        with pytest.raises(ValueError, match="40 item rows missing.*truncated") as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
+
+    def test_missing_user_row_rejected(self, tmp_path):
+        path, lines = self.checkpoint_lines(tmp_path)
+        path.write_text("".join(lines[:2] + lines[3:]))
+        with pytest.raises(ValueError, match="1 user rows missing"):
+            load_checkpoint(str(path))
+
+    def test_cut_mid_record_rejected(self, tmp_path):
+        path, lines = self.checkpoint_lines(tmp_path)
+        path.write_text("".join(lines)[:-25])
+        with pytest.raises(ValueError, match="malformed checkpoint record") as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"m": "item", "row": 0, "v": None}, "malformed"),
+            ({"m": "item", "row": 60, "v": ["0x0p+0"] * 3}, "no 'item' row 60"),
+            ({"m": "item", "row": -1, "v": ["0x0p+0"] * 3}, "no 'item' row -1"),
+            ({"m": "bias", "row": 0, "v": ["0x0p+0"] * 3}, "no 'bias' row 0"),
+            ({"m": "user", "row": 1.0, "v": ["0x0p+0"] * 3}, "no 'user' row 1.0"),
+            ({"m": "item", "row": 7, "v": ["0x0p+0"] * 3}, "duplicate item row 7"),
+            ({"m": "item", "row": 59, "v": ["0x0p+0"] * 2}, "has 2 values, expected 3"),
+        ],
+    )
+    def test_bad_record_rejected(self, tmp_path, record, message):
+        path, lines = self.checkpoint_lines(tmp_path)
+        if "duplicate" not in message:
+            lines = lines[:-1]  # keep the row count right so only the bad record fails
+        path.write_text("".join(lines) + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_checkpoint(str(path))
+        assert str(path) in str(err.value)
+
+    def test_bad_header_rejected(self, tmp_path):
+        path, lines = self.checkpoint_lines(tmp_path)
+        header = json.loads(lines[0])
+        path.write_text(json.dumps({**header, "d": 0}) + "\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="bad checkpoint shape"):
+            load_checkpoint(str(path))
+        path.write_text("{not json\n")
+        with pytest.raises(ValueError, match="malformed checkpoint header"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path, lines = self.checkpoint_lines(tmp_path)
+        calls = []
+
+        def failing_dumps(obj):
+            calls.append(obj)
+            if len(calls) > 10:
+                raise OSError("disk full")
+            return json.JSONEncoder().encode(obj)
+
+        monkeypatch.setattr(models.json, "dumps", failing_dumps)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_xavier(5, 60, 3, seed=24), str(path))
+        assert path.read_text().splitlines(keepends=True) == lines
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]

@@ -5,7 +5,7 @@ import pytest
 
 from driftrec.models import EmbeddingModel, init_xavier
 from driftrec.samplers import KINDS, NegativeSampler, SamplerSpec, sample_negative
-from conftest import make_log
+from conftest import make_log, oracle_sample_batch
 
 
 def forced_log():
@@ -269,3 +269,37 @@ class TestDynamic:
             p = expected[j]
             sigma = np.sqrt(p * (1 - p) / draws)
             assert abs(counts[j] / draws - p) <= 4.5 * sigma, f"item {j}"
+
+
+class TestRedrawOnlyRejection:
+    """Re-checking only redrawn entries leaves every seeded draw unchanged."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_full_recheck_oracle(self, kind, drift_split):
+        train = drift_split.train
+        model = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=5)
+        sampler = NegativeSampler(SamplerSpec(kind=kind, pool=6, m=2, n=7), train)
+        order = np.random.default_rng(8).permutation(len(train))
+        for size in (512, 37, 1):
+            users = train.users[order[:size]]
+            got = sampler.sample_batch(users, model, np.random.default_rng(size))
+            want = oracle_sample_batch(sampler, users, model, np.random.default_rng(size))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_near_dense_users_exhaust_rounds(self, kind):
+        """Users 0 and 3 miss 3 and 2 of 300 items, so many draws take the complement."""
+        rows = [("a", f"i{j}", j) for j in range(297)]
+        rows += [("b", f"i{j}", 300 + j) for j in range(0, 300, 7)]
+        rows += [("c", f"i{j}", 999) for j in (297, 298, 299)]
+        rows += [("d", f"i{j}", 1000 + j) for j in range(2, 300)]
+        log = make_log(rows)
+        model = init_xavier(log.num_users, log.num_items, 4, seed=6)
+        sampler = NegativeSampler(SamplerSpec(kind=kind, pool=3, m=1, n=4), log)
+        users = np.array([0, 1, 3, 0, 2, 3, 0, 1] * 8)
+        for seed in range(3):
+            got = sampler.sample_batch(users, model, np.random.default_rng(seed))
+            want = oracle_sample_batch(sampler, users, model, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+            assert set(got[users == 0].tolist()) <= {297, 298, 299}
+            assert set(got[users == 3].tolist()) <= {0, 1}

@@ -27,7 +27,7 @@ from driftrec.training import (
     fit,
     train_epoch,
 )
-from conftest import make_log
+from conftest import make_log, oracle_batch_gradients
 
 mpmath.mp.dps = 50
 
@@ -249,7 +249,100 @@ class TestBatchGradients:
         assert gu[1] == pytest.approx((gu_a[1] + gu_b[1]) / 2, rel=1e-12)
 
 
+def scatter_case_model(backbone, num_users, num_items, seed):
+    rng = np.random.default_rng(seed)
+    adj = None
+    if backbone == "lightgcn":
+        n_edges = 2 * (num_users + num_items)
+        adj = build_norm_adjacency(
+            rng.integers(0, num_users, size=n_edges),
+            rng.integers(0, num_items, size=n_edges),
+            num_users, num_items,
+        )
+    return init_xavier(num_users, num_items, 8, seed=seed, backbone=backbone,
+                       num_prop_layers=2, adjacency=adj)
+
+
+class TestBatchGradientsBitIdentity:
+    """The one-scatter gradients equal sequential np.add.at bit for bit."""
+
+    def assert_matches_oracle(self, model, users, pos, negs, l2, weights):
+        got = batch_gradients(model, users, pos, negs, l2, weights)
+        want = oracle_batch_gradients(model, users, pos, negs, l2, weights)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_random_batches_with_repeats(self, backbone, weighted):
+        # a 7 x 11 model under batches of 300 repeats every row many times
+        model = scatter_case_model(backbone, 7, 11, seed=60)
+        rng = np.random.default_rng(61)
+        for size in (300, 64, 5):
+            users, pos, negs = random_batch(rng, 7, 11, size)
+            weights = rng.uniform(0.1, 2.0, size=size) if weighted else None
+            self.assert_matches_oracle(model, users, pos, negs, 1e-3, weights)
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_pos_equals_neg_collisions(self, backbone):
+        model = scatter_case_model(backbone, 5, 6, seed=62)
+        rng = np.random.default_rng(63)
+        users, pos, negs = random_batch(rng, 5, 6, 40)
+        negs[::3] = pos[::3]
+        self.assert_matches_oracle(model, users, pos, negs, 0.01, None)
+        self.assert_matches_oracle(model, users, pos, negs, 0.01, rng.uniform(size=40))
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_batch_of_one(self, backbone):
+        model = scatter_case_model(backbone, 4, 9, seed=64)
+        for u, p, n in ((0, 2, 5), (3, 8, 8)):
+            users, pos, negs = np.array([u]), np.array([p]), np.array([n])
+            self.assert_matches_oracle(model, users, pos, negs, 0.01, None)
+            self.assert_matches_oracle(model, users, pos, negs, 0.01, np.array([0.3]))
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_trained_model_full_size_batch(self, backbone, drift_split):
+        """Parameters after a few Adam steps, a 2048-pair batch over the drift data."""
+        train = drift_split.train
+        model = scatter_case_model(backbone, drift_split.num_users, drift_split.num_items, 65)
+        adam = AdamState(model.num_users, model.num_items, model.dim)
+        rng = np.random.default_rng(66)
+        for _ in range(3):
+            idx = rng.integers(0, len(train), size=2048)
+            negs = rng.integers(0, drift_split.num_items, size=2048)
+            users, pos = train.users[idx], train.items[idx]
+            self.assert_matches_oracle(model, users, pos, negs, 1e-4, None)
+            _, gu, gi = batch_gradients(model, users, pos, negs, 1e-4)
+            adam.step(model, gu, gi, lr=0.01)
+
+
 class TestAdamState:
+    def test_in_place_step_matches_reference_bitwise(self):
+        """500 steps equal the textbook expression evaluated with temporaries."""
+        model = init_xavier(4, 6, 3, seed=41)
+        adam = AdamState(4, 6, 3)
+        ref_u, ref_i = model.user_emb.copy(), model.item_emb.copy()
+        moments = [np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((6, 3)), np.zeros((6, 3))]
+        rng = np.random.default_rng(42)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        for t in range(1, 501):
+            gu = rng.standard_normal((4, 3))
+            gi = rng.standard_normal((6, 3))
+            adam.step(model, gu, gi, lr)
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for (m, v), g, params in (((moments[0], moments[1]), gu, ref_u),
+                                      ((moments[2], moments[3]), gi, ref_i)):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * np.square(g)
+                params += -lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        assert np.array_equal(model.user_emb, ref_u)
+        assert np.array_equal(model.item_emb, ref_i)
+        assert np.array_equal(adam.m_item, moments[2])
+        assert np.array_equal(adam.v_user, moments[1])
+
     def test_first_step_matches_manual_formula(self):
         model = init_xavier(2, 3, 4, seed=8)
         before_u = model.user_emb.copy()
