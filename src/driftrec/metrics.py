@@ -3,6 +3,18 @@
 Scores every item per evaluated user, excludes that user's training items,
 breaks score ties by ascending item index, and reports mean recall and NDCG
 at each cutoff over users with at least one held-out positive.
+
+:func:`evaluate` ranks users in blocks of ``BLOCK_SCORES`` scores (1 MiB;
+one user per block when the catalogue is larger), so its memory does not
+grow with the number of users. Each row holds the same matrix-vector
+product as ``EmbeddingModel.score_all``. ``np.partition`` finds the row's
+``max(ks)``-th best score, every item scoring at least as well is kept, so
+ties at the cutoff all survive, and a lexsort by (score, item) puts them in
+the order of a full stable argsort.
+Recall and NDCG are then computed for all users at once with the float
+operations of the per-user helpers (:func:`rank_items`,
+:func:`recall_at_k`, :func:`ndcg_at_k`) in the same order, so the results
+equal a loop over those helpers exactly, not just within a tolerance.
 """
 
 from __future__ import annotations
@@ -16,6 +28,9 @@ from scipy.special import logsumexp
 
 from .data import SplitDataset
 from .models import EmbeddingModel
+
+BLOCK_SCORES = 2**17  # scores ranked at once: 1 MiB of float64 per block of users
+PAIRWISE_TERMS = 8  # np.sum adds this many terms or more pairwise, fewer in sequence
 
 __all__ = [
     "EvalReport",
@@ -91,19 +106,60 @@ def ndcg_at_k(ranked: np.ndarray, positives: np.ndarray, k: int) -> float:
     return dcg / idcg
 
 
-def _positives_by_user(split: SplitDataset, part: str) -> dict[int, np.ndarray]:
-    log = {"validation": split.validation, "test": split.test, "train": split.train}[part]
-    out: dict[int, np.ndarray] = {}
-    if len(log) == 0:
-        return out
-    order = np.argsort(log.users, kind="stable")
-    users = log.users[order]
-    items = log.items[order]
-    starts = np.nonzero(np.r_[True, users[1:] != users[:-1]])[0]
-    bounds = np.r_[starts, users.shape[0]]
-    for j, s in enumerate(starts):
-        out[int(users[s])] = np.unique(items[s : bounds[j + 1]])
-    return out
+def _pair_keys(log, num_items: int) -> np.ndarray:
+    """Sorted distinct ``user * num_items + item`` keys of a log."""
+    keys = np.sort(log.users * num_items + log.items)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _top_items(
+    model: EmbeddingModel,
+    users: np.ndarray,
+    excl_row: np.ndarray,
+    excl_item: np.ndarray,
+    kmax: int,
+) -> np.ndarray:
+    """The first ``kmax`` ranked items of each user, one row per user.
+
+    Row j ranks ``users[j]``, leaving out the items paired with j in
+    (``excl_row``, ``excl_item``), which are sorted by row. A row with fewer
+    than ``kmax`` rankable items is padded with -1.
+    """
+    ue, ie = model.scoring_embeddings()
+    num_items = ie.shape[0]
+    rows = max(1, min(BLOCK_SCORES // num_items, users.size))
+    kcol = min(kmax, num_items) - 1
+    top = np.full((users.size, kmax), -1, dtype=np.int64)
+    scores, work = np.empty((rows, num_items)), np.empty((rows, num_items))
+    for start in range(0, users.size, rows):
+        block = users[start : start + rows]
+        neg, part = scores[: block.size], work[: block.size]
+        for j, u in enumerate(block):
+            np.matmul(ie, ue[u], out=neg[j])  # the same product as score_all
+        np.negative(neg, out=neg)
+        lo, hi = np.searchsorted(excl_row, [start, start + block.size])
+        out_rows, out_items = excl_row[lo:hi] - start, excl_item[lo:hi]
+        neg[out_rows, out_items] = np.inf
+        np.copyto(part, neg)
+        part.partition(kcol, axis=1)
+        kth = part[:, kcol]
+        # keep every score tied with the k-th; a row whose k-th value is +inf
+        # or nan has too few rankable items and keeps them all
+        keep = neg <= kth[:, None]
+        keep[~(kth < np.inf)] = True
+        keep[out_rows, out_items] = False
+        flat = np.flatnonzero(keep)
+        r, items = np.divmod(flat, num_items)
+        order = np.lexsort((items, neg.ravel()[flat], r))  # the stable argsort's order
+        r, items = r[order], items[order]
+        rank = np.arange(r.size) - np.searchsorted(r, r)
+        first = rank < kmax
+        top[start + r[first], rank[first]] = items[first]
+    return top
+
+
+def _sequential_mean(values: np.ndarray, n: int) -> float:
+    return float(np.cumsum(values)[-1]) / n if n else 0.0
 
 
 def evaluate(
@@ -113,41 +169,68 @@ def evaluate(
     part: str = "test",
     per_user: bool = True,
 ) -> EvalReport:
-    """Mean recall and NDCG at each cutoff over users with held-out positives."""
+    """Mean recall and NDCG at each cutoff over users with held-out positives.
+
+    The model must have the split's shape; a mismatch raises ValueError.
+    """
     if part not in ("validation", "test", "train"):
         raise ValueError(f"unknown part {part!r}")
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks or ks[0] <= 0:
         raise ValueError("cutoffs must be positive")
-    pos_by_user = _positives_by_user(split, part)
-    train_by_user = _positives_by_user(split, "train") if part != "train" else {}
+    if (model.num_users, model.num_items) != (split.num_users, split.num_items):
+        raise ValueError(
+            f"model shape {model.num_users} users x {model.num_items} items does not "
+            f"match the split's {split.num_users} users x {split.num_items} items"
+        )
+    num_items = split.num_items
+    kmax = ks[-1]
+    log = {"validation": split.validation, "test": split.test, "train": split.train}[part]
+    holdout = _pair_keys(log, num_items)
+    hold_users = holdout // num_items
+    starts = np.flatnonzero(np.diff(hold_users, prepend=-1))
+    users = hold_users[starts]  # ascending, as the per-user loop visited them
+    num_pos = np.diff(np.append(starts, holdout.size))
+    n_users = int(users.size)
 
-    sums = {k: {"recall": 0.0, "ndcg": 0.0} for k in ks}
-    records = [] if per_user else None
-    n_users = 0
-    for user in sorted(pos_by_user):
-        positives = pos_by_user[user]
-        exclude = train_by_user.get(user, np.empty(0, dtype=np.int64))
-        ranked = rank_items(model, user, exclude)
-        n_users += 1
-        rec = {"user": user, "num_pos": int(positives.size)}
-        for k in ks:
-            r = recall_at_k(ranked, positives, k)
-            n = ndcg_at_k(ranked, positives, k)
-            sums[k]["recall"] += r
-            sums[k]["ndcg"] += n
-            rec[f"recall@{k}"] = r
-            rec[f"ndcg@{k}"] = n
-        if per_user:
-            records.append(rec)
+    # the training pairs of evaluated users, as (row in users, item)
+    excl = _pair_keys(split.train, num_items) if part != "train" else np.empty(0, np.int64)
+    excl = excl[np.isin(excl // num_items, users)]
+    excl_row = np.searchsorted(users, excl // num_items)
 
-    aggregates = {
-        k: {
-            "recall": sums[k]["recall"] / n_users if n_users else 0.0,
-            "ndcg": sums[k]["ndcg"] / n_users if n_users else 0.0,
+    top = _top_items(model, users, excl_row, excl % num_items, kmax)
+    hits = np.isin(users[:, None] * num_items + top, holdout) & (top >= 0)
+
+    # the per-user helpers' float expressions, term for term: recall is an int
+    # ratio, DCG the np.sum of 1/log2(rank + 1) over hits (a sequential sum
+    # below PAIRWISE_TERMS terms), IDCG the same sum over min(k, |P|) slots
+    gain_of_rank = 1.0 / np.log2(np.arange(1, kmax + 1) + 1.0)
+    gains = np.where(hits, gain_of_rank, 0.0)
+    dcg_prefix = np.cumsum(gains, axis=1)
+    hit_prefix = np.cumsum(hits, axis=1)
+    idcg_table = np.array([0.0] + [
+        float(np.sum(1.0 / np.log2(np.arange(1, m + 1) + 1.0)))
+        for m in range(1, min(kmax, num_pos.max(initial=0)) + 1)
+    ])
+
+    aggregates, columns = {}, {"user": users.tolist(), "num_pos": num_pos.tolist()}
+    for k in ks:
+        nhits = hit_prefix[:, k - 1]
+        recall = nhits / num_pos
+        dcg = dcg_prefix[:, k - 1].copy()
+        for j in np.flatnonzero(nhits >= PAIRWISE_TERMS):
+            dcg[j] = np.sum(gain_of_rank[:k][hits[j, :k]])
+        ndcg = dcg / idcg_table[np.minimum(k, num_pos)]
+        aggregates[k] = {
+            "recall": _sequential_mean(recall, n_users),
+            "ndcg": _sequential_mean(ndcg, n_users),
         }
-        for k in ks
-    }
+        columns[f"recall@{k}"] = recall.tolist()
+        columns[f"ndcg@{k}"] = ndcg.tolist()
+    records = None
+    if per_user:
+        names = list(columns)
+        records = [dict(zip(names, values)) for values in zip(*columns.values())]
     return EvalReport(ks=ks, aggregates=aggregates, users_evaluated=n_users, per_user=records)
 
 

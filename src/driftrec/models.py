@@ -181,7 +181,11 @@ class EmbeddingModel:
         return ie @ ue[u]
 
     def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Scores of the pairs (users[j], items[j]); with 2-D ``items`` of shape
+        (b, w), the (b, w) scores of users[j] against each of items[j]."""
         ue, ie = self.scoring_embeddings()
+        if np.ndim(items) == 2:
+            return np.einsum("bd,bwd->bw", ue[users], ie[items])
         return np.einsum("ij,ij->i", ue[users], ie[items])
 
 

@@ -155,7 +155,7 @@ class NegativeSampler:
         width = self.spec.pool if kind == "dns" else self.spec.n
         b = users.shape[0]
         cands = self._draw_uniform_valid(np.repeat(users, width), rng).reshape(b, width)
-        scores = model.pair_scores(np.repeat(users, width), cands.ravel()).reshape(b, width)
+        scores = model.pair_scores(users, cands)
         if kind == "dns":
             best = scores.max(axis=1, keepdims=True)
             # among score ties prefer the smallest item index

@@ -14,6 +14,7 @@ import pytest
 
 from driftrec.data import InteractionLog, RawEvent, build_log, timestamp_split
 from driftrec.decay import DecaySpec, WeightedBipartiteGraph
+from driftrec.metrics import ndcg_at_k, rank_items, recall_at_k
 from driftrec.models import propagate_matrix
 from driftrec.samplers import REJECTION_ROUNDS
 from driftrec.synthetic import SyntheticSpec, generate
@@ -136,6 +137,47 @@ def oracle_evaluate(model, split, ks, part="test"):
     return per_user
 
 
+def oracle_evaluate_loop(model, split, ks, part="test", per_user=True):
+    """The per-user evaluation loop that metrics.evaluate replaced.
+
+    One full stable argsort per user through rank_items, recall_at_k /
+    ndcg_at_k per cutoff and sequential sums in user order. The blocked
+    metrics.evaluate must return (per_user records, aggregates,
+    users_evaluated) equal to these with ==, not within a tolerance.
+    """
+    ks = tuple(sorted(set(int(k) for k in ks)))
+
+    def by_user(log):
+        out = {}
+        for u, i in zip(log.users.tolist(), log.items.tolist()):
+            out.setdefault(u, set()).add(i)
+        return {u: np.array(sorted(items), dtype=np.int64) for u, items in out.items()}
+
+    log = {"validation": split.validation, "test": split.test, "train": split.train}[part]
+    pos_by_user = by_user(log)
+    train_by_user = by_user(split.train) if part != "train" else {}
+    sums = {k: {"recall": 0.0, "ndcg": 0.0} for k in ks}
+    records = []
+    for user in sorted(pos_by_user):
+        positives = pos_by_user[user]
+        ranked = rank_items(model, user, train_by_user.get(user, np.empty(0, dtype=np.int64)))
+        rec = {"user": user, "num_pos": int(positives.size)}
+        for k in ks:
+            r = recall_at_k(ranked, positives, k)
+            n = ndcg_at_k(ranked, positives, k)
+            sums[k]["recall"] += r
+            sums[k]["ndcg"] += n
+            rec[f"recall@{k}"] = r
+            rec[f"ndcg@{k}"] = n
+        records.append(rec)
+    n_users = len(records)
+    aggregates = {
+        k: {name: (total / n_users if n_users else 0.0) for name, total in sums[k].items()}
+        for k in ks
+    }
+    return (records if per_user else None), aggregates, n_users
+
+
 # --------------------------------------------------------------------------
 # reference training step: dense np.add.at scatters and full-batch rejection
 # re-checks. The library's batch_gradients and NegativeSampler must match
@@ -241,7 +283,10 @@ def oracle_sample_batch(sampler, users, model, rng):
     width = sampler.spec.pool if kind == "dns" else sampler.spec.n
     b = users.shape[0]
     cands = _oracle_draw_uniform_valid(sampler, np.repeat(users, width), rng).reshape(b, width)
-    scores = model.pair_scores(np.repeat(users, width), cands.ravel()).reshape(b, width)
+    score_u, score_i = model.scoring_embeddings()
+    scores = np.einsum(
+        "ij,ij->i", score_u[np.repeat(users, width)], score_i[cands.ravel()]
+    ).reshape(b, width)
     if kind == "dns":
         best = scores.max(axis=1, keepdims=True)
         tied = np.where(scores == best, cands, sampler.num_items)

@@ -398,6 +398,26 @@ class TestCli:
             assert err["error"] == "ValueError"
             assert str(ckpt) in err["message"] and message in err["message"]
 
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_checkpoint_of_another_dataset_is_json_error(self, tiny_tsv, tmp_path, capsys,
+                                                         backbone):
+        other = tmp_path / "other.tsv"
+        with open(other, "w") as f:
+            write_tsv(generate(SyntheticSpec(num_users=30, num_items=50, num_events=900,
+                                             groups_per_pool=5, seed=14)), f)
+        ckpt = str(tmp_path / "model.ckpt")
+        rc = self.run_cli("train", "--data", str(other), "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--backbone", backbone, "--checkpoint-out", ckpt)
+        assert rc == 0
+        capsys.readouterr()
+        rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", ckpt)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert "does not match the split" in err["message"]
+
     def test_bad_flag_value_is_json_error(self, tiny_tsv, capsys):
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "2",
                           "--layers", "0")

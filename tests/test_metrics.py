@@ -3,10 +3,12 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftrec import metrics
 from driftrec.data import InteractionLog, SplitDataset
 from driftrec.models import EmbeddingModel, init_xavier
 from driftrec.metrics import (
@@ -16,7 +18,14 @@ from driftrec.metrics import (
     rank_items,
     recall_at_k,
 )
-from conftest import oracle_evaluate, oracle_ndcg, oracle_rank, oracle_recall
+from driftrec.training import TrainConfig, fit
+from conftest import (
+    oracle_evaluate,
+    oracle_evaluate_loop,
+    oracle_ndcg,
+    oracle_rank,
+    oracle_recall,
+)
 
 
 def model_with_scores(score_rows):
@@ -226,6 +235,161 @@ class TestEvaluate:
         assert lines[0] == "k,recall,ndcg,users_evaluated"
         assert len(lines) == 3
         assert lines[1].split(",")[1] == "1.0"
+
+
+def assert_matches_loop(model, split, ks, part="test", per_user=True):
+    """evaluate() equals the per-user loop exactly: records, key order, aggregates."""
+    report = evaluate(model, split, ks=ks, part=part, per_user=per_user)
+    records, aggregates, n_users = oracle_evaluate_loop(model, split, ks, part, per_user)
+    assert report.users_evaluated == n_users
+    assert report.aggregates == aggregates
+    assert report.per_user == records
+    assert json.dumps(report.per_user) == json.dumps(records)
+    return report
+
+
+def random_pairs(rng, num_users, num_items, per_user):
+    """Distinct (user, item) pairs, ``per_user`` for every user, shuffled."""
+    pairs = [
+        (u, int(i))
+        for u in range(num_users)
+        for i in rng.choice(num_items, size=per_user, replace=False)
+    ]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.fixture(scope="module", params=["mf", "lightgcn"])
+def trained_drift_model(request, drift_split):
+    config = TrainConfig(lr=0.02, batch_size=512, epochs=8, d=16, seed=3, eval_every=4,
+                         backbone=request.param, num_prop_layers=2)
+    model, _ = fit(drift_split, config)
+    return model
+
+
+class TestBlockedEvaluationMatchesLoop:
+    """The blocked, vectorised evaluate against the per-user argsort loop, with ==."""
+
+    @pytest.mark.parametrize("part", ["train", "validation", "test"])
+    @pytest.mark.parametrize("ks", [(20,), (20, 30), (1, 5, 50)])
+    def test_trained_drift_models(self, trained_drift_model, drift_split, part, ks):
+        assert_matches_loop(trained_drift_model, drift_split, ks, part=part)
+
+    def test_trained_drift_model_in_small_blocks(self, trained_drift_model, drift_split,
+                                                 monkeypatch):
+        monkeypatch.setattr(metrics, "BLOCK_SCORES", 7 * drift_split.num_items + 3)
+        assert_matches_loop(trained_drift_model, drift_split, (1, 20, 30))
+        monkeypatch.setattr(metrics, "BLOCK_SCORES", 1)
+        assert_matches_loop(trained_drift_model, drift_split, (5, 20))
+
+    def test_per_user_disabled(self, trained_drift_model, drift_split):
+        report = assert_matches_loop(trained_drift_model, drift_split, (20, 30), per_user=False)
+        assert report.per_user is None
+
+    def test_quantized_scores_tie_everywhere(self):
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            num_users, num_items = int(rng.integers(1, 15)), int(rng.integers(2, 60))
+            scores = np.round(rng.standard_normal((num_users, num_items)) * 2) / 4
+            pairs = random_pairs(rng, num_users, num_items, min(num_items, 6))
+            cut = len(pairs) // 2
+            split = split_of(pairs[:cut], pairs[cut:], num_users, num_items,
+                             val_pairs=pairs[cut : cut + 3])
+            for part in ("train", "validation", "test"):
+                assert_matches_loop(model_with_scores(scores), split, (1, 3, 10), part=part)
+
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_duplicate_item_rows_tie_exactly(self, d):
+        # one matrix-vector product per user gives equal rows equal scores,
+        # so each group of duplicates ranks by item index
+        rng = np.random.default_rng(75)
+        num_users, num_items = 120, 300
+        base = rng.standard_normal((6, d))
+        model = EmbeddingModel(rng.standard_normal((num_users, d)),
+                               base[rng.integers(0, 6, size=num_items)])
+        pairs = random_pairs(rng, num_users, num_items, 40)
+        split = split_of(pairs[:1800], pairs[1800:], num_users, num_items)
+        assert_matches_loop(model, split, (5, 20, 60))
+
+    def test_fewer_rankable_items_than_cutoff(self):
+        rng = np.random.default_rng(71)
+        scores = np.round(rng.standard_normal((4, 10)), 1)
+        # user 0 keeps 2 rankable items, user 1 one, user 2 all ten
+        train = [(0, i) for i in range(8)] + [(1, i) for i in range(10) if i != 4]
+        test = [(0, 8), (0, 9), (1, 4), (2, 3), (2, 7), (3, 0)]
+        split = split_of(train, test, 4, 10)
+        for ks in ((1, 2, 3), (5, 10, 11), (50,)):
+            assert_matches_loop(model_with_scores(scores), split, ks)
+
+    def test_infinite_and_nan_scores(self):
+        scores = np.array([
+            [np.inf, 1.0, -np.inf, 0.5, np.nan, 2.0],
+            [np.nan, np.nan, np.nan, np.nan, np.nan, np.nan],
+            [-np.inf, -np.inf, 0.0, -np.inf, np.inf, np.inf],
+        ])
+        split = split_of([(0, 5), (1, 0), (2, 4)],
+                         [(0, 0), (0, 2), (0, 4), (1, 3), (2, 0), (2, 3), (2, 5)], 3, 6)
+        for ks in ((1, 2), (3, 4, 6)):
+            assert_matches_loop(model_with_scores(scores), split, ks)
+
+    def test_many_hits_take_the_pairwise_sum(self):
+        # 12 of the top 20 are positives, so DCG sums 8 or more terms pairwise
+        rng = np.random.default_rng(72)
+        num_items = 40
+        scores = rng.standard_normal((3, num_items))
+        top = np.argsort(-scores, kind="stable", axis=1)[:, :20]
+        test = [(u, int(i)) for u in range(3) for i in top[u, ::2]]
+        test += [(u, int(i)) for u in range(3) for i in top[u, 1:8:3]]
+        split = split_of([], test, 3, num_items)
+        report = assert_matches_loop(model_with_scores(scores), split, (8, 10, 20, 30))
+        assert all(rec["recall@20"] == 1.0 for rec in report.per_user)
+
+    def test_empty_holdout(self, trained_drift_model, drift_split):
+        split = split_of(list(zip(drift_split.train.users.tolist(),
+                                  drift_split.train.items.tolist())),
+                         [], drift_split.num_users, drift_split.num_items)
+        report = assert_matches_loop(trained_drift_model, split, (20, 30))
+        assert report.users_evaluated == 0 and report.per_user == []
+
+    def test_users_span_several_blocks(self):
+        rng = np.random.default_rng(73)
+        num_users, num_items = 300, 3000  # 43 users per 1 MiB block
+        model = init_xavier(num_users, num_items, 8, seed=4)
+        pairs = random_pairs(rng, num_users, num_items, 12)
+        split = split_of(pairs[: len(pairs) // 2], pairs[len(pairs) // 2 :],
+                         num_users, num_items)
+        assert metrics.BLOCK_SCORES // num_items < num_users // 3
+        assert_matches_loop(model, split, (10, 20, 30))
+
+
+class TestEvaluateShapeGuard:
+    @pytest.mark.parametrize("shape", [(60, 120), (80, 90), (60, 50)])
+    def test_model_of_another_shape_is_rejected(self, drift_split, shape):
+        assert (drift_split.num_users, drift_split.num_items) == (60, 90)
+        model = init_xavier(*shape, 4, seed=0)
+        with pytest.raises(ValueError, match=rf"{shape[0]} users x {shape[1]} items.*"
+                                             r"60 users x 90 items"):
+            evaluate(model, drift_split)
+
+
+def test_block_cap_bounds_evaluation_memory():
+    """A 1000 x 4000 evaluation would hold a 32 MB score matrix if it scored
+    every user at once; in 1 MiB blocks its traced peak stays under 4 MiB."""
+    rng = np.random.default_rng(74)
+    num_users, num_items = 1000, 4000
+    model = init_xavier(num_users, num_items, 8, seed=5)
+    users = np.repeat(np.arange(num_users), 10)
+    items = rng.integers(0, num_items, size=users.size)
+    split = split_of(zip(users[::2].tolist(), items[::2].tolist()),
+                     zip(users[1::2].tolist(), items[1::2].tolist()), num_users, num_items)
+    tracemalloc.start()
+    try:
+        report = evaluate(model, split, ks=(20, 30))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.users_evaluated == num_users
+    assert peak < 4 * 2**20
 
 
 class TestMarginSurrogate:

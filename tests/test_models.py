@@ -85,6 +85,29 @@ class TestScoring:
         want = [m.score(u, p) for u, p in zip(users, items)]
         assert got.tolist() == pytest.approx(want, abs=1e-15)
 
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_pair_scores_2d_equals_flat_pairs(self, backbone):
+        """(b, w) item blocks score exactly as the flat pairs with each user repeated w times."""
+        rng = np.random.default_rng(8)
+        shapes = [(2048, 10, 32)] + [
+            (int(rng.integers(1, 600)), int(rng.integers(1, 25)), int(rng.integers(1, 65)))
+            for _ in range(60)
+        ]
+        for b, w, d in shapes:
+            nu, ni = int(rng.integers(1, 80)), int(rng.integers(1, 120))
+            adjacency = None
+            if backbone == "lightgcn":
+                keys = rng.choice(nu * ni, size=min(nu * ni, 3 * (nu + ni)), replace=False)
+                adjacency = build_norm_adjacency(keys // ni, keys % ni, nu, ni)
+            m = init_xavier(nu, ni, d, seed=int(rng.integers(1000)), backbone=backbone,
+                            num_prop_layers=2, adjacency=adjacency)
+            users = rng.integers(0, nu, size=b)
+            items = rng.integers(0, ni, size=(b, w))
+            got = m.pair_scores(users, items)
+            want = m.pair_scores(np.repeat(users, w), items.ravel()).reshape(b, w)
+            assert got.shape == (b, w)
+            assert np.array_equal(got, want)
+
     def test_lightgcn_score_consistency(self):
         m = init_xavier(2, 2, 4, seed=5, backbone="lightgcn", num_prop_layers=2,
                         adjacency=tiny_adjacency())
