@@ -175,12 +175,14 @@ def cmd_train(args) -> int:
         metrics_path=args.metrics_out,
         checkpoint_path=args.checkpoint_out,
     )
-    if args.checkpoint_out:
-        save_checkpoint(model, args.checkpoint_out)  # covers the no-validation path
+    best_epoch = getattr(model, "best_epoch", None)
+    if args.checkpoint_out and best_epoch is None:
+        # fit wrote no checkpoint (no validation improvement), so save the final model
+        save_checkpoint(model, args.checkpoint_out)
     report = evaluate(model, split, ks=config.ks, part="test", per_user=False)
     doc = {
         "seed": seed,
-        "best_epoch": getattr(model, "best_epoch", None),
+        "best_epoch": best_epoch,
         "evaluations": len(history),
         "users_evaluated": report.users_evaluated,
         "pss_size": len(pss),

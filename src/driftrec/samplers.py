@@ -9,6 +9,11 @@ interacted with in train:
   dns_mn  one of the rank-M..N candidates out of N, softening the
           hard-negative window
 
+Membership ("has user u interacted with item i in train?") is one lookup
+in a packed bitset holding one bit per (user, item) key, u * num_items + i.
+It costs U * I / 8 bytes: 62.5 KiB for 500 users x 1000 items, 50 MB for
+20k x 20k, so memory is O(U * I / 8) whatever the number of interactions.
+
 Rejection sampling is capped at REJECTION_ROUNDS. Each round redraws, in
 index order, only the entries still interacted and re-checks only those;
 valid draws are never touched again. Entries still interacted after the cap
@@ -58,8 +63,11 @@ class NegativeSampler:
         self.spec = spec
         self.num_users = train.num_users
         self.num_items = train.num_items
-        # sorted pair keys give O(log E) vectorized membership tests
-        self._keys = np.sort(train.users * np.int64(self.num_items) + train.items)
+        # packed bitset, one bit per (user, item) key: O(1) membership in
+        # ceil(U * I / 8) bytes (62.5 KiB at 500 x 1000, 50 MB at 20k x 20k)
+        keys = train.users * np.int64(self.num_items) + train.items
+        self._bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
+        np.bitwise_or.at(self._bits, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
         # CSR-style per-user item lists for complement fallbacks
         order = np.lexsort((train.items, train.users))
         self._items_by_user = train.items[order]
@@ -79,9 +87,7 @@ class NegativeSampler:
 
     def _interacted(self, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
         keys = users * np.int64(self.num_items) + cands
-        pos = np.searchsorted(self._keys, keys)
-        pos = np.minimum(pos, self._keys.size - 1)
-        return self._keys[pos] == keys
+        return (self._bits[keys >> 3] >> (keys & 7).astype(np.uint8) & 1).view(bool)
 
     def _check_feasible(self, users: np.ndarray) -> None:
         full = self.degree[users] >= self.num_items

@@ -131,21 +131,22 @@ def bpr_loss(margin):
     return loss, grad
 
 
-def _scatter_rows(num_rows: int, rows: np.ndarray, cols: np.ndarray, scales: np.ndarray,
+def _scatter_rows(num_rows: int, rows: np.ndarray, scales: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """Dense (num_rows, d) sum of scales[k] * x[cols[k]] into row rows[k].
+    """Dense (num_rows, d) sum of scales[k] * x[k] into row rows[k].
 
-    One CSR product with a selection matrix whose row r lists the entries
-    k with rows[k] == r. A CSR product adds a row's entries in stored
-    order, and a stable sort by row keeps them in entry order, so every
-    output row equals the sequential `np.add.at` result bit for bit.
+    One product with a CSC selection matrix whose column k holds the single
+    entry scales[k] at row rows[k]. A CSC product walks the columns in
+    order and adds each into a zeroed output, so every output row receives
+    its terms in entry order, starting from zero: the same float sequence
+    as the sequential `np.add.at`, with no sort by row. The product does
+    not check row indices and would write outside its output, so rows
+    outside [0, num_rows) raise IndexError here.
     """
     n = rows.shape[0]
-    # unique keys, so this plain sort gives the stable order by row
-    order = np.sort(rows.astype(np.int64) * n + np.arange(n)) % n
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-    select = sp.csr_matrix((scales[order], cols[order], indptr), shape=(num_rows, x.shape[0]))
+    if n and (rows.min() < 0 or rows.max() >= num_rows):
+        raise IndexError(f"scatter row index out of range [0, {num_rows})")
+    select = sp.csc_matrix((scales, rows, np.arange(n + 1)), shape=(num_rows, n))
     return select @ x
 
 
@@ -165,11 +166,13 @@ def batch_gradients(
     uses propagated embeddings, and the chain rule reuses the propagation
     operator itself (it is self-adjoint).
 
-    Each output matrix is one scatter (:func:`_scatter_rows`) of the
-    gathered rows, scaled by coeff, -coeff or l2/b. Per output row the
-    terms are added in a fixed order: loss terms in batch order (user, then
+    Each output matrix is one scatter (:func:`_scatter_rows`) of a
+    contiguous slice of the gathered rows [e_p - e_n; e_u; e_u; e_p; e_n],
+    scaled by coeff, -coeff or l2/b. The slice lists the terms in the order
+    each output row adds them: loss terms in batch order (user, then
     positive, then negative entries), then regularization terms in batch
-    order, starting from zero. For the propagation backbone the
+    order, starting from zero. The scatter adds its entries in slice order,
+    so no entry needs sorting. For the propagation backbone the
     regularization is added after propagation, by a second scatter whose
     first block is the propagated gradient itself with unit scale.
     """
@@ -177,10 +180,12 @@ def batch_gradients(
     base_u, base_i = model.user_emb, model.item_emb
     score_u, score_i = model.scoring_embeddings()
 
-    # gathered rows, one block per role: [e_u; e_p; e_n; e_p - e_n]
-    gathered = np.empty((4 * b, model.dim))
-    ue, pe, ne, diff = np.split(gathered, 4)
+    # gathered rows, laid out so every scatter reads one slice in entry
+    # order: [e_p - e_n; e_u; e_u; e_p; e_n]
+    gathered = np.empty((5 * b, model.dim))
+    diff, ue, ue2, pe, ne = np.split(gathered, 5)
     np.take(score_u, users, axis=0, out=ue)
+    ue2[:] = ue
     np.take(score_i, pos_items, axis=0, out=pe)
     np.take(score_i, neg_items, axis=0, out=ne)
     np.subtract(pe, ne, out=diff)
@@ -191,31 +196,28 @@ def batch_gradients(
         dmargin = dmargin * pair_weights
     coeff = dmargin / b
     reg_scale = np.full(b, l2 / b)
-    at_u, at_p, at_n, at_diff = np.arange(4 * b).reshape(4, b)
 
     num_users, num_items = model.num_users, model.num_items
     if model.backbone == "mf":
         # scoring rows are the base rows, so they double as regularizer rows
         reg_rows_u, reg_rows_p, reg_rows_n = ue, pe, ne
         grad_user = _scatter_rows(
-            num_users, np.concatenate([users, users]), np.concatenate([at_diff, at_u]),
-            np.concatenate([coeff, reg_scale]), gathered,
+            num_users, np.concatenate([users, users]),
+            np.concatenate([coeff, reg_scale]), gathered[: 2 * b],
         )
         grad_item = _scatter_rows(
             num_items, np.concatenate([pos_items, neg_items, pos_items, neg_items]),
-            np.concatenate([at_u, at_u, at_p, at_n]),
-            np.concatenate([coeff, -coeff, reg_scale, reg_scale]), gathered,
+            np.concatenate([coeff, -coeff, reg_scale, reg_scale]), gathered[b:],
         )
     else:
         n = num_users + num_items
         item_rows_p, item_rows_n = num_users + pos_items, num_users + neg_items
         g_stack = _scatter_rows(
             n, np.concatenate([users, item_rows_p, item_rows_n]),
-            np.concatenate([at_diff, at_u, at_u]),
-            np.concatenate([coeff, coeff, -coeff]), gathered,
+            np.concatenate([coeff, coeff, -coeff]), gathered[: 3 * b],
         )
         # the scoring rows are done with; free them before the next buffer
-        del gathered, ue, pe, ne, diff
+        del gathered, diff, ue, ue2, pe, ne
         # [propagated gradient; regularizer rows], scattered with the
         # propagated block as an identity so the regularizer adds after it
         stacked = np.empty((n + 3 * b, model.dim))
@@ -224,9 +226,8 @@ def batch_gradients(
         np.take(base_u, users, axis=0, out=reg_rows_u)
         np.take(base_i, pos_items, axis=0, out=reg_rows_p)
         np.take(base_i, neg_items, axis=0, out=reg_rows_n)
-        entries = np.concatenate([np.arange(n), users, item_rows_p, item_rows_n])
         g_base = _scatter_rows(
-            n, entries, np.arange(entries.shape[0]),
+            n, np.concatenate([np.arange(n), users, item_rows_p, item_rows_n]),
             np.concatenate([np.ones(n), reg_scale, reg_scale, reg_scale]), stacked,
         )
         grad_user = g_base[:num_users]

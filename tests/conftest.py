@@ -230,13 +230,25 @@ def oracle_batch_gradients(model, users, pos_items, neg_items, l2, pair_weights=
     return float(np.mean(loss_vec + reg)), grad_user, grad_item
 
 
+def _oracle_interacted(sampler, users, items):
+    """Train membership by searchsorted over sorted pair keys, built from the
+    sampler's per-user item lists, independent of its bitset."""
+    keys = np.sort(
+        np.repeat(np.arange(sampler.num_users, dtype=np.int64), sampler.degree)
+        * np.int64(sampler.num_items) + sampler._items_by_user
+    )
+    query = users * np.int64(sampler.num_items) + items
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return keys[pos] == query
+
+
 def _oracle_draw_uniform_valid(sampler, users, rng):
     out = rng.integers(0, sampler.num_items, size=users.shape[0])
-    bad = sampler._interacted(users, out)
+    bad = _oracle_interacted(sampler, users, out)
     rounds = 0
     while np.any(bad) and rounds < REJECTION_ROUNDS:
         out[bad] = rng.integers(0, sampler.num_items, size=int(bad.sum()))
-        bad = sampler._interacted(users, out)
+        bad = _oracle_interacted(sampler, users, out)
         rounds += 1
     for idx in np.nonzero(bad)[0]:
         comp = sampler._complement(int(users[idx]))
@@ -249,14 +261,14 @@ def _oracle_draw_popularity_valid(sampler, users, rng):
     size = users.shape[0]
     if total > 0:
         out = np.searchsorted(sampler._pop_cumsum, rng.random(size) * total, side="right")
-        bad = sampler._interacted(users, out)
+        bad = _oracle_interacted(sampler, users, out)
         rounds = 0
         while np.any(bad) and rounds < REJECTION_ROUNDS:
             nbad = int(bad.sum())
             out[bad] = np.searchsorted(
                 sampler._pop_cumsum, rng.random(nbad) * total, side="right"
             )
-            bad = sampler._interacted(users, out)
+            bad = _oracle_interacted(sampler, users, out)
             rounds += 1
     else:
         out = np.zeros(size, dtype=np.int64)

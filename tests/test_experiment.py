@@ -381,6 +381,53 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("epochs,eval_every", [(6, 1), (2, 5)])
+    def test_train_writes_checkpoint_once_per_improvement(self, tiny_tsv, tmp_path, capsys,
+                                                          monkeypatch, epochs, eval_every):
+        """fit writes on each validation improvement and restores that model,
+        so the CLI saves again only when fit wrote nothing."""
+        import driftrec.cli as cli
+        import driftrec.models as models
+
+        real_save, real_fit = models.save_checkpoint, cli.fit
+        saves, fitted = [], []
+
+        def counting_save(model, path):
+            saves.append(path)
+            real_save(model, path)
+
+        def capturing_fit(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            fitted.append(result[0])
+            return result
+
+        monkeypatch.setattr(models, "save_checkpoint", counting_save)
+        monkeypatch.setattr(cli, "save_checkpoint", counting_save)
+        monkeypatch.setattr(cli, "fit", capturing_fit)
+        ckpt, metrics = tmp_path / "model.ckpt", tmp_path / "epochs.jsonl"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", str(epochs),
+                          "--eval-every", str(eval_every), "--d", "8", "--lr", "0.02",
+                          "--batch-size", "256", "--checkpoint-out", str(ckpt),
+                          "--metrics-out", str(metrics))
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        best, improvements = -1.0, 0
+        for line in metrics.read_text().splitlines():
+            recall = json.loads(line)["recall@20"]
+            if recall > best:
+                best, improvements = recall, improvements + 1
+        if eval_every > epochs:
+            assert improvements == 0 and doc["best_epoch"] is None
+            assert len(saves) == 1
+        else:
+            assert improvements >= 1 and doc["best_epoch"] is not None
+            assert len(saves) == improvements
+        assert set(saves) == {str(ckpt)}
+        # the file holds exactly what a final save of the returned model writes
+        final = tmp_path / "final.ckpt"
+        real_save(fitted[0], str(final))
+        assert ckpt.read_bytes() == final.read_bytes()
+
     def test_corrupt_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",

@@ -1,8 +1,11 @@
 """Negative sampler tests: validity, distributions, hardness ordering."""
 
+import math
+
 import numpy as np
 import pytest
 
+from driftrec.data import InteractionLog
 from driftrec.models import EmbeddingModel, init_xavier
 from driftrec.samplers import KINDS, NegativeSampler, SamplerSpec, sample_negative
 from conftest import make_log, oracle_sample_batch
@@ -303,3 +306,36 @@ class TestRedrawOnlyRejection:
             assert np.array_equal(got, want)
             assert set(got[users == 0].tolist()) <= {297, 298, 299}
             assert set(got[users == 3].tolist()) <= {0, 1}
+
+
+class TestBitsetMembership:
+    """The packed membership bitset agrees with a Python set on every pair."""
+
+    def test_matches_python_set_on_unaligned_shape(self):
+        # 7 x 13 = 91 keys, not a multiple of 8, so the last byte is partial
+        num_users, num_items = 7, 13
+        rng = np.random.default_rng(70)
+        pairs = {(u, i) for u in (0, 2, 3) for i in range(num_items) if rng.random() < 0.4}
+        pairs |= {(1, i) for i in range(num_items) if i != 5}  # all items but one
+        pairs |= {(5, 0), (6, num_items - 1)}  # last user x last item
+        # user 4 has no train items
+        users, items = (np.array(col, dtype=np.int64) for col in zip(*sorted(pairs)))
+        log = InteractionLog(
+            users=users, items=items, times=np.arange(users.size, dtype=np.int64),
+            user_vocab={f"u{k}": k for k in range(num_users)},
+            item_vocab={f"i{k}": k for k in range(num_items)},
+        )
+        sampler = NegativeSampler(SamplerSpec(), log)
+        assert sampler._bits.nbytes == math.ceil(num_users * num_items / 8)
+        all_users = np.repeat(np.arange(num_users), num_items)
+        all_items = np.tile(np.arange(num_items), num_users)
+        got = sampler._interacted(all_users, all_items)
+        assert got.dtype == bool
+        want = [(u, i) in pairs for u, i in zip(all_users.tolist(), all_items.tolist())]
+        assert got.tolist() == want
+        assert not got[all_users == 4].any()
+        assert got[all_users == 1].sum() == num_items - 1
+        assert got[-1]
+        # shuffled queries with repeats read the same bits
+        perm = rng.integers(0, all_users.size, size=500)
+        assert np.array_equal(sampler._interacted(all_users[perm], all_items[perm]), got[perm])

@@ -14,9 +14,10 @@ import pytest
 
 from driftrec.data import InteractionLog, SplitDataset
 from driftrec.decay import DecaySpec, build_weighted_graph, instance_weights
+from driftrec.experiment import ExperimentConfig, build_positives
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier, load_checkpoint
 from driftrec.positives import build_pss, filtrate, train_positives
-from driftrec.samplers import SamplerSpec
+from driftrec.samplers import NegativeSampler, SamplerSpec
 from driftrec.training import (
     AdamState,
     TrainConfig,
@@ -27,7 +28,7 @@ from driftrec.training import (
     fit,
     train_epoch,
 )
-from conftest import make_log, oracle_batch_gradients
+from conftest import make_log, oracle_batch_gradients, oracle_sample_batch
 
 mpmath.mp.dps = 50
 
@@ -315,6 +316,143 @@ class TestBatchGradientsBitIdentity:
             self.assert_matches_oracle(model, users, pos, negs, 1e-4, None)
             _, gu, gi = batch_gradients(model, users, pos, negs, 1e-4)
             adam.step(model, gu, gi, lr=0.01)
+
+
+class TestScatterSignsAndBounds:
+    """Underflowed loss coefficients and zero rows keep the oracle's signs."""
+
+    @staticmethod
+    def extreme_case(backbone, seed):
+        # rows this large put many |margins| past 1e3, where expit(-margin)
+        # underflows and coeff is -0.0 (or -1/b when negative); propagation
+        # averages rows, so the propagation backbone needs a larger scale
+        model = scatter_case_model(backbone, 9, 14, seed)
+        rng = np.random.default_rng(seed)
+        scale = 20.0 if backbone == "mf" else 150.0
+        user_emb = scale * rng.standard_normal(model.user_emb.shape)
+        item_emb = scale * rng.standard_normal(model.item_emb.shape)
+        user_emb[[0, 4]] = 0.0
+        item_emb[[1, 7, 13]] = 0.0
+        model.set_params(user_emb, item_emb)
+        # user 8 and item 12 stay untouched
+        users, pos, negs = random_batch(rng, 8, 12, 400)
+        negs[::11] = pos[::11]
+        # zero item 13 only ever appears as the negative of a pair whose
+        # margin underflows its coeff, so all its terms are signed zeros
+        score_u, score_i = model.scoring_embeddings()
+        far = np.argwhere(score_u[:8] @ (score_i[:12] - score_i[13]).T > 1e3)[:5]
+        users = np.concatenate([users, far[:, 0]])
+        pos = np.concatenate([pos, far[:, 1]])
+        negs = np.concatenate([negs, np.full(len(far), 13)])
+        return model, users, pos, negs
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_extreme_margins_and_zero_rows(self, backbone, weighted):
+        model, users, pos, negs = self.extreme_case(backbone, 71)
+        score_u, score_i = model.scoring_embeddings()
+        margin = np.einsum("ij,ij->i", score_u[users], score_i[pos] - score_i[negs])
+        assert np.sum(margin > 1e3) > 20 and np.sum(margin < -1e3) > 20
+        assert np.any(margin == 0.0)
+        assert np.sum(negs == 13) >= 3 and np.all(margin[negs == 13] > 1e3)
+        weights = (np.random.default_rng(72).uniform(0.1, 2.0, size=users.shape[0])
+                   if weighted else None)
+        got = batch_gradients(model, users, pos, negs, 1e-3, weights)
+        want = oracle_batch_gradients(model, users, pos, negs, 1e-3, weights)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_out_of_range_index_raises(self, backbone):
+        model = scatter_case_model(backbone, 4, 6, seed=73)
+        users, pos, negs = np.array([0, 3]), np.array([1, 5]), np.array([2, 4])
+        cases = [(np.array([0, 4]), pos, negs), (users, np.array([1, 6]), negs),
+                 (users, pos, np.array([6, 4]))]
+        if backbone == "mf":
+            # np.take accepts -1, but a negative scatter row must not reach the
+            # sparse product, which does not bound-check its row indices
+            cases += [(np.array([0, -1]), pos, negs), (users, np.array([-1, 5]), negs),
+                      (users, pos, np.array([2, -6]))]
+        for bad in cases:
+            with pytest.raises(IndexError):
+                batch_gradients(model, *bad, 0.01)
+
+
+class TestTrainingStepMatchesOracle:
+    """Two epochs of train_epoch equal a loop of the reference step.
+
+    The reference samples with oracle_sample_batch, differentiates with
+    oracle_batch_gradients and applies Adam as the textbook expression on
+    fresh arrays, so buffer reuse or aliasing carried from one library step
+    to the next shows up as a parameter difference.
+    """
+
+    @staticmethod
+    def oracle_epochs(model, pss, config, split, rng, epochs, pair_weights):
+        sampler = NegativeSampler(config.sampler, split.train)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, config.lr
+        moments = {name: (np.zeros_like(emb), np.zeros_like(emb))
+                   for name, emb in (("user", model.user_emb), ("item", model.item_emb))}
+        t = 0
+        for _ in range(epochs):
+            order = rng.permutation(len(pss))
+            for start in range(0, order.shape[0], config.batch_size):
+                idx = order[start : start + config.batch_size]
+                users, pos = pss.users[idx], pss.items[idx]
+                negs = oracle_sample_batch(sampler, users, model, rng)
+                w = pair_weights[idx] if pair_weights is not None else None
+                _, grad_u, grad_i = oracle_batch_gradients(model, users, pos, negs, config.l2, w)
+                t += 1
+                new = []
+                for name, g, params in (("user", grad_u, model.user_emb),
+                                        ("item", grad_i, model.item_emb)):
+                    m, v = moments[name]
+                    m = b1 * m + (1.0 - b1) * g
+                    v = b2 * v + (1.0 - b2) * np.square(g)
+                    moments[name] = (m, v)
+                    new.append(params + -lr * (m / (1.0 - b1 ** t))
+                               / (np.sqrt(v / (1.0 - b2 ** t)) + eps))
+                model.set_params(*new)
+
+    @pytest.mark.parametrize("backbone,sampler,variant", [
+        ("mf", "rns", "layered"),
+        ("mf", "pns", "layered"),
+        ("lightgcn", "dns", "layered"),
+        ("lightgcn", "dns_mn", "layered"),
+        ("mf", "rns", "weighted_bpr"),
+    ])
+    def test_two_epochs_equal_reference(self, drift_split, backbone, sampler, variant):
+        exp = ExperimentConfig(variant=variant, backbone=backbone, sampler=sampler, layers=2,
+                               rate=0.02, d=8, lr=0.02, batch_size=256, prop_layers=2,
+                               pool=5, m=2, n=6)
+        pss, weights = build_positives(drift_split, exp)
+        config = exp.train_config(seed=4)
+        adjacency = None
+        if backbone == "lightgcn":
+            train = drift_split.train
+            adjacency = build_norm_adjacency(train.users, train.items,
+                                             drift_split.num_users, drift_split.num_items)
+
+        def fresh_model():
+            return init_xavier(drift_split.num_users, drift_split.num_items, config.d,
+                               config.seed, backbone=backbone,
+                               num_prop_layers=config.num_prop_layers, adjacency=adjacency)
+
+        model = fresh_model()
+        adam = AdamState(model.num_users, model.num_items, model.dim)
+        sampler_obj = NegativeSampler(config.sampler, drift_split.train)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            train_epoch(model, pss, config, adam, drift_split, rng,
+                        sampler=sampler_obj, pair_weights=weights)
+        reference = fresh_model()
+        self.oracle_epochs(reference, pss, config, drift_split, np.random.default_rng(9), 2,
+                           weights)
+        assert adam.step_count == 2 * -(-len(pss) // config.batch_size)
+        assert np.array_equal(model.user_emb, reference.user_emb)
+        assert np.array_equal(model.item_emb, reference.item_emb)
 
 
 class TestAdamState:
