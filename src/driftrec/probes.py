@@ -159,7 +159,7 @@ def count_updates(
     for _ in range(epochs):
         train_epoch(
             model, pss, config, adam, split, rng,
-            sampler=sampler, update_counter=counter,
+            sampler=sampler, update_counter=counter, loss=False,
         )
     return counter
 
@@ -226,7 +226,7 @@ def cumulative_separation(
         rng = np.random.default_rng([config.seed, 1])
         track = [mean_margin(model)]
         for _ in range(epochs):
-            train_epoch(model, pss, config, adam, split, rng, sampler=sampler)
+            train_epoch(model, pss, config, adam, split, rng, sampler=sampler, loss=False)
             track.append(mean_margin(model))
         trajectories[str(name)] = track
 

@@ -149,8 +149,14 @@ class NegativeSampler:
 
     # --- public sampling API -------------------------------------------------
     def sample_batch(self, users: np.ndarray, model, rng: np.random.Generator) -> np.ndarray:
-        """One negative per positive pair, using the model's current parameters."""
+        """One negative per positive pair, using the model's current parameters.
+
+        Users outside [0, num_users) raise IndexError; a negative index
+        would otherwise wrap in the bitset and degree lookups.
+        """
         users = np.asarray(users, dtype=np.int64)
+        if users.size and (users.min() < 0 or users.max() >= self.num_users):
+            raise IndexError(f"user index out of range [0, {self.num_users})")
         self._check_feasible(users)
         kind = self.spec.kind
         if kind == "rns":

@@ -5,6 +5,10 @@ mini-batch Adam. Negatives are drawn with the model's current parameters
 before each update. The weighted variant trains on the plain (multiplicity
 one) edge set and scales each pair's loss by its recency weight instead of
 duplicating pairs.
+
+The loss value is only a report: `fit` computes it on the epochs that
+evaluate and record it (every `eval_every`-th), and the gradient step is
+the same whether or not it is computed.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,23 +136,40 @@ def bpr_loss(margin):
     return loss, grad
 
 
-def _scatter_rows(num_rows: int, rows: np.ndarray, scales: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """Dense (num_rows, d) sum of scales[k] * x[k] into row rows[k].
+@lru_cache(maxsize=16)
+def _csc_indptr(num_cols: int, pairs_from: int = 0, pairs_to: int = 0) -> np.ndarray:
+    """Read-only int32 CSC indptr: one entry per column, two entries for
+    each column in [pairs_from, pairs_to). Cached, since an epoch asks for
+    the same few batch sizes over and over."""
+    counts = np.ones(num_cols + 1, dtype=np.int32)
+    counts[0] = 0
+    counts[1 + pairs_from : 1 + pairs_to] = 2
+    indptr = np.cumsum(counts, dtype=np.int32)
+    indptr.flags.writeable = False
+    return indptr
 
-    One product with a CSC selection matrix whose column k holds the single
-    entry scales[k] at row rows[k]. A CSC product walks the columns in
-    order and adds each into a zeroed output, so every output row receives
-    its terms in entry order, starting from zero: the same float sequence
-    as the sequential `np.add.at`, with no sort by row. The product does
-    not check row indices and would write outside its output, so rows
-    outside [0, num_rows) raise IndexError here.
+
+def _scatter_rows(num_rows: int, rows: np.ndarray, scales: np.ndarray,
+                  x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Dense (num_rows, d) sum of scales[k] * x[j] into row rows[k], where
+    entry k belongs to column j of the CSC `indptr`.
+
+    One product with a CSC selection matrix whose column j holds the
+    entries of gathered row x[j]. A CSC product walks the columns in order,
+    and each column's entries in order, adding into a zeroed output, so
+    every output row receives its terms in entry order, starting from zero:
+    the same float sequence as sequential `np.add.at` calls, with no sort
+    by row. The product does not check row indices, so callers pass int32
+    rows inside [0, num_rows); int32 indices and indptr also spare the
+    constructor its index-dtype scan and copies.
     """
-    n = rows.shape[0]
-    if n and (rows.min() < 0 or rows.max() >= num_rows):
-        raise IndexError(f"scatter row index out of range [0, {num_rows})")
-    select = sp.csc_matrix((scales, rows, np.arange(n + 1)), shape=(num_rows, n))
+    select = sp.csc_matrix((scales, rows, indptr), shape=(num_rows, x.shape[0]))
     return select @ x
+
+
+def _check_index(name: str, index: np.ndarray, size: int) -> None:
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise IndexError(f"{name} index out of range [0, {size})")
 
 
 def batch_gradients(
@@ -157,6 +179,7 @@ def batch_gradients(
     neg_items: np.ndarray,
     l2: float,
     pair_weights: np.ndarray | None = None,
+    loss: bool = True,
 ):
     """Mean objective over one batch and dense gradients for both matrices.
 
@@ -164,57 +187,75 @@ def batch_gradients(
     |e_n|^2) with w = 1 unless pair weights are given; regularization always
     acts on the base embeddings. For the propagation backbone the margin
     uses propagated embeddings, and the chain rule reuses the propagation
-    operator itself (it is self-adjoint).
+    operator itself (it is self-adjoint). With ``loss=False`` the objective
+    is not computed and None stands in for it; the gradients are the same.
 
-    Each output matrix is one scatter (:func:`_scatter_rows`) of a
-    contiguous slice of the gathered rows [e_p - e_n; e_u; e_u; e_p; e_n],
-    scaled by coeff, -coeff or l2/b. The slice lists the terms in the order
-    each output row adds them: loss terms in batch order (user, then
-    positive, then negative entries), then regularization terms in batch
-    order, starting from zero. The scatter adds its entries in slice order,
-    so no entry needs sorting. For the propagation backbone the
-    regularization is added after propagation, by a second scatter whose
+    Indices outside [0, num_users) or [0, num_items) raise IndexError,
+    checked once up front, so the gathers need no buffered bound check.
+
+    Both backbones scatter into the stacked rows [users | num_users +
+    items] (:func:`_scatter_rows`), reading the gathered rows [e_p - e_n;
+    e_u; e_u; e_p; e_n] scaled by coeff, -coeff or l2/b. Column order is
+    the order each output row adds its terms, starting from zero: a user
+    row adds its loss terms (e_p - e_n) in batch order, then its
+    regularization terms (e_u); an item row adds its positive loss terms
+    (first e_u), then its negative ones (second e_u), then its positive
+    and negative regularization terms (e_p, e_n). That is the float order
+    of separate user and item scatters, so the result is bit-identical to
+    them. For MF this is one scatter of 6b entries over the 5b columns;
+    the first e_u column carries two entries, the user's regularization
+    term and the positive item's loss term, which land on different rows.
+    For the propagation backbone the loss scatter reads [:3b], and the
+    regularization is added after propagation by a second scatter whose
     first block is the propagated gradient itself with unit scale.
     """
+    num_users, num_items = model.num_users, model.num_items
+    _check_index("users", users, num_users)
+    _check_index("pos_items", pos_items, num_items)
+    _check_index("neg_items", neg_items, num_items)
     b = users.shape[0]
     base_u, base_i = model.user_emb, model.item_emb
     score_u, score_i = model.scoring_embeddings()
 
-    # gathered rows, laid out so every scatter reads one slice in entry
-    # order: [e_p - e_n; e_u; e_u; e_p; e_n]
+    # gathered rows, laid out in scatter column order: [e_p - e_n; e_u; e_u; e_p; e_n]
     gathered = np.empty((5 * b, model.dim))
     diff, ue, ue2, pe, ne = np.split(gathered, 5)
-    np.take(score_u, users, axis=0, out=ue)
+    np.take(score_u, users, axis=0, out=ue, mode="clip")
     ue2[:] = ue
-    np.take(score_i, pos_items, axis=0, out=pe)
-    np.take(score_i, neg_items, axis=0, out=ne)
+    np.take(score_i, pos_items, axis=0, out=pe, mode="clip")
+    np.take(score_i, neg_items, axis=0, out=ne, mode="clip")
     np.subtract(pe, ne, out=diff)
     margin = np.einsum("ij,ij->i", ue, diff)
-    loss_vec, dmargin = bpr_loss(margin)
+    # d bpr / d margin, the expression bpr_loss uses
+    dmargin = -expit(-margin)
     if pair_weights is not None:
-        loss_vec = loss_vec * pair_weights
         dmargin = dmargin * pair_weights
     coeff = dmargin / b
-    reg_scale = np.full(b, l2 / b)
+    reg_scale = l2 / b
 
-    num_users, num_items = model.num_users, model.num_items
+    n = num_users + num_items
+    # stacked scatter rows of the loss terms: [users; U + pos; U + neg]
+    loss_rows = np.empty(3 * b, dtype=np.int32)
+    loss_rows[:b] = users
+    np.add(pos_items, num_users, out=loss_rows[b : 2 * b], casting="unsafe")
+    np.add(neg_items, num_users, out=loss_rows[2 * b :], casting="unsafe")
     if model.backbone == "mf":
         # scoring rows are the base rows, so they double as regularizer rows
         reg_rows_u, reg_rows_p, reg_rows_n = ue, pe, ne
-        grad_user = _scatter_rows(
-            num_users, np.concatenate([users, users]),
-            np.concatenate([coeff, reg_scale]), gathered[: 2 * b],
-        )
-        grad_item = _scatter_rows(
-            num_items, np.concatenate([pos_items, neg_items, pos_items, neg_items]),
-            np.concatenate([coeff, -coeff, reg_scale, reg_scale]), gathered[b:],
-        )
+        # 6b entries over the 5b columns, column block by column block
+        u_rows, p_rows, n_rows = np.split(loss_rows, 3)
+        rows = np.empty(6 * b, dtype=np.int32)
+        scales = np.empty(6 * b)
+        rows[:b], scales[:b] = u_rows, coeff  # e_p - e_n: user loss
+        rows[b : 3 * b : 2], scales[b : 3 * b : 2] = u_rows, reg_scale  # e_u: user reg
+        rows[b + 1 : 3 * b : 2], scales[b + 1 : 3 * b : 2] = p_rows, coeff  # and positive loss
+        rows[3 * b : 4 * b], scales[3 * b : 4 * b] = n_rows, -coeff  # e_u: negative loss
+        rows[4 * b :], scales[4 * b :] = loss_rows[b:], reg_scale  # e_p, e_n: item reg
+        g_base = _scatter_rows(n, rows, scales, gathered, _csc_indptr(5 * b, b, 2 * b))
     else:
-        n = num_users + num_items
-        item_rows_p, item_rows_n = num_users + pos_items, num_users + neg_items
         g_stack = _scatter_rows(
-            n, np.concatenate([users, item_rows_p, item_rows_n]),
-            np.concatenate([coeff, coeff, -coeff]), gathered[: 3 * b],
+            n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered[: 3 * b],
+            _csc_indptr(3 * b),
         )
         # the scoring rows are done with; free them before the next buffer
         del gathered, diff, ue, ue2, pe, ne
@@ -223,23 +264,27 @@ def batch_gradients(
         stacked = np.empty((n + 3 * b, model.dim))
         stacked[:n] = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
         reg_rows_u, reg_rows_p, reg_rows_n = np.split(stacked[n:], 3)
-        np.take(base_u, users, axis=0, out=reg_rows_u)
-        np.take(base_i, pos_items, axis=0, out=reg_rows_p)
-        np.take(base_i, neg_items, axis=0, out=reg_rows_n)
+        np.take(base_u, users, axis=0, out=reg_rows_u, mode="clip")
+        np.take(base_i, pos_items, axis=0, out=reg_rows_p, mode="clip")
+        np.take(base_i, neg_items, axis=0, out=reg_rows_n, mode="clip")
         g_base = _scatter_rows(
-            n, np.concatenate([np.arange(n), users, item_rows_p, item_rows_n]),
-            np.concatenate([np.ones(n), reg_scale, reg_scale, reg_scale]), stacked,
+            n, np.concatenate([np.arange(n, dtype=np.int32), loss_rows]),
+            np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked,
+            _csc_indptr(n + 3 * b),
         )
-        grad_user = g_base[:num_users]
-        grad_item = g_base[num_users:]
+    grad_user, grad_item = g_base[:num_users], g_base[num_users:]
+    if not loss:
+        return None, grad_user, grad_item
 
+    loss_vec, _ = bpr_loss(margin)
+    if pair_weights is not None:
+        loss_vec = loss_vec * pair_weights
     reg = 0.5 * l2 * (
         np.einsum("ij,ij->i", reg_rows_u, reg_rows_u)
         + np.einsum("ij,ij->i", reg_rows_p, reg_rows_p)
         + np.einsum("ij,ij->i", reg_rows_n, reg_rows_n)
     )
-    mean_loss = float(np.mean(loss_vec + reg))
-    return mean_loss, grad_user, grad_item
+    return float(np.mean(loss_vec + reg)), grad_user, grad_item
 
 
 def train_epoch(
@@ -252,8 +297,14 @@ def train_epoch(
     sampler: NegativeSampler | None = None,
     pair_weights: np.ndarray | None = None,
     update_counter: dict | None = None,
+    loss: bool = True,
 ) -> dict:
-    """One pass over the positive multiset in shuffled mini-batches."""
+    """One pass over the positive multiset in shuffled mini-batches.
+
+    The epoch's mean loss is computed only with ``loss=True``; otherwise
+    the record's "loss" is None. Parameters and rng draws do not depend on
+    it.
+    """
     if len(pss) == 0:
         raise ValueError("empty positive sample set")
     if sampler is None:
@@ -275,12 +326,15 @@ def train_epoch(
         pos = pss.items[idx]
         negs = sampler.sample_batch(users, model, rng)
         w = pair_weights[idx] if pair_weights is not None else None
-        loss, grad_u, grad_i = batch_gradients(model, users, pos, negs, config.l2, w)
+        batch_loss, grad_u, grad_i = batch_gradients(
+            model, users, pos, negs, config.l2, w, loss=loss
+        )
         if config.optimizer == "adam":
             adam.step(model, grad_u, grad_i, config.lr)
         else:
             model.add_to_params(-config.lr * grad_u, -config.lr * grad_i)
-        total_loss += loss * idx.shape[0]
+        if loss:
+            total_loss += batch_loss * idx.shape[0]
         seen += idx.shape[0]
         if update_counter is not None:
             for u, p in zip(users.tolist(), pos.tolist()):
@@ -291,7 +345,7 @@ def train_epoch(
             f"non-finite parameters after optimizer step {adam.step_count if adam else '?'}"
         )
     return {
-        "loss": total_loss / seen,
+        "loss": total_loss / seen if loss else None,
         "pairs": seen,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
     }
@@ -348,11 +402,12 @@ def fit(
     metrics_file = open(metrics_path, "a") if metrics_path else None
     try:
         for epoch in range(1, config.epochs + 1):
+            reporting = epoch % config.eval_every == 0
             stats = train_epoch(
                 model, pss, config, adam, split, rng,
-                sampler=sampler, pair_weights=pair_weights,
+                sampler=sampler, pair_weights=pair_weights, loss=reporting,
             )
-            if epoch % config.eval_every != 0:
+            if not reporting:
                 continue
             record = {"epoch": epoch, "loss": stats["loss"]}
             if len(split.validation) > 0:

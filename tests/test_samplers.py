@@ -108,6 +108,18 @@ class TestValidity:
             b = sampler.sample_batch(users, model, np.random.default_rng(17))
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_of_range_user_raises(self, kind):
+        # negative users used to wrap in the bitset and degree lookups
+        log = make_log([("a", "x", 1), ("b", "y", 2), ("c", "z", 3), ("a", "w", 4)])
+        model = init_xavier(log.num_users, log.num_items, 4, seed=0)
+        sampler = NegativeSampler(SamplerSpec(kind=kind, pool=2, m=1, n=2), log)
+        for users in ([-1, -2, -3], [0, -1], [3], [0, 1, 2, 3]):
+            with pytest.raises(IndexError, match="user index"):
+                sampler.sample_batch(np.array(users), model, np.random.default_rng(0))
+        negs = sampler.sample_batch(np.array([0, 1, 2]), model, np.random.default_rng(0))
+        assert negs.shape == (3,)
+
 
 class TestUniformDistribution:
     def test_rns_chi_square(self):

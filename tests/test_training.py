@@ -18,6 +18,7 @@ from driftrec.experiment import ExperimentConfig, build_positives
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier, load_checkpoint
 from driftrec.positives import build_pss, filtrate, train_positives
 from driftrec.samplers import NegativeSampler, SamplerSpec
+import driftrec.training as training
 from driftrec.training import (
     AdamState,
     TrainConfig,
@@ -378,6 +379,118 @@ class TestScatterSignsAndBounds:
         for bad in cases:
             with pytest.raises(IndexError):
                 batch_gradients(model, *bad, 0.01)
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    def test_index_checked_before_any_gather(self, backbone):
+        # on the propagation backbone a -1 item used to wrap to the last item
+        # for scoring while its scatter row num_users - 1 was a user row
+        model = scatter_case_model(backbone, 4, 6, seed=74)
+        users, pos, negs = np.array([0, 3]), np.array([1, 5]), np.array([2, 4])
+        cases = [
+            ("users", (np.array([0, -1]), pos, negs)),
+            ("users", (np.array([4, 0]), pos, negs)),
+            ("pos_items", (users, np.array([1, -1]), negs)),
+            ("pos_items", (users, np.array([6, 1]), negs)),
+            ("neg_items", (users, pos, np.array([-6, 2]))),
+            ("neg_items", (users, pos, np.array([2, 6]))),
+        ]
+        for name, bad in cases:
+            for loss in (True, False):
+                with pytest.raises(IndexError, match=name):
+                    batch_gradients(model, *bad, 0.01, loss=loss)
+        # the edges of the valid range pass
+        edge = np.array([0, 3]), np.array([0, 5]), np.array([5, 0])
+        assert np.isfinite(batch_gradients(model, *edge, 0.01)[0])
+
+
+class TestLossGate:
+    """Skipping the loss leaves every gradient, parameter and rng draw unchanged."""
+
+    @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batch_gradients_without_loss(self, backbone, weighted):
+        model = scatter_case_model(backbone, 7, 11, seed=80)
+        rng = np.random.default_rng(81)
+        users, pos, negs = random_batch(rng, 7, 11, 200)
+        weights = rng.uniform(0.1, 2.0, size=200) if weighted else None
+        with_loss = batch_gradients(model, users, pos, negs, 1e-3, weights)
+        without = batch_gradients(model, users, pos, negs, 1e-3, weights, loss=False)
+        assert without[0] is None and np.isfinite(with_loss[0])
+        assert np.array_equal(without[1], with_loss[1])
+        assert np.array_equal(without[2], with_loss[2])
+
+    @pytest.mark.parametrize("backbone,sampler", [("mf", "rns"), ("lightgcn", "dns")])
+    def test_three_epochs_equal(self, drift_split, backbone, sampler, monkeypatch):
+        config = TrainConfig(lr=0.02, batch_size=256, l2=1e-4, d=8, seed=3,
+                             backbone=backbone, num_prop_layers=2,
+                             sampler=SamplerSpec(kind=sampler, pool=5))
+        pss = train_positives(drift_split)
+        train = drift_split.train
+        adjacency = None
+        if backbone == "lightgcn":
+            adjacency = build_norm_adjacency(train.users, train.items,
+                                             drift_split.num_users, drift_split.num_items)
+        inner = training.batch_gradients
+        flags = []
+
+        def spy(*args, loss=True, **kwargs):
+            flags.append(loss)
+            return inner(*args, loss=loss, **kwargs)
+
+        monkeypatch.setattr(training, "batch_gradients", spy)
+        runs = []
+        for loss in (False, True):
+            flags.clear()
+            model = init_xavier(drift_split.num_users, drift_split.num_items, 8, 3,
+                                backbone=backbone, num_prop_layers=2, adjacency=adjacency)
+            adam = AdamState(model.num_users, model.num_items, model.dim)
+            sampler_obj = NegativeSampler(config.sampler, train)
+            rng = np.random.default_rng(5)
+            stats = [train_epoch(model, pss, config, adam, drift_split, rng,
+                                 sampler=sampler_obj, loss=loss) for _ in range(3)]
+            # every batch computes the loss, or none does
+            assert flags == [loss] * adam.step_count
+            runs.append((model, adam, rng, stats))
+        (m0, a0, r0, s0), (m1, a1, r1, s1) = runs
+        assert all(st["loss"] is None for st in s0)
+        assert all(np.isfinite(st["loss"]) for st in s1)
+        assert [st["pairs"] for st in s0] == [st["pairs"] for st in s1]
+        assert np.array_equal(m0.user_emb, m1.user_emb)
+        assert np.array_equal(m0.item_emb, m1.item_emb)
+        for name in ("m_user", "v_user", "m_item", "v_item"):
+            assert np.array_equal(getattr(a0, name), getattr(a1, name))
+        assert a0.step_count == a1.step_count == 3 * -(-len(pss) // 256)
+        assert r0.bit_generator.state == r1.bit_generator.state
+
+    @pytest.mark.parametrize("backbone,sampler", [("mf", "rns"), ("lightgcn", "dns")])
+    def test_fit_equals_loss_on_every_epoch(self, drift_split, backbone, sampler,
+                                            monkeypatch):
+        config = TrainConfig(lr=0.02, batch_size=512, l2=1e-4, epochs=7, d=8, seed=2,
+                             eval_every=3, backbone=backbone, num_prop_layers=2,
+                             sampler=SamplerSpec(kind=sampler, pool=5))
+        inner = training.train_epoch
+
+        def run(force_loss):
+            flags = []
+
+            def spy(*args, loss=True, **kwargs):
+                flags.append(loss)
+                return inner(*args, loss=loss or force_loss, **kwargs)
+
+            monkeypatch.setattr(training, "train_epoch", spy)
+            model, history = fit(drift_split, config)
+            return model, history, flags
+
+        gated, history, flags = run(force_loss=False)
+        every, history_every, _ = run(force_loss=True)
+        # the loss is computed on the reporting epochs 3 and 6 only
+        assert flags == [False, False, True, False, False, True, False]
+        assert [h["epoch"] for h in history] == [3, 6]
+        assert all(np.isfinite(h["loss"]) for h in history)
+        assert history == history_every
+        assert gated.best_epoch == every.best_epoch
+        assert np.array_equal(gated.user_emb, every.user_emb)
+        assert np.array_equal(gated.item_emb, every.item_emb)
 
 
 class TestTrainingStepMatchesOracle:
