@@ -11,6 +11,7 @@ from .data import (
     InteractionLog,
     ParseError,
     RawEvent,
+    RawEvents,
     SplitDataset,
     build_log,
     parse_log,
@@ -87,6 +88,7 @@ __all__ = [
     "ParseError",
     "PositiveSampleSet",
     "RawEvent",
+    "RawEvents",
     "RunResult",
     "SECONDS_PER_DAY",
     "SamplerSpec",

@@ -1,26 +1,33 @@
 """Interaction-log ingestion and timestamp-partitioned splitting.
 
 Raw logs are (user, item, timestamp) records with opaque string keys and
-integer epoch-second timestamps. Ingestion assigns dense indices in
-first-seen order, collapses duplicate (user, item) pairs keeping the latest
-timestamp, and sorts chronologically. Splitting cuts the sorted log at a
-global timestamp so the model is always asked to predict strictly future
-interactions, and removes holdout-only (cold) users.
+integer epoch-second timestamps. Parsing reads the log in one ``csv.reader``
+pass into three columns (user keys, item keys, int64 timestamps) and checks
+whole columns at once; no per-record object is built. Ingestion then
+assigns dense indices in first-seen order, collapses duplicate (user, item)
+pairs keeping the latest timestamp, and sorts chronologically, all on NumPy
+arrays. Splitting cuts the sorted log at a global timestamp so the model is
+always asked to predict strictly future interactions, and removes
+holdout-only (cold) users.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "RawEvent",
+    "RawEvents",
     "InteractionLog",
     "SplitDataset",
     "ParseError",
@@ -39,6 +46,41 @@ class RawEvent(NamedTuple):
     user_key: str
     item_key: str
     timestamp: int
+
+
+class RawEvents(Sequence):
+    """Read-only sequence of parsed records, held as three columns.
+
+    ``user_keys`` and ``item_keys`` are lists of stripped keys and
+    ``timestamps`` is a read-only int64 array, all in record order.
+    Length, iteration and indexing yield :class:`RawEvent`; a slice yields
+    :class:`RawEvents`.
+    """
+
+    __slots__ = ("user_keys", "item_keys", "timestamps")
+
+    def __init__(self, user_keys: list[str], item_keys: list[str], timestamps: np.ndarray):
+        if not len(user_keys) == len(item_keys) == timestamps.shape[0]:
+            raise ValueError("columns differ in length")
+        timestamps.flags.writeable = False
+        self.user_keys = user_keys
+        self.item_keys = item_keys
+        self.timestamps = timestamps
+
+    def __len__(self) -> int:
+        return len(self.user_keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RawEvents(
+                self.user_keys[index], self.item_keys[index], self.timestamps[index]
+            )
+        return RawEvent(
+            self.user_keys[index], self.item_keys[index], int(self.timestamps[index])
+        )
+
+    def __iter__(self):
+        return map(RawEvent, self.user_keys, self.item_keys, self.timestamps.tolist())
 
 
 @dataclass(frozen=True)
@@ -102,89 +144,152 @@ class SplitDataset:
     dropped_cold_item: int = 0
 
 
-def _sorted_log_arrays(users, items, times):
-    """Sort by (timestamp, user, item) ascending; np.lexsort keys last-first."""
-    order = np.lexsort((items, users, times))
-    return users[order], items[order], times[order]
+def _open_text(source):
+    """(text stream, whether this call opened it) for every accepted source type."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(os.fspath(source), "r", newline=""), True
+    if isinstance(source, bytes):
+        return io.StringIO(source.decode("utf-8")), False
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        return io.TextIOWrapper(source, encoding="utf-8"), False
+    return source, False  # text file-like
 
 
-def parse_log(source, format: str = "tsv", skip_header: bool = False) -> list[RawEvent]:
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _raise_first_bad_record(user_keys, item_keys, stamps, skipped) -> None:
+    """Re-check the read records one by one and raise the first one's ParseError.
+
+    ``skipped`` holds the record numbers that carry no event (the header
+    and blank records), so column position maps back to the 1-based
+    record number the reader saw.
+    """
+    skip = set(skipped)
+    lineno = 0
+    for raw_user, raw_item, raw_time in zip(user_keys, item_keys, stamps):
+        lineno += 1
+        while lineno in skip:
+            lineno += 1
+        if not raw_user.strip() or not raw_item.strip():
+            raise ParseError(f"line {lineno}: empty user or item key")
+        try:
+            timestamp = int(raw_time.strip())
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer timestamp {raw_time!r}") from None
+        if timestamp < 0:
+            raise ParseError(f"line {lineno}: negative timestamp {timestamp}")
+        if timestamp > _INT64_MAX:
+            raise ParseError(f"line {lineno}: timestamp out of range {timestamp}")
+
+
+def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEvents:
     """Read raw events from a TSV/CSV byte or text stream, or a str/PathLike path.
 
     Each record needs at least three fields: user key, item key, integer
-    timestamp. Extra fields are ignored. Malformed records raise
-    :class:`ParseError` naming the 1-based line number.
+    timestamp. Extra fields are ignored, keys and timestamps are stripped
+    of surrounding whitespace, and blank records are skipped. One
+    ``csv.reader`` pass appends the first three fields of each record to
+    three columns; the checks (non-empty keys, integer timestamps in
+    [0, 2**63)) then run on whole columns. Only when one fails are the
+    records re-checked one by one, so a malformed record raises
+    :class:`ParseError` naming its 1-based record number, and the first
+    malformed record in file order is the one reported.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
     delimiter = "\t" if format == "tsv" else ","
 
-    if isinstance(source, (str, os.PathLike)):
-        stream = open(os.fspath(source), "r", newline="")
-        close = True
-    elif isinstance(source, bytes):
-        stream = io.StringIO(source.decode("utf-8"))
-        close = False
-    elif isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        stream = io.TextIOWrapper(source, encoding="utf-8")
-        close = False
-    else:
-        stream = source  # text file-like
-        close = False
-
-    events: list[RawEvent] = []
+    user_keys: list[str] = []
+    item_keys: list[str] = []
+    stamps: list[str] = []
+    skipped: list[int] = []
+    # an error met while reading waits until the records before it are checked
+    pending: Exception | None = None
+    stream, close = _open_text(source)
     try:
         reader = csv.reader(stream, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if skip_header and lineno == 1:
-                continue
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue  # blank line
-            if len(row) < 3:
-                raise ParseError(f"line {lineno}: expected >=3 fields, got {len(row)}")
-            user_key, item_key = row[0].strip(), row[1].strip()
-            if not user_key or not item_key:
-                raise ParseError(f"line {lineno}: empty user or item key")
-            try:
-                timestamp = int(row[2].strip())
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: non-integer timestamp {row[2]!r}"
-                ) from None
-            if timestamp < 0:
-                raise ParseError(f"line {lineno}: negative timestamp {timestamp}")
-            events.append(RawEvent(user_key, item_key, timestamp))
+        add_user, add_item, add_stamp = user_keys.append, item_keys.append, stamps.append
+        try:
+            if skip_header and next(reader, None) is not None:
+                skipped.append(1)
+            for row in reader:
+                if len(row) >= 3:
+                    add_user(row[0])
+                    add_item(row[1])
+                    add_stamp(row[2])
+                elif not row or (len(row) == 1 and row[0].strip() == ""):
+                    skipped.append(len(stamps) + len(skipped) + 1)  # blank line
+                else:
+                    lineno = len(stamps) + len(skipped) + 1
+                    pending = ParseError(f"line {lineno}: expected >=3 fields, got {len(row)}")
+                    break
+        except (csv.Error, ValueError) as exc:  # ValueError covers bad UTF-8
+            pending = exc
     finally:
         if close:
             stream.close()
-    return events
+
+    users = list(map(str.strip, user_keys))
+    items = list(map(str.strip, item_keys))
+    try:
+        times = np.fromiter(map(int, map(str.strip, stamps)), dtype=np.int64, count=len(stamps))
+    except (ValueError, OverflowError):
+        times = None
+    if pending is not None or times is None or not (all(users) and all(items)) or (times < 0).any():
+        _raise_first_bad_record(user_keys, item_keys, stamps, skipped)
+        raise pending
+    return RawEvents(users, items, times)
+
+
+def _columns(events: Iterable[RawEvent]) -> RawEvents:
+    """Columns of any iterable of raw events, ``int()`` applied to each timestamp."""
+    user_keys: list[str] = []
+    item_keys: list[str] = []
+    stamps: list[int] = []
+    for ev in events:
+        user_keys.append(ev.user_key)
+        item_keys.append(ev.item_key)
+        stamps.append(int(ev.timestamp))
+    return RawEvents(user_keys, item_keys, np.array(stamps, dtype=np.int64))
+
+
+def _codes(keys: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    """First-seen vocabulary of ``keys`` and each key's dense index, in one pass."""
+    vocab = defaultdict(itertools.count().__next__)  # a new key takes the next index
+    codes = np.fromiter(map(vocab.__getitem__, keys), dtype=np.int64, count=len(keys))
+    return dict(vocab), codes
 
 
 def build_log(events: Iterable[RawEvent]) -> InteractionLog:
     """Assemble an :class:`InteractionLog` from raw events.
 
-    Vocabularies are assigned in first-seen order. Duplicate (user, item)
-    pairs collapse to a single interaction carrying the latest timestamp,
-    since recency is what downstream weighting cares about.
+    Takes the :class:`RawEvents` columns :func:`parse_log` returns, or any
+    iterable of :class:`RawEvent` (turned into columns once). Vocabularies
+    are assigned in first-seen order. Duplicate (user, item) pairs collapse
+    to a single interaction carrying the latest timestamp, since recency is
+    what downstream weighting cares about: one ``lexsort`` on (pair key,
+    timestamp) keeps the last row of each key, and a stable sort on
+    timestamp gives the (timestamp, user, item) order.
     """
-    user_vocab: dict[str, int] = {}
-    item_vocab: dict[str, int] = {}
-    latest: dict[tuple[int, int], int] = {}
-    for ev in events:
-        u = user_vocab.setdefault(ev.user_key, len(user_vocab))
-        i = item_vocab.setdefault(ev.item_key, len(item_vocab))
-        key = (u, i)
-        t = int(ev.timestamp)
-        prev = latest.get(key)
-        if prev is None or t > prev:
-            latest[key] = t
-    if not latest:
+    if not isinstance(events, RawEvents):
+        events = _columns(events)
+    if len(events) == 0:
         raise ValueError("empty event list")
+    user_vocab, users = _codes(events.user_keys)
+    item_vocab, items = _codes(events.item_keys)
+    times = events.timestamps
 
-    users = np.fromiter((k[0] for k in latest), dtype=np.int64, count=len(latest))
-    items = np.fromiter((k[1] for k in latest), dtype=np.int64, count=len(latest))
-    times = np.fromiter(latest.values(), dtype=np.int64, count=len(latest))
-    users, items, times = _sorted_log_arrays(users, items, times)
+    keys = users * np.int64(len(item_vocab)) + items
+    order = np.lexsort((times, keys))
+    sorted_keys = keys[order]
+    last = np.empty(order.shape[0], dtype=bool)
+    last[-1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=last[:-1])
+    latest = order[last]  # one row per pair, ascending (user, item)
+    # a stable sort on time keeps (user, item) order among equal timestamps
+    latest = latest[np.argsort(times[latest], kind="stable")]
+    users, items, times = users[latest], items[latest], times[latest]
     return InteractionLog(users, items, times, user_vocab, item_vocab)
 
 

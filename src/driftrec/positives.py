@@ -158,9 +158,9 @@ def leakage_filter(pss: PositiveSampleSet, split: SplitDataset) -> PositiveSampl
     bad = holdout_pair_keys(split)
     if bad.size == 0 or len(pss) == 0:
         return pss
-    pos = np.searchsorted(bad, pss.pair_keys())
-    pos = np.minimum(pos, bad.size - 1)
-    keep = bad[pos] != pss.pair_keys()
+    keys = pss.pair_keys()
+    pos = np.minimum(np.searchsorted(bad, keys), bad.size - 1)
+    keep = bad[pos] != keys
     return PositiveSampleSet(
         users=pss.users[keep],
         items=pss.items[keep],
@@ -179,20 +179,14 @@ def build_pss(layered: LayeredGraph, split: SplitDataset) -> PositiveSampleSet:
     edge set.
     """
     g = layered.graph
-    chunks_u, chunks_i, chunks_l, chunks_w = [], [], [], []
-    for layer in range(1, layered.n + 1):
-        idx = layered.layer_edge_indices(layer)
-        if idx.size == 0:
-            continue
-        chunks_u.append(np.repeat(g.users[idx], layer))
-        chunks_i.append(np.repeat(g.items[idx], layer))
-        chunks_l.append(np.full(idx.size * layer, layer, dtype=np.int64))
-        chunks_w.append(np.repeat(g.weights[idx], layer))
+    # edges layer by layer, original order within a layer; edge e copied labels[e] times
+    order = np.argsort(layered.labels, kind="stable")
+    copies = layered.labels[order]
     pss = PositiveSampleSet(
-        users=np.concatenate(chunks_u) if chunks_u else np.empty(0, dtype=np.int64),
-        items=np.concatenate(chunks_i) if chunks_i else np.empty(0, dtype=np.int64),
-        layers=np.concatenate(chunks_l) if chunks_l else np.empty(0, dtype=np.int64),
-        weights=np.concatenate(chunks_w) if chunks_w else np.empty(0, dtype=np.float64),
+        users=np.repeat(g.users[order], copies),
+        items=np.repeat(g.items[order], copies),
+        layers=np.repeat(copies, copies),
+        weights=np.repeat(g.weights[order], copies),
         num_users=g.num_users,
         num_items=g.num_items,
     )

@@ -287,6 +287,20 @@ def batch_gradients(
     return float(np.mean(loss_vec + reg)), grad_user, grad_item
 
 
+def _count_pair_updates(counter: dict, pss: PositiveSampleSet, rows: np.ndarray) -> None:
+    """Add one update per trained multiset row to ``counter[(user, item)]``.
+
+    Pairs new to the counter enter it in ascending (user, item) order.
+    """
+    keys, counts = np.unique(pss.pair_keys()[rows], return_counts=True)
+    n_items = np.int64(pss.num_items)
+    pairs = zip((keys // n_items).tolist(), (keys % n_items).tolist())
+    fresh = dict(zip(pairs, counts.tolist()))
+    for pair in fresh.keys() & counter.keys():
+        fresh[pair] += counter[pair]
+    counter.update(fresh)
+
+
 def train_epoch(
     model: EmbeddingModel,
     pss: PositiveSampleSet,
@@ -336,9 +350,8 @@ def train_epoch(
         if loss:
             total_loss += batch_loss * idx.shape[0]
         seen += idx.shape[0]
-        if update_counter is not None:
-            for u, p in zip(users.tolist(), pos.tolist()):
-                update_counter[(u, p)] = update_counter.get((u, p), 0) + 1
+    if update_counter is not None:
+        _count_pair_updates(update_counter, pss, order)
 
     if not (np.all(np.isfinite(model.user_emb)) and np.all(np.isfinite(model.item_emb))):
         raise TrainingDiverged(

@@ -1,6 +1,7 @@
 """Ingestion and split tests: parsing contracts, quantile-cut arithmetic,
 cold-user handling, and the split partition invariants."""
 
+import csv
 import io
 import json
 
@@ -10,21 +11,23 @@ import pytest
 from driftrec.data import (
     ParseError,
     RawEvent,
+    RawEvents,
     build_log,
     parse_log,
     timestamp_split,
     write_split_manifest,
 )
 from conftest import make_log
+from ingest_oracle import reference_build_log, reference_parse_log
 
 
 class TestParseLog:
     def test_single_tsv_record(self):
-        events = parse_log(b"u1\ti9\t100\n")
+        events = list(parse_log(b"u1\ti9\t100\n"))
         assert events == [RawEvent("u1", "i9", 100)]
 
     def test_empty_stream(self):
-        assert parse_log(b"") == []
+        assert list(parse_log(b"")) == []
 
     def test_csv_error_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -43,11 +46,11 @@ class TestParseLog:
             parse_log(b"\ti9\t100\n")
 
     def test_extra_fields_ignored(self):
-        events = parse_log(b"u1\ti9\t100\textra\tstuff\n")
+        events = list(parse_log(b"u1\ti9\t100\textra\tstuff\n"))
         assert events == [RawEvent("u1", "i9", 100)]
 
     def test_skip_header(self):
-        events = parse_log(b"user\titem\tts\nu1\ti9\t100\n", skip_header=True)
+        events = list(parse_log(b"user\titem\tts\nu1\ti9\t100\n", skip_header=True))
         assert events == [RawEvent("u1", "i9", 100)]
 
     def test_blank_lines_skipped(self):
@@ -57,21 +60,185 @@ class TestParseLog:
     def test_path_source(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_text("u1\ti9\t100\n")
-        assert parse_log(str(p)) == [RawEvent("u1", "i9", 100)]
+        assert list(parse_log(str(p))) == [RawEvent("u1", "i9", 100)]
 
     def test_pathlike_source(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_text("u1\ti9\t100\nu2\ti9\t101\n")
-        assert parse_log(p) == parse_log(str(p)) == [
+        assert list(parse_log(p)) == list(parse_log(str(p))) == [
             RawEvent("u1", "i9", 100), RawEvent("u2", "i9", 101)
         ]
 
     def test_text_stream_source(self):
-        assert parse_log(io.StringIO("u1\ti9\t100\n")) == [RawEvent("u1", "i9", 100)]
+        assert list(parse_log(io.StringIO("u1\ti9\t100\n"))) == [RawEvent("u1", "i9", 100)]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             parse_log(b"", format="psv")
+
+    def test_timestamp_out_of_range(self):
+        with pytest.raises(ParseError, match="line 2: timestamp out of range"):
+            parse_log(b"u1\ti1\t5\nu2\ti1\t9223372036854775808\n")
+        assert len(parse_log(b"u1\ti1\t9223372036854775807\n")) == 1
+
+
+class TestRawEvents:
+    def test_len_iteration_and_indexing(self):
+        events = parse_log(b"a\tx\t5\n\nb\ty\t3\nc\tz\t1\n")
+        expected = [RawEvent("a", "x", 5), RawEvent("b", "y", 3), RawEvent("c", "z", 1)]
+        assert len(events) == 3
+        assert list(events) == expected
+        assert [events[j] for j in range(3)] == expected
+        assert events[-1] == expected[-1]
+        assert type(events[0].timestamp) is int
+        assert list(events[1:]) == expected[1:]
+        assert isinstance(events[1:], RawEvents)
+        with pytest.raises(IndexError):
+            events[3]
+
+    def test_columns_and_read_only(self):
+        events = parse_log(b" a \tx\t 5\n")
+        assert events.user_keys == ["a"] and events.item_keys == ["x"]
+        assert events.timestamps.dtype == np.int64
+        assert events.timestamps.tolist() == [5]
+        with pytest.raises(ValueError):
+            events.timestamps[0] = 7
+        with pytest.raises(TypeError):
+            events[0] = RawEvent("b", "y", 1)
+
+
+def _render_log(rng, delimiter, n_records, skip_header):
+    """Random log text with duplicates, padding, quoting, blanks, extras and CRLF."""
+    lines = ["user" + delimiter + "item" + delimiter + "ts"] if skip_header else []
+    n_users, n_items = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+    for _ in range(n_records):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append("")
+            continue
+        if roll < 0.12:
+            lines.append(" " * int(rng.integers(1, 4)))
+            continue
+        user = f"u{rng.integers(n_users)}"
+        item = f"i{rng.integers(n_items)}"
+        fields = []
+        for key in (user, item):
+            style = rng.integers(4)
+            if style == 1:
+                key = "  " + key + " "
+            elif style == 2:  # quoted, carrying the delimiter
+                key = '"' + key + delimiter + 'q"'
+            fields.append(key)
+        t = int(rng.integers(0, 3000))
+        style = rng.integers(6)
+        fields.append(  # \x1c is whitespace to str.strip but not to int()
+            [str(t), f"  {t} ", f"+{t}", f"{t:_}", f"0{t}", f"\x1c{t}\x0b"][style]
+        )
+        fields += ["extra", '"x' + delimiter + 'y"'][: int(rng.integers(0, 3))]
+        lines.append(delimiter.join(fields))
+    ends = ["\n", "\r\n"]
+    return "".join(line + ends[int(rng.integers(2))] for line in lines)
+
+
+MALFORMED = {
+    "short": lambda d: "u0" + d + "i0",
+    "empty_key": lambda d: "  " + d + "i0" + d + "5",
+    "bad_timestamp": lambda d: "u0" + d + "i0" + d + "1.5",
+    "negative": lambda d: "u0" + d + "i0" + d + " -3",
+    "too_large": lambda d: "u0" + d + "i0" + d + str(2**63),
+}
+
+
+def _sources(text, tmp_path):
+    """Each accepted source type, freshly opened, holding ``text``."""
+    path = tmp_path / "log.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return {
+        "bytes": lambda: text.encode("utf-8"),
+        "path": lambda: str(path),
+        "pathlike": lambda: path,
+        "binary_stream": lambda: io.BytesIO(text.encode("utf-8")),
+        "text_stream": lambda: io.StringIO(text, newline=""),
+    }
+
+
+def _assert_same_log(got, want):
+    assert np.array_equal(got.users, want.users)
+    assert np.array_equal(got.items, want.items)
+    assert np.array_equal(got.times, want.times)
+    assert list(got.user_vocab.items()) == list(want.user_vocab.items())
+    assert list(got.item_vocab.items()) == list(want.item_vocab.items())
+
+
+class TestIngestEquivalence:
+    """Columnar ingestion against the per-record reference in ingest_oracle."""
+
+    def test_reader_error_waits_for_earlier_records(self):
+        long_key = b"u" * 20
+        old_limit = csv.field_size_limit(10)
+        try:
+            text = b"u1\ti1\tabc\nu2\ti2\t5\n" + long_key + b"\ti3\t6\n"
+            with pytest.raises(ParseError, match="line 1: non-integer"):
+                reference_parse_log(text)
+            with pytest.raises(ParseError, match="line 1: non-integer"):
+                parse_log(text)
+            text = b"u1\ti1\t5\n" + long_key + b"\ti3\t6\n"
+            with pytest.raises(csv.Error, match="field limit"):
+                reference_parse_log(text)
+            with pytest.raises(csv.Error, match="field limit"):
+                parse_log(text)
+        finally:
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "csv"])
+    def test_random_logs_match_reference(self, fmt, tmp_path):
+        rng = np.random.default_rng(20 if fmt == "tsv" else 21)
+        delimiter = "\t" if fmt == "tsv" else ","
+        for trial in range(30):
+            skip_header = bool(rng.integers(2))
+            text = _render_log(rng, delimiter, int(rng.integers(0, 120)), skip_header)
+            for name, source in _sources(text, tmp_path).items():
+                want = reference_parse_log(source(), format=fmt, skip_header=skip_header)
+                got = parse_log(source(), format=fmt, skip_header=skip_header)
+                assert list(got) == want, (trial, name)
+            if not want:
+                with pytest.raises(ValueError, match="empty"):
+                    build_log(got)
+                continue
+            reference = reference_build_log(want)
+            _assert_same_log(build_log(got), reference)
+            _assert_same_log(build_log(want), reference)  # any iterable of RawEvent
+
+    def test_duplicates_keep_latest_timestamp(self):
+        rng = np.random.default_rng(22)
+        events = [
+            RawEvent(f"u{rng.integers(40)}", f"i{rng.integers(60)}", int(rng.integers(0, 50)))
+            for _ in range(20_000)
+        ]
+        _assert_same_log(build_log(events), reference_build_log(events))
+
+    @pytest.mark.parametrize("fmt", ["tsv", "csv"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_messages_match_reference(self, fmt, kind, tmp_path):
+        rng = np.random.default_rng(sorted(MALFORMED).index(kind) + (10 if fmt == "csv" else 0))
+        delimiter = "\t" if fmt == "tsv" else ","
+        for trial in range(10):
+            skip_header = bool(rng.integers(2))
+            text = _render_log(rng, delimiter, int(rng.integers(0, 40)), skip_header)
+            lines = [line + "\n" for line in text.split("\n")[:-1]]
+            at = int(rng.integers(int(skip_header), len(lines) + 1))
+            lines.insert(at, MALFORMED[kind](delimiter) + "\n")
+            if rng.integers(2):  # a later record of another kind is not the one named
+                other = sorted(MALFORMED)[int(rng.integers(len(MALFORMED)))]
+                lines.insert(int(rng.integers(at + 1, len(lines) + 1)),
+                             MALFORMED[other](delimiter) + "\n")
+            text = "".join(lines)
+            for name, source in _sources(text, tmp_path).items():
+                with pytest.raises(ParseError) as want:
+                    reference_parse_log(source(), format=fmt, skip_header=skip_header)
+                with pytest.raises(ParseError) as got:
+                    parse_log(source(), format=fmt, skip_header=skip_header)
+                assert str(got.value) == str(want.value), (trial, name)
 
 
 class TestBuildLog:

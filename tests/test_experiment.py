@@ -381,6 +381,15 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
 
+    def test_out_of_range_timestamp_is_json_error(self, tmp_path, capsys):
+        data = tmp_path / "f.tsv"
+        data.write_text("u1\ti1\t5\nu2\ti1\t9223372036854775808\n")
+        rc = self.run_cli("split", "--data", str(data))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("line 2: timestamp out of range")
+
     @pytest.mark.parametrize("epochs,eval_every", [(6, 1), (2, 5)])
     def test_train_writes_checkpoint_once_per_improvement(self, tiny_tsv, tmp_path, capsys,
                                                           monkeypatch, epochs, eval_every):
