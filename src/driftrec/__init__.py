@@ -24,7 +24,6 @@ from .decay import (
     WeightedBipartiteGraph,
     build_weighted_graph,
     decay_weight,
-    instance_weights,
 )
 from .experiment import (
     ExperimentConfig,
@@ -61,7 +60,7 @@ from .probes import (
     expected_margin,
     probe_one_step,
 )
-from .samplers import NegativeSampler, SamplerSpec, sample_negative
+from .samplers import NegativeSampler, SamplerSpec
 from .synthetic import SyntheticSpec, generate
 from .training import (
     AdamState,
@@ -114,7 +113,6 @@ __all__ = [
     "fit",
     "generate",
     "init_xavier",
-    "instance_weights",
     "leakage_filter",
     "load_checkpoint",
     "load_config",
@@ -128,7 +126,6 @@ __all__ = [
     "recall_at_k",
     "recent_k_positives",
     "run",
-    "sample_negative",
     "save_checkpoint",
     "sweep",
     "timestamp_split",

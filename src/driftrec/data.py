@@ -110,10 +110,6 @@ class InteractionLog:
     def num_items(self) -> int:
         return len(self.item_vocab)
 
-    def pairs(self) -> list[tuple[int, int, int]]:
-        """Interactions as (user, item, timestamp) tuples, in stored order."""
-        return list(zip(self.users.tolist(), self.items.tolist(), self.times.tolist()))
-
     def _replace_arrays(self, mask: np.ndarray) -> "InteractionLog":
         return InteractionLog(
             users=self.users[mask],

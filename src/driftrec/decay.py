@@ -21,7 +21,6 @@ __all__ = [
     "WeightedBipartiteGraph",
     "decay_weight",
     "build_weighted_graph",
-    "instance_weights",
 ]
 
 SECONDS_PER_DAY = 86400
@@ -113,11 +112,3 @@ def build_weighted_graph(train: InteractionLog, spec: DecaySpec) -> WeightedBipa
         num_items=train.num_items,
         spec=spec,
     )
-
-
-def instance_weights(graph: WeightedBipartiteGraph) -> dict[tuple[int, int], float]:
-    """Per-pair recency weights, for use as multiplicative loss coefficients."""
-    return {
-        (int(u), int(i)): float(w)
-        for u, i, w in zip(graph.users, graph.items, graph.weights)
-    }

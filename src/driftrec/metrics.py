@@ -6,11 +6,25 @@ at each cutoff over users with at least one held-out positive.
 
 :func:`evaluate` ranks users in blocks of ``BLOCK_SCORES`` scores (1 MiB;
 one user per block when the catalogue is larger), so its memory does not
-grow with the number of users. Each row holds the same matrix-vector
-product as ``EmbeddingModel.score_all``. ``np.partition`` finds the row's
-``max(ks)``-th best score, every item scoring at least as well is kept, so
-ties at the cutoff all survive, and a lexsort by (score, item) puts them in
-the order of a full stable argsort.
+grow with the number of users. A block is scored by matrix products of a
+few users each (at most ``GEMM_MACS`` multiply-adds, so BLAS runs them on
+one thread), whose sums may round in another order than the per-user
+matrix-vector product of ``EmbeddingModel.score_all``. Any summation order
+of a d-term dot product lies within gamma_d * sum_k |u_k i_k| of the exact
+value, gamma_d = d u / (1 - d u) with u = 2**-53 (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., section 3.1), plus d subnormal
+roundings. Bounding that sum by ``||u||_1 * max |item entry|`` gives each
+user one tolerance, four times the per-score bound (two scores, two
+orders) and doubled for safety. When the row's ``max(ks) + 1`` best scores
+of the product are finite and each lies more than the tolerance above the
+next, the matrix-vector product ranks the same items first in the same
+order, with no ties; ``np.argpartition`` and a sort of that head give the
+row's ranking. Any other row (near-ties, too few rankable items, non-finite
+or overflowing values) is rescored with the matrix-vector product itself
+and ranked exactly: ``np.partition`` finds the row's ``max(ks)``-th best
+score, every item scoring at least as well is kept, so ties at the cutoff
+all survive, and a lexsort by (score, item) puts them in the order of a
+full stable argsort.
 Recall and NDCG are then computed for all users at once with the float
 operations of the per-user helpers (:func:`rank_items`,
 :func:`recall_at_k`, :func:`ndcg_at_k`) in the same order, so the results
@@ -30,6 +44,10 @@ from .data import SplitDataset
 from .models import EmbeddingModel
 
 BLOCK_SCORES = 2**17  # scores ranked at once: 1 MiB of float64 per block of users
+GEMM_MACS = 2**18  # multiply-adds per np.matmul; OpenBLAS runs products this small on one thread
+UNIT_ROUNDOFF = 2.0**-53
+SUBNORMAL_MIN = 2.0**-1074
+CERTIFY_SAFETY = 2.0  # margin on the rounding bound for the rounding in computing it
 PAIRWISE_TERMS = 8  # np.sum adds this many terms or more pairwise, fewer in sequence
 
 __all__ = [
@@ -112,6 +130,69 @@ def _pair_keys(log, num_items: int) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
+def _certified_head(
+    neg: np.ndarray, user_emb: np.ndarray, item_abs_max: float, kmax: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``kmax`` best items by ``neg``, best first, and whether the
+    per-user matrix-vector product is certain to rank exactly those first.
+
+    ``neg`` holds negated scores of any summation order, with excluded items
+    at +inf; ``user_emb`` holds the rows' user embeddings. A row is certain
+    when its ``kmax + 1`` best values are finite and each lies more than the
+    row's tolerance from the next, so no other summation order can swap two
+    of them or lift an outside item among them.
+    """
+    n, num_items = neg.shape
+    if num_items <= kmax:
+        return np.empty((n, kmax), dtype=np.int64), np.zeros(n, dtype=bool)
+    idx = np.argpartition(neg, kmax, axis=1)[:, : kmax + 1]
+    head = np.take_along_axis(neg, idx, axis=1)
+    order = np.argsort(head, axis=1)
+    head = np.take_along_axis(head, order, axis=1)
+    d = user_emb.shape[1]
+    gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
+    # bound >= sum_k |u_k i_k| for every item, with no squares to underflow;
+    # see the module docstring for the tolerance
+    bound = np.abs(user_emb).sum(axis=1) * item_abs_max
+    tol = CERTIFY_SAFETY * 4 * (gamma * bound + d * SUBNORMAL_MIN)
+    with np.errstate(invalid="ignore"):  # inf - inf between excluded items
+        gaps = np.diff(head, axis=1)
+    certain = (
+        (bound <= np.finfo(np.float64).max / 2)  # no partial sum can overflow
+        & np.isfinite(head[:, -1])  # at least kmax + 1 rankable items
+        & (gaps > tol[:, None]).all(axis=1)
+    )
+    return np.take_along_axis(idx, order[:, :kmax], axis=1), certain
+
+
+def _exact_top(
+    neg: np.ndarray, out_rows: np.ndarray, out_items: np.ndarray, kmax: int
+) -> np.ndarray:
+    """Each row's first ``kmax`` items in the order of a stable argsort of
+    ``neg``, leaving out (``out_rows``, ``out_items``), which are set to +inf
+    in ``neg``; a row with fewer than ``kmax`` rankable items is padded with -1."""
+    n, num_items = neg.shape
+    neg[out_rows, out_items] = np.inf
+    kcol = min(kmax, num_items) - 1
+    part = neg.copy()
+    part.partition(kcol, axis=1)
+    kth = part[:, kcol]
+    # keep every score tied with the k-th; a row whose k-th value is +inf
+    # or nan has too few rankable items and keeps them all
+    keep = neg <= kth[:, None]
+    keep[~(kth < np.inf)] = True
+    keep[out_rows, out_items] = False
+    flat = np.flatnonzero(keep)
+    r, items = np.divmod(flat, num_items)
+    order = np.lexsort((items, neg.ravel()[flat], r))  # the stable argsort's order
+    r, items = r[order], items[order]
+    rank = np.arange(r.size) - np.searchsorted(r, r)
+    first = rank < kmax
+    top = np.full((n, kmax), -1, dtype=np.int64)
+    top[r[first], rank[first]] = items[first]
+    return top
+
+
 def _top_items(
     model: EmbeddingModel,
     users: np.ndarray,
@@ -126,35 +207,39 @@ def _top_items(
     than ``kmax`` rankable items is padded with -1.
     """
     ue, ie = model.scoring_embeddings()
-    num_items = ie.shape[0]
+    num_items, d = ie.shape
     rows = max(1, min(BLOCK_SCORES // num_items, users.size))
-    kcol = min(kmax, num_items) - 1
-    top = np.full((users.size, kmax), -1, dtype=np.int64)
-    scores, work = np.empty((rows, num_items)), np.empty((rows, num_items))
+    # products of at most GEMM_MACS multiply-adds run on one BLAS thread, with no
+    # latency tail; once a single user's product is larger every call threads,
+    # and one call per block is the fastest
+    sub = GEMM_MACS // max(1, num_items * d) or rows
+    item_abs_max = np.maximum(ie.max(initial=0.0), -ie.min(initial=0.0))
+    top = np.empty((users.size, kmax), dtype=np.int64)
+    scores = np.empty((rows, num_items))
     for start in range(0, users.size, rows):
         block = users[start : start + rows]
-        neg, part = scores[: block.size], work[: block.size]
-        for j, u in enumerate(block):
-            np.matmul(ie, ue[u], out=neg[j])  # the same product as score_all
+        neg, user_emb = scores[: block.size], ue[block]
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as the GEMV
+            for a in range(0, block.size, sub):
+                np.matmul(user_emb[a : a + sub], ie.T, out=neg[a : a + sub])
         np.negative(neg, out=neg)
         lo, hi = np.searchsorted(excl_row, [start, start + block.size])
         out_rows, out_items = excl_row[lo:hi] - start, excl_item[lo:hi]
         neg[out_rows, out_items] = np.inf
-        np.copyto(part, neg)
-        part.partition(kcol, axis=1)
-        kth = part[:, kcol]
-        # keep every score tied with the k-th; a row whose k-th value is +inf
-        # or nan has too few rankable items and keeps them all
-        keep = neg <= kth[:, None]
-        keep[~(kth < np.inf)] = True
-        keep[out_rows, out_items] = False
-        flat = np.flatnonzero(keep)
-        r, items = np.divmod(flat, num_items)
-        order = np.lexsort((items, neg.ravel()[flat], r))  # the stable argsort's order
-        r, items = r[order], items[order]
-        rank = np.arange(r.size) - np.searchsorted(r, r)
-        first = rank < kmax
-        top[start + r[first], rank[first]] = items[first]
+        top[start : start + block.size], certain = _certified_head(
+            neg, user_emb, item_abs_max, kmax
+        )
+        redo = np.flatnonzero(~certain)
+        if redo.size:
+            exact = np.empty((redo.size, num_items))
+            for j, row in enumerate(redo):
+                np.matmul(ie, ue[block[row]], out=exact[j])  # the same product as score_all
+            np.negative(exact, out=exact)
+            slot = np.full(block.size, -1)
+            slot[redo] = np.arange(redo.size)
+            redo_rows = slot[out_rows]
+            pick = redo_rows >= 0
+            top[start + redo] = _exact_top(exact, redo_rows[pick], out_items[pick], kmax)
     return top
 
 
@@ -193,13 +278,18 @@ def evaluate(
     num_pos = np.diff(np.append(starts, holdout.size))
     n_users = int(users.size)
 
-    # the training pairs of evaluated users, as (row in users, item)
-    excl = _pair_keys(split.train, num_items) if part != "train" else np.empty(0, np.int64)
-    excl = excl[np.isin(excl // num_items, users)]
-    excl_row = np.searchsorted(users, excl // num_items)
+    # the training pairs of evaluated users, as (row in users, item): the
+    # sorted train keys of users[j] are train[lo[j]:hi[j]]
+    train = _pair_keys(split.train, num_items) if part != "train" else np.empty(0, np.int64)
+    lo, hi = np.searchsorted(train, [users * num_items, (users + 1) * num_items])
+    excl_row = np.repeat(np.arange(n_users), hi - lo)
+    first = np.cumsum(hi - lo) - (hi - lo)  # each row's first position in excl
+    excl = train[lo[excl_row] + np.arange(excl_row.size) - first[excl_row]]
 
     top = _top_items(model, users, excl_row, excl % num_items, kmax)
-    hits = np.isin(users[:, None] * num_items + top, holdout) & (top >= 0)
+    # holdout is sorted and, when there are users to rank, not empty
+    keys = users[:, None] * num_items + top
+    hits = (holdout.take(np.searchsorted(holdout, keys), mode="clip") == keys) & (top >= 0)
 
     # the per-user helpers' float expressions, term for term: recall is an int
     # ratio, DCG the np.sum of 1/log2(rank + 1) over hits (a sequential sum

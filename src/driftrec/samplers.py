@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import InteractionLog
 
-__all__ = ["SamplerSpec", "NegativeSampler", "sample_negative"]
+__all__ = ["SamplerSpec", "NegativeSampler"]
 
 KINDS = ("rns", "pns", "dns", "dns_mn")
 
@@ -182,7 +182,3 @@ class NegativeSampler:
     def sample(self, u: int, p: int, model, rng: np.random.Generator) -> int:
         """Single-pair form of :meth:`sample_batch`; `p` is the paired positive."""
         return int(self.sample_batch(np.array([u], dtype=np.int64), model, rng)[0])
-
-
-def sample_negative(sampler: NegativeSampler, u: int, p: int, model, rng) -> int:
-    return sampler.sample(u, p, model, rng)

@@ -30,6 +30,19 @@ def make_log(rows):
     return build_log([RawEvent(str(u), str(i), int(t)) for u, i, t in rows])
 
 
+def log_triples(log):
+    """A log's interactions as (user, item, timestamp) tuples, in stored order."""
+    return list(zip(log.users.tolist(), log.items.tolist(), log.times.tolist()))
+
+
+def pair_weight_lookup(graph):
+    """A weighted graph's recency weights keyed by (user, item)."""
+    return {
+        (u, i): w
+        for u, i, w in zip(graph.users.tolist(), graph.items.tolist(), graph.weights.tolist())
+    }
+
+
 @pytest.fixture
 def line_log():
     """10 interactions at timestamps 1..10, one user-item pair each."""

@@ -17,7 +17,7 @@ from driftrec.data import (
     timestamp_split,
     write_split_manifest,
 )
-from conftest import make_log
+from conftest import log_triples, make_log
 from ingest_oracle import reference_build_log, reference_parse_log
 
 
@@ -244,12 +244,12 @@ class TestIngestEquivalence:
 class TestBuildLog:
     def test_duplicate_keeps_latest(self):
         log = build_log([RawEvent("a", "x", 5), RawEvent("a", "x", 9)])
-        assert log.pairs() == [(0, 0, 9)]
+        assert log_triples(log) == [(0, 0, 9)]
 
     def test_sorted_by_timestamp(self):
         log = build_log([RawEvent("a", "x", 5), RawEvent("b", "y", 3)])
         assert log.user_vocab == {"a": 0, "b": 1}
-        assert log.pairs() == [(1, 1, 3), (0, 0, 5)]
+        assert log_triples(log) == [(1, 1, 3), (0, 0, 5)]
 
     def test_single_event(self):
         log = build_log([RawEvent("a", "x", 5)])
@@ -262,7 +262,7 @@ class TestBuildLog:
 
     def test_duplicate_out_of_order_keeps_latest(self):
         log = build_log([RawEvent("a", "x", 9), RawEvent("a", "x", 5)])
-        assert log.pairs() == [(0, 0, 9)]
+        assert log_triples(log) == [(0, 0, 9)]
 
     def test_tie_sort_by_user_then_item(self):
         log = build_log(
@@ -270,7 +270,7 @@ class TestBuildLog:
         )
         # first-seen vocab: b->0, a->1; y->0, z->1, w->2
         # all at t=7: ordered by (user_index, item_index)
-        assert log.pairs() == [(0, 0, 7), (1, 1, 7), (1, 2, 7)]
+        assert log_triples(log) == [(0, 0, 7), (1, 1, 7), (1, 2, 7)]
 
 
 class TestTimestampSplit:

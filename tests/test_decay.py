@@ -14,7 +14,6 @@ from driftrec.decay import (
     DecaySpec,
     build_weighted_graph,
     decay_weight,
-    instance_weights,
 )
 from conftest import make_log
 
@@ -163,17 +162,3 @@ class TestBuildWeightedGraph:
         empty = line_log._replace_arrays(np.zeros(len(line_log), dtype=bool))
         with pytest.raises(ValueError, match="empty"):
             build_weighted_graph(empty, DecaySpec())
-
-
-class TestInstanceWeights:
-    def test_matches_graph_weights(self):
-        log = make_log([("a", "x", 0), ("a", "y", 9), ("b", "z", 4)])
-        graph = build_weighted_graph(log, DecaySpec(rate=0.1, time_unit=1))
-        weights = instance_weights(graph)
-        for u, i, w in zip(graph.users.tolist(), graph.items.tolist(), graph.weights.tolist()):
-            assert weights[(u, i)] == w
-
-    def test_most_recent_pair_weight_one(self):
-        log = make_log([("a", "x", 0), ("a", "y", 9)])
-        weights = instance_weights(build_weighted_graph(log, DecaySpec(rate=0.5, time_unit=1)))
-        assert weights[(0, 1)] == 1.0

@@ -11,7 +11,7 @@ import yaml
 
 from driftrec.cli import main
 from driftrec.data import timestamp_split
-from driftrec.decay import DecaySpec, build_weighted_graph, instance_weights
+from driftrec.decay import DecaySpec, build_weighted_graph
 from driftrec.experiment import (
     ExperimentConfig,
     build_positives,
@@ -23,6 +23,7 @@ from driftrec.experiment import (
 )
 from driftrec.positives import build_pss, filtrate
 from driftrec.synthetic import SyntheticSpec, generate, write_tsv
+from conftest import pair_weight_lookup
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +136,7 @@ class TestBuildPositives:
         config = ExperimentConfig(variant="weighted_bpr", rate=0.02)
         pss, weights = build_positives(split, config)
         assert weights is not None and weights.shape == (len(pss),)
-        lookup = instance_weights(build_weighted_graph(split.train, DecaySpec(rate=0.02)))
+        lookup = pair_weight_lookup(build_weighted_graph(split.train, DecaySpec(rate=0.02)))
         for u, p, w in zip(pss.users.tolist(), pss.items.tolist(), weights.tolist()):
             assert w == lookup[(u, p)]
 

@@ -281,6 +281,11 @@ class TestBlockedEvaluationMatchesLoop:
         assert_matches_loop(trained_drift_model, drift_split, (1, 20, 30))
         monkeypatch.setattr(metrics, "BLOCK_SCORES", 1)
         assert_matches_loop(trained_drift_model, drift_split, (5, 20))
+        # 7 users per block, scored 3, 3 and 1 per matrix product
+        monkeypatch.setattr(metrics, "BLOCK_SCORES", 7 * drift_split.num_items)
+        monkeypatch.setattr(metrics, "GEMM_MACS",
+                            3 * trained_drift_model.scoring_embeddings()[1].size + 1)
+        assert_matches_loop(trained_drift_model, drift_split, (1, 20, 30))
 
     def test_per_user_disabled(self, trained_drift_model, drift_split):
         report = assert_matches_loop(trained_drift_model, drift_split, (20, 30), per_user=False)
@@ -361,6 +366,194 @@ class TestBlockedEvaluationMatchesLoop:
         assert metrics.BLOCK_SCORES // num_items < num_users // 3
         assert_matches_loop(model, split, (10, 20, 30))
 
+
+def spy_exact_rows(monkeypatch):
+    """Record the number of rows each call to the exact per-user fallback ranks."""
+    calls = []
+    exact_top = metrics._exact_top
+
+    def spy(neg, *args):
+        calls.append(neg.shape[0])
+        return exact_top(neg, *args)
+
+    monkeypatch.setattr(metrics, "_exact_top", spy)
+    return calls
+
+
+def one_ulp_twins(rng, num_pairs, d):
+    """Item rows in pairs, the second of each pair one ulp above the first."""
+    base = rng.standard_normal((num_pairs, d))
+    items = np.empty((2 * num_pairs, d))
+    items[0::2], items[1::2] = base, np.nextafter(base, np.inf)
+    return items
+
+
+class TestCertifiedRanking:
+    """Rows ranked from one matrix product stay == to the per-user loop, and
+    rows the rounding bound cannot certify go through the exact fallback."""
+
+    def test_items_one_ulp_apart(self, monkeypatch):
+        # twins score a few ulps apart, inside the tolerance, so any row whose
+        # head holds both twins of a pair is recomputed one user at a time
+        rng = np.random.default_rng(80)
+        num_users, num_items = 40, 120
+        model = EmbeddingModel(rng.standard_normal((num_users, 16)),
+                               one_ulp_twins(rng, num_items // 2, 16))
+        pairs = random_pairs(rng, num_users, num_items, 10)
+        split = split_of(pairs[:200], pairs[200:], num_users, num_items)
+        calls = spy_exact_rows(monkeypatch)
+        assert_matches_loop(model, split, (1, 5, 20))
+        assert sum(calls) > 0
+
+    def test_permuted_item_rows_tie_up_to_rounding(self, monkeypatch):
+        # each user row is constant, so the items of one group of permuted rows
+        # tie exactly and differ only by rounding, which the matrix product and
+        # the per-user product do in different orders
+        rng = np.random.default_rng(89)
+        num_users, d = 30, 32
+        base = rng.standard_normal((10, d))
+        ie = np.concatenate([base[:, rng.permutation(d)] for _ in range(6)])
+        ue = np.repeat(rng.standard_normal((num_users, 1)), d, axis=1)
+        model = EmbeddingModel(ue, ie)
+        pairs = random_pairs(rng, num_users, ie.shape[0], 8)
+        split = split_of(pairs[:120], pairs[120:], num_users, ie.shape[0])
+        for ks in ((1, 2), (1, 5, 20)):
+            calls = spy_exact_rows(monkeypatch)
+            report = assert_matches_loop(model, split, ks)
+            assert sum(calls) == report.users_evaluated
+
+    @pytest.mark.parametrize("user_scale, item_scale", [
+        (1e150, 1e150),  # scores near 1e301: a huge tolerance, still certified
+        (1e-160, 1e-160),  # subnormal products: the absolute term decides
+        (1e-170, 1e10),  # squared user norms would underflow to zero here
+        (1e155, 1e155),  # products overflow: every row falls back
+    ])
+    def test_extreme_embedding_scales(self, user_scale, item_scale):
+        rng = np.random.default_rng(81)
+        num_users, num_items = 30, 200
+        model = EmbeddingModel(rng.standard_normal((num_users, 32)) * user_scale,
+                               rng.standard_normal((num_items, 32)) * item_scale)
+        pairs = random_pairs(rng, num_users, num_items, 8)
+        split = split_of(pairs[:120], pairs[120:], num_users, num_items)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_loop(model, split, (1, 10, 20))
+
+    def test_rows_with_fewer_rankable_items_than_the_head(self, monkeypatch):
+        # user u keeps items 0 .. u + 14: users 0-5 have at most 20, fewer than
+        # the kmax + 1 = 21 a certificate needs, and only they fall back
+        rng = np.random.default_rng(82)
+        num_users, num_items = 12, 30
+        model = EmbeddingModel(rng.standard_normal((num_users, 8)),
+                               rng.standard_normal((num_items, 8)))
+        train = [(u, i) for u in range(num_users) for i in range(u + 15, num_items)]
+        test = [(u, int(rng.integers(0, u + 15))) for u in range(num_users)]
+        split = split_of(train, test, num_users, num_items)
+        calls = spy_exact_rows(monkeypatch)
+        assert_matches_loop(model, split, (5, 20))
+        assert calls == [6]
+
+    def test_non_finite_user_rows_fall_back_alone(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        num_users, num_items = 10, 40
+        ue = rng.standard_normal((num_users, 8))
+        ue[3, 2], ue[7, 0] = np.nan, -np.inf
+        model = EmbeddingModel(ue, rng.standard_normal((num_items, 8)))
+        pairs = random_pairs(rng, num_users, num_items, 6)
+        split = split_of(pairs[:30], pairs[30:], num_users, num_items)
+        calls = spy_exact_rows(monkeypatch)
+        assert_matches_loop(model, split, (1, 3, 10))
+        assert calls == [2]
+
+
+def certify(ue, ie, kmax, excluded=()):
+    """_certified_head on the negated matrix product of ue and ie."""
+    neg = -(ue @ ie.T)
+    for row, item in excluded:
+        neg[row, item] = np.inf
+    with np.errstate(invalid="ignore"):
+        item_abs_max = np.abs(ie).max()
+    return metrics._certified_head(neg, ue, item_abs_max, kmax)
+
+
+class TestCertifiedHead:
+    def test_separated_scores_are_certain_and_ordered(self):
+        rng = np.random.default_rng(84)
+        ue, ie = rng.standard_normal((20, 8)), rng.standard_normal((50, 8))
+        head, certain = certify(ue, ie, 10)
+        assert certain.all()
+        assert np.array_equal(head, np.argsort(-(ue @ ie.T), axis=1, kind="stable")[:, :10])
+
+    def test_one_ulp_twins_in_the_head_are_uncertain(self):
+        rng = np.random.default_rng(85)
+        ie = one_ulp_twins(rng, 30, 8)
+        ue = rng.standard_normal((20, 8))
+        _, certain = certify(ue, ie, 10)
+        # a head of 11 from 30 twin pairs always holds both twins of some pair
+        assert not certain.any()
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e155])
+    def test_subnormal_and_overflowing_scales_are_uncertain(self, scale):
+        # products near 1e-324 round to zero or a few subnormal steps; near
+        # 1e310 they overflow
+        rng = np.random.default_rng(86)
+        ue, ie = rng.standard_normal((10, 32)) * scale, rng.standard_normal((60, 32)) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, certain = certify(ue, ie, 5)
+        assert not certain.any()
+
+    def test_tolerance_is_eight_gamma_times_the_bound(self):
+        # user (1, 0, ..., 0) makes each score exactly the item's first entry,
+        # and the bound sum_k |u_k| * max |item entry| is 1
+        d = 8
+        gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+        ue = np.eye(1, d)
+        for gap, want in ((6 * gamma, False), (10 * gamma, True)):
+            ie = np.zeros((4, d))
+            ie[:, 0] = [1.0, 1.0 - gap, 0.5, 0.25]
+            _, certain = certify(ue, ie, 2)
+            assert certain.tolist() == [want]
+
+    def test_scores_a_few_subnormal_steps_apart_are_uncertain(self):
+        # scores 16 subnormal steps apart, below the absolute term of 8 * d steps
+        d = 4
+        ue = 2.0**-1000 * np.eye(1, d)
+        ie = np.zeros((6, d))
+        ie[:, 0] = np.arange(6, 0, -1) * 2.0**-70
+        _, certain = certify(ue, ie, 3)
+        assert certain.tolist() == [False]
+        _, certain = certify(ue * 2.0**20, ie, 3)  # 2**24 steps apart
+        assert certain.tolist() == [True]
+
+    def test_bound_near_overflow_is_uncertain(self):
+        # finite, well separated scores, but a bound over half the largest
+        # double leaves room for a partial sum to overflow in another order
+        ue = np.array([[1.5e308, 0.0]])
+        ie = np.array([[1.0, 0.0], [0.5, 0.0], [0.25, 0.0], [0.125, 0.0]])
+        _, certain = certify(ue, ie, 2)
+        assert certain.tolist() == [False]
+        _, certain = certify(ue / 2, ie, 2)
+        assert certain.tolist() == [True]
+
+    def test_too_few_rankable_items_are_uncertain(self):
+        rng = np.random.default_rng(87)
+        ue, ie = rng.standard_normal((3, 8)), rng.standard_normal((12, 8))
+        # row 0 keeps 5 rankable items, one short of the head of kmax + 1 = 6
+        _, certain = certify(ue, ie, 5, excluded=[(0, i) for i in range(7)])
+        assert certain.tolist() == [False, True, True]
+        _, certain = certify(ue, ie[:5], 5)  # no more items than kmax
+        assert not certain.any()
+
+    def test_non_finite_embeddings_are_uncertain(self):
+        rng = np.random.default_rng(88)
+        ue, ie = rng.standard_normal((4, 8)), rng.standard_normal((30, 8))
+        ue[1, 0], ue[2, 5] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            _, certain = certify(ue, ie, 5)
+        assert certain.tolist() == [True, False, False, True]
+        ie[17, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            _, certain = certify(ue, ie, 5)
+        assert not certain.any()
 
 class TestEvaluateShapeGuard:
     @pytest.mark.parametrize("shape", [(60, 120), (80, 90), (60, 50)])

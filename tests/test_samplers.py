@@ -7,7 +7,7 @@ import pytest
 
 from driftrec.data import InteractionLog
 from driftrec.models import EmbeddingModel, init_xavier
-from driftrec.samplers import KINDS, NegativeSampler, SamplerSpec, sample_negative
+from driftrec.samplers import KINDS, NegativeSampler, SamplerSpec
 from conftest import make_log, oracle_sample_batch
 
 
@@ -51,12 +51,6 @@ class TestForcedOutcome:
         a = sampler.sample(0, 0, model, np.random.default_rng(5))
         b = sampler.sample_batch(np.array([0]), model, np.random.default_rng(5))
         assert a == int(b[0])
-
-    def test_module_level_wrapper(self):
-        log = forced_log()
-        model = init_xavier(log.num_users, log.num_items, 4, seed=0)
-        sampler = NegativeSampler(SamplerSpec(), log)
-        assert sample_negative(sampler, 0, 0, model, np.random.default_rng(1)) == 2
 
 
 class TestValidity:

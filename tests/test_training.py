@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from driftrec.data import InteractionLog, SplitDataset
-from driftrec.decay import DecaySpec, build_weighted_graph, instance_weights
+from driftrec.decay import DecaySpec, build_weighted_graph
 from driftrec.experiment import ExperimentConfig, build_positives
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier, load_checkpoint
 from driftrec.positives import build_pss, filtrate, train_positives
@@ -29,7 +29,7 @@ from driftrec.training import (
     fit,
     train_epoch,
 )
-from conftest import make_log, oracle_batch_gradients, oracle_sample_batch
+from conftest import make_log, oracle_batch_gradients, oracle_sample_batch, pair_weight_lookup
 
 mpmath.mp.dps = 50
 
@@ -683,7 +683,7 @@ class TestTrainEpoch:
         split = forced_negative_split()
         pss = train_positives(split)
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.0))
-        lookup = instance_weights(graph)
+        lookup = pair_weight_lookup(graph)
         weights = np.array([lookup[(int(u), int(p))]
                             for u, p in zip(pss.users, pss.items)])
         config = TrainConfig(lr=0.05, batch_size=4, epochs=1, d=4, seed=6)
