@@ -48,7 +48,6 @@ from .positives import (
     PositiveSampleSet,
     build_pss,
     filtrate,
-    leakage_filter,
     recent_k_positives,
     train_positives,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "fit",
     "generate",
     "init_xavier",
-    "leakage_filter",
     "load_checkpoint",
     "load_config",
     "load_split",

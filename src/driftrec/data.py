@@ -8,7 +8,9 @@ assigns dense indices in first-seen order, collapses duplicate (user, item)
 pairs keeping the latest timestamp, and sorts chronologically, all on NumPy
 arrays. Splitting cuts the sorted log at a global timestamp so the model is
 always asked to predict strictly future interactions, and removes
-holdout-only (cold) users.
+holdout-only (cold) users. A split holds the invariant that no (user, item)
+pair is in both train and the holdout; it raises on a log that breaks it,
+which only a hand-built one can, since ingestion keeps each pair once.
 """
 
 from __future__ import annotations
@@ -290,20 +292,41 @@ def build_log(events: Iterable[RawEvent]) -> InteractionLog:
 
 
 def _cutting_timestamp(times_sorted: np.ndarray, train_fraction: float) -> int:
-    """Smallest timestamp present in the log with >= fraction*N strictly-earlier entries."""
+    """Smallest timestamp present in the log with >= fraction*N strictly-earlier entries.
+
+    On the sorted column that is the first timestamp above the ``need``-th
+    one, so one binary search finds it.
+    """
     n = times_sorted.shape[0]
-    need = math.ceil(train_fraction * n - 1e-9)
-    need = max(need, 1)
-    uniques = np.unique(times_sorted)
-    # count of entries strictly below each unique value
-    below = np.searchsorted(times_sorted, uniques, side="left")
-    ok = np.nonzero(below >= need)[0]
-    if ok.size == 0:
+    need = max(math.ceil(train_fraction * n - 1e-9), 1)
+    # no np.unique: without flags it takes NumPy 2.x's hash path, far slower on int64
+    pos = np.searchsorted(times_sorted, times_sorted[need - 1], side="right")
+    if pos == n:
         raise ValueError(
             "no valid cutting timestamp: holdout would be empty "
             "(all interactions may share one timestamp)"
         )
-    return int(uniques[ok[0]])
+    return int(times_sorted[pos])
+
+
+def _check_disjoint_pairs(train: InteractionLog, holdout: InteractionLog) -> None:
+    """Raise ValueError naming a (user, item) pair on both sides of the cut.
+
+    :func:`build_log` keeps each pair once, so this holds for every log it
+    built; checking it here lets positive sets be built from train alone.
+    """
+    n_items = train.num_items
+    # sorted queries: a binary search over unsorted ones is several times slower
+    train_keys = np.sort(train.users * np.int64(n_items) + train.items)
+    held_keys = np.sort(holdout.users * np.int64(n_items) + holdout.items)
+    pos = np.searchsorted(train_keys, held_keys)
+    np.minimum(pos, train_keys.size - 1, out=pos)
+    both = np.flatnonzero(train_keys[pos] == held_keys)
+    if both.size:
+        user, item = divmod(int(held_keys[both[0]]), n_items)
+        raise ValueError(
+            f"pair (user {user}, item {item}) is on both sides of the cutting timestamp"
+        )
 
 
 def timestamp_split(
@@ -319,7 +342,9 @@ def timestamp_split(
     Holdout interactions of users unseen in train are dropped entirely.
     Items unseen in train keep their holdout interactions by default (they
     depress ranking metrics uniformly); pass ``drop_cold_items=True`` to
-    remove them instead.
+    remove them instead. Train and holdout share no (user, item) pair: a
+    log with a pair on both sides of the cut raises ``ValueError`` naming
+    it, so positive sets built from train need no leakage filter.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must be in (0, 1)")
@@ -334,6 +359,7 @@ def timestamp_split(
     holdout = log._replace_arrays(~train_mask)
     if len(train) == 0 or len(holdout) == 0:
         raise ValueError("degenerate split: empty train or holdout")
+    _check_disjoint_pairs(train, holdout)
 
     dropped_cold_user = 0
     dropped_cold_item = 0
@@ -363,18 +389,6 @@ def timestamp_split(
         dropped_cold_user=dropped_cold_user,
         dropped_cold_item=dropped_cold_item,
     )
-
-
-def holdout_pair_keys(split: SplitDataset) -> np.ndarray:
-    """Sorted int64 keys (user * num_items + item) of validation+test pairs."""
-    n_items = split.num_items
-    keys = np.concatenate(
-        [
-            split.validation.users * n_items + split.validation.items,
-            split.test.users * n_items + split.test.items,
-        ]
-    )
-    return np.unique(keys)
 
 
 def write_split_manifest(split: SplitDataset, stream) -> None:

@@ -157,7 +157,7 @@ def build_positives(
     if config.variant == "layered":
         graph = build_weighted_graph(split.train, config.decay_spec())
         layered = filtrate(graph, config.layers, config.range_mode)
-        return build_pss(layered, split), None
+        return build_pss(layered), None
     if config.variant == "baseline":
         return train_positives(split), None
     if config.variant == "recent_k":

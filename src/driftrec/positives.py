@@ -5,7 +5,8 @@ thresholds; an edge in layer i enters the training multiset with i copies,
 so the optimizer visits recent interactions more often while old ones stay
 in play. The resulting multiset is the training distribution: pair (u, p)
 with multiplicity m is drawn with probability m / |set| under uniform
-iteration.
+iteration. Nothing is filtered out of a positive set: the split already
+guarantees that no train pair is also a validation or test pair.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionLog, SplitDataset, holdout_pair_keys
+from .data import InteractionLog, SplitDataset
 from .decay import WeightedBipartiteGraph
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "build_pss",
     "train_positives",
     "recent_k_positives",
-    "leakage_filter",
 ]
 
 RANGE_MODES = ("unit_interval", "data_range")
@@ -153,53 +153,46 @@ def filtrate(
     return LayeredGraph(graph=graph, n=n, thresholds=thresholds, labels=labels, range_mode=range_mode)
 
 
-def leakage_filter(pss: PositiveSampleSet, split: SplitDataset) -> PositiveSampleSet:
-    """Drop every pair that also appears in validation or test (all copies)."""
-    bad = holdout_pair_keys(split)
-    if bad.size == 0 or len(pss) == 0:
-        return pss
-    keys = pss.pair_keys()
-    pos = np.minimum(np.searchsorted(bad, keys), bad.size - 1)
-    keep = bad[pos] != keys
-    return PositiveSampleSet(
-        users=pss.users[keep],
-        items=pss.items[keep],
-        layers=pss.layers[keep],
-        weights=pss.weights[keep],
-        num_users=pss.num_users,
-        num_items=pss.num_items,
-    )
-
-
-def build_pss(layered: LayeredGraph, split: SplitDataset) -> PositiveSampleSet:
+def build_pss(layered: LayeredGraph) -> PositiveSampleSet:
     """Layer-enhanced positive multiset: layer-i edges appear i times.
 
-    Pairs are emitted layer-major with copies contiguous, then holdout
-    pairs are filtered out. With n=1 this degenerates to the plain train
-    edge set.
+    Pairs are emitted layer-major with copies contiguous. With n=1 this
+    degenerates to the plain train edge set. No pair needs filtering out:
+    :func:`~driftrec.data.timestamp_split` guarantees that no train pair
+    is also a validation or test pair.
     """
     g = layered.graph
-    # edges layer by layer, original order within a layer; edge e copied labels[e] times
+    # edge indices layer by layer, original order within a layer, edge e labels[e] times
     order = np.argsort(layered.labels, kind="stable")
-    copies = layered.labels[order]
-    pss = PositiveSampleSet(
-        users=np.repeat(g.users[order], copies),
-        items=np.repeat(g.items[order], copies),
-        layers=np.repeat(copies, copies),
-        weights=np.repeat(g.weights[order], copies),
+    rows = np.repeat(order, layered.labels[order])
+    # one block for the four columns: a freed multiset leaves one chunk the next
+    # build reuses, not four the heap may trim and fault back in page by page
+    block = np.empty((4, rows.size), dtype=np.int64)
+    users, items, layers = block[:3]
+    weights = block[3].view(np.float64)
+    # rows index the edges by construction; "clip" skips the buffered bound check
+    np.take(g.users, rows, out=users, mode="clip")
+    np.take(g.items, rows, out=items, mode="clip")
+    np.take(layered.labels, rows, out=layers, mode="clip")
+    np.take(g.weights, rows, out=weights, mode="clip")
+    return PositiveSampleSet(
+        users=users,
+        items=items,
+        layers=layers,
+        weights=weights,
         num_users=g.num_users,
         num_items=g.num_items,
     )
-    pss = leakage_filter(pss, split)
-    if len(pss) == 0:
-        raise ValueError("positive sample set is empty after leakage filtering")
-    return pss
 
 
 def train_positives(split: SplitDataset) -> PositiveSampleSet:
-    """Plain positive set: every train edge once, leakage-filtered."""
+    """Plain positive set: every train edge once.
+
+    The split guarantees that no train pair is also a holdout pair, so
+    nothing is filtered out.
+    """
     train = split.train
-    pss = PositiveSampleSet(
+    return PositiveSampleSet(
         users=train.users.copy(),
         items=train.items.copy(),
         layers=np.ones(len(train), dtype=np.int64),
@@ -207,10 +200,6 @@ def train_positives(split: SplitDataset) -> PositiveSampleSet:
         num_users=split.num_users,
         num_items=split.num_items,
     )
-    pss = leakage_filter(pss, split)
-    if len(pss) == 0:
-        raise ValueError("positive sample set is empty after leakage filtering")
-    return pss
 
 
 def recent_k_positives(train: InteractionLog, k: int) -> PositiveSampleSet:

@@ -68,9 +68,9 @@ class NegativeSampler:
         keys = train.users * np.int64(self.num_items) + train.items
         self._bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
         np.bitwise_or.at(self._bits, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
-        # CSR-style per-user item lists for complement fallbacks
-        order = np.lexsort((train.items, train.users))
-        self._items_by_user = train.items[order]
+        # CSR-style per-user item lists for complement fallbacks; no lexsort:
+        # a pair key sorts as its (user, item), and int64 lexsort is far slower
+        self._items_by_user = np.sort(keys) % self.num_items
         counts = np.bincount(train.users, minlength=self.num_users)
         self._indptr = np.r_[0, np.cumsum(counts)]
         self.degree = counts

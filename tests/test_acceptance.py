@@ -41,29 +41,6 @@ mpmath.mp.dps = 50
 # shared scaffolding
 
 
-def empty_split(num_users: int, num_items: int) -> SplitDataset:
-    """A split whose holdout is empty, so leakage filtering is a no-op."""
-
-    def empty_log():
-        e = np.empty(0, dtype=np.int64)
-        return InteractionLog(
-            users=e,
-            items=e.copy(),
-            times=e.copy(),
-            user_vocab={f"u{k}": k for k in range(num_users)},
-            item_vocab={f"i{k}": k for k in range(num_items)},
-        )
-
-    return SplitDataset(
-        train=empty_log(),
-        validation=empty_log(),
-        test=empty_log(),
-        cutting_timestamp=0,
-        num_users=num_users,
-        num_items=num_items,
-    )
-
-
 def disjoint_pair_split(num_pairs: int, num_users: int, num_items: int, seed: int,
                         holdout: int = 4) -> SplitDataset:
     """Split of a distinct-pair log: train/holdout pairs never overlap."""
@@ -211,7 +188,7 @@ def test_criterion_02_pss_multiplicity():
         graph = random_graph(rng, max_users=25, max_items=35, max_edges=300)
         n = int(rng.integers(1, 6))
         layered = filtrate(graph, n)
-        pss = build_pss(layered, empty_split(graph.num_users, graph.num_items))
+        pss = build_pss(layered)
         label_of = {}
         for idx, layer in zip(range(graph.num_edges), layered.labels.tolist()):
             label_of[(int(graph.users[idx]), int(graph.items[idx]))] = layer
@@ -226,7 +203,7 @@ def test_criterion_02_pss_multiplicity():
     # n=1 degeneration: the multiset IS the train edge list, order included
     split = disjoint_pair_split(60, 12, 15, seed=5)
     graph = build_weighted_graph(split.train, DecaySpec(kind="exponential", rate=0.02))
-    pss = build_pss(filtrate(graph, 1), split)
+    pss = build_pss(filtrate(graph, 1))
     assert np.array_equal(pss.users, graph.users)
     assert np.array_equal(pss.items, graph.items)
     assert np.all(pss.layers == 1)
@@ -248,15 +225,14 @@ def test_criterion_03_pi_normalization_and_reweighting():
     worst = 0.0
     for _ in range(30):
         graph = random_graph(rng, max_users=20, max_items=30, max_edges=250)
-        pss = build_pss(filtrate(graph, int(rng.integers(1, 5))),
-                        empty_split(graph.num_users, graph.num_items))
+        pss = build_pss(filtrate(graph, int(rng.integers(1, 5))))
         worst = max(worst, abs(sum(pss.pi().values()) - 1.0))
     assert worst <= 1e-12
 
     # 50-distinct-pair instance with mixed layers
     split = disjoint_pair_split(50, 9, 12, seed=7)
     graph = build_weighted_graph(split.train, DecaySpec(kind="exponential", rate=0.02))
-    pss = build_pss(filtrate(graph, 3), split)
+    pss = build_pss(filtrate(graph, 3))
     pi = pss.pi()
     pairs = sorted(pi)
     assert len(pairs) == 50
@@ -532,7 +508,7 @@ def test_criterion_08_margin_probes():
     # (c) instrumented epoch counts: every pair updated multiplicity x epochs
     split = disjoint_pair_split(50, 9, 12, seed=7)
     graph = build_weighted_graph(split.train, DecaySpec(kind="exponential", rate=0.02))
-    pss = build_pss(filtrate(graph, 3), split)
+    pss = build_pss(filtrate(graph, 3))
     config = TrainConfig(lr=0.01, batch_size=16, epochs=3, d=8, seed=0)
     counter = count_updates(split, pss, config, epochs=3)
     assert counter == {pair: 3 * m for pair, m in pss.multiplicity().items()}
@@ -652,7 +628,7 @@ def construction_seconds(num_edges, seed, reps=7):
     for _ in range(reps):
         t0 = time.perf_counter()
         graph = build_weighted_graph(split.train, spec)
-        build_pss(filtrate(graph, 3), split)
+        build_pss(filtrate(graph, 3))
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
@@ -667,7 +643,7 @@ def test_criterion_11_linear_time_construction():
     split = timestamp_split(log)
     t0 = time.perf_counter()
     graph = build_weighted_graph(split.train, DecaySpec(kind="exponential", rate=0.02))
-    pss = build_pss(filtrate(graph, 3), split)
+    pss = build_pss(filtrate(graph, 3))
     t_large = time.perf_counter() - t0
     assert t_large < 120.0
     print(

@@ -4,11 +4,13 @@ cold-user handling, and the split partition invariants."""
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from driftrec.data import (
+    InteractionLog,
     ParseError,
     RawEvent,
     RawEvents,
@@ -17,6 +19,7 @@ from driftrec.data import (
     timestamp_split,
     write_split_manifest,
 )
+from driftrec.data import _cutting_timestamp
 from conftest import log_triples, make_log
 from ingest_oracle import reference_build_log, reference_parse_log
 
@@ -349,6 +352,22 @@ class TestTimestampSplit:
                 assert (u, i) not in seen
                 seen.add((u, i))
 
+    def test_pair_on_both_sides_of_cut_raises(self):
+        # (user 1, item 2) at t=3 in train and again at t=9 in the holdout;
+        # build_log would have kept only the later row
+        log = InteractionLog(
+            users=np.array([0, 1, 0, 2, 0, 1], dtype=np.int64),
+            items=np.array([0, 2, 1, 0, 3, 2], dtype=np.int64),
+            times=np.array([1, 3, 4, 5, 8, 9], dtype=np.int64),
+            user_vocab={"a": 0, "b": 1, "c": 2},
+            item_vocab={"w": 0, "x": 1, "y": 2, "z": 3},
+        )
+        with pytest.raises(ValueError, match=r"pair \(user 1, item 2\) is on both sides"):
+            timestamp_split(log, 0.6, 0.5)
+        # the same log without the repeated pair splits
+        split = timestamp_split(log._replace_arrays(np.arange(len(log)) != 1), 0.6, 0.5)
+        assert split.cutting_timestamp == 8
+
     def test_determinism(self, line_log):
         a = timestamp_split(line_log, 0.8, 0.5)
         b = timestamp_split(line_log, 0.8, 0.5)
@@ -363,6 +382,59 @@ class TestTimestampSplit:
             timestamp_split(line_log, 1.0)
         with pytest.raises(ValueError):
             timestamp_split(line_log, 0.8, 1.5)
+
+
+def reference_cutting_timestamp(times_sorted, train_fraction):
+    """The cut by distinct timestamps: the first with >= need entries below it."""
+    need = max(math.ceil(train_fraction * times_sorted.shape[0] - 1e-9), 1)
+    uniques = np.unique(times_sorted)
+    below = np.searchsorted(times_sorted, uniques, side="left")
+    ok = np.nonzero(below >= need)[0]
+    return None if ok.size == 0 else int(uniques[ok[0]])
+
+
+class TestCuttingTimestamp:
+    """The binary-search cut agrees with the distinct-timestamp reference."""
+
+    def check(self, times, fraction):
+        times = np.sort(np.asarray(times, dtype=np.int64))
+        want = reference_cutting_timestamp(times, fraction)
+        if want is None:
+            with pytest.raises(ValueError, match="no valid cutting timestamp"):
+                _cutting_timestamp(times, fraction)
+        else:
+            assert _cutting_timestamp(times, fraction) == want
+
+    def test_random_columns(self):
+        rng = np.random.default_rng(72)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            span = int(rng.choice([2, 5, 50, 10**9]))  # 2 and 5: heavy ties
+            times = rng.integers(0, span, size=n)
+            self.check(times, float(rng.uniform(0.01, 0.99)))
+
+    def test_fraction_times_n_near_an_integer(self):
+        rng = np.random.default_rng(73)
+        for n in (3, 10, 49, 100, 1000):
+            times = rng.integers(0, 6, size=n)
+            for k in range(1, n):
+                base = k / n
+                for fraction in (base, base - 5e-10, base + 5e-10, base - 2e-9, base + 2e-9):
+                    if 0.0 < fraction < 1.0:
+                        self.check(times, fraction)
+
+    def test_single_row_has_no_cut(self):
+        for fraction in (0.01, 0.5, 0.99):
+            self.check([7], fraction)
+
+    def test_all_equal_timestamps_raise(self):
+        for n in (2, 3, 40):
+            for fraction in (0.1, 0.5, 0.9):
+                self.check(np.full(n, 11), fraction)
+
+    def test_ties_at_the_need_th_entry(self):
+        # need = 4: the 4th entry is a 5, so the cut skips every 5
+        assert _cutting_timestamp(np.array([1, 2, 5, 5, 5, 5, 8, 9]), 0.5) == 8
 
 
 def rows_to_events(rows):

@@ -112,12 +112,25 @@ class TestBuildPositives:
         pss, weights = build_positives(split, config)
         assert weights is None
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.03))
-        want = build_pss(filtrate(graph, 4), split)
+        want = build_pss(filtrate(graph, 4))
         assert np.array_equal(pss.users, want.users)
         assert np.array_equal(pss.items, want.items)
         assert np.array_equal(pss.layers, want.layers)
         sizes = [idx.size for idx in filtrate(graph, 4).layers]
         assert len(pss) == sum((i + 1) * s for i, s in enumerate(sizes))
+
+    @pytest.mark.parametrize("variant", ["layered", "baseline", "weighted_bpr", "recent_k"])
+    def test_no_multiset_pair_in_holdout(self, variant, tiny_tsv):
+        """The split keeps train and holdout pairs apart, so no variant needs a filter."""
+        split = load_split(ExperimentConfig(data_path=tiny_tsv))
+        pss, _ = build_positives(split, ExperimentConfig(variant=variant, recent_k=5))
+        held = {
+            (u, i)
+            for part in (split.validation, split.test)
+            for u, i in zip(part.users.tolist(), part.items.tolist())
+        }
+        assert held and len(pss)
+        assert not held & set(zip(pss.users.tolist(), pss.items.tolist()))
 
     def test_baseline_is_train_edges(self, split):
         pss, weights = build_positives(split, ExperimentConfig(variant="baseline"))

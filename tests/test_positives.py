@@ -5,14 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from driftrec.data import SplitDataset, InteractionLog, timestamp_split
 from driftrec.decay import DecaySpec, WeightedBipartiteGraph, build_weighted_graph
 from driftrec.positives import (
     LayeredGraph,
     PositiveSampleSet,
     build_pss,
     filtrate,
-    leakage_filter,
     recent_k_positives,
     train_positives,
 )
@@ -35,36 +33,6 @@ def graph_of(weights, users=None, items=None, num_users=None, num_items=None):
         num_users=num_users,
         num_items=num_items,
         spec=DecaySpec(),
-    )
-
-
-def empty_log():
-    return InteractionLog(
-        users=np.empty(0, dtype=np.int64),
-        items=np.empty(0, dtype=np.int64),
-        times=np.empty(0, dtype=np.int64),
-        user_vocab={},
-        item_vocab={},
-    )
-
-
-def split_with_holdout(graph, holdout_pairs=()):
-    """SplitDataset shell whose holdout holds exactly the given pairs."""
-    hp = list(holdout_pairs)
-    hold = InteractionLog(
-        users=np.array([u for u, _ in hp], dtype=np.int64),
-        items=np.array([i for _, i in hp], dtype=np.int64),
-        times=np.zeros(len(hp), dtype=np.int64),
-        user_vocab={},
-        item_vocab={},
-    )
-    return SplitDataset(
-        train=empty_log(),
-        validation=hold,
-        test=empty_log(),
-        cutting_timestamp=0,
-        num_users=graph.num_users,
-        num_items=graph.num_items,
     )
 
 
@@ -154,7 +122,7 @@ class TestBuildPss:
     def test_multiplicity_equals_layer(self):
         g = graph_of([0.3, 0.7, 1.0])
         layered = filtrate(g, n=2)  # layers [1, 2, 2]
-        pss = build_pss(layered, split_with_holdout(g))
+        pss = build_pss(layered)
         assert len(pss) == 1 + 2 + 2
         mult = pss.multiplicity()
         assert mult[(0, 0)] == 1
@@ -163,14 +131,14 @@ class TestBuildPss:
 
     def test_layer_major_contiguous_order(self):
         g = graph_of([0.9, 0.2, 0.6])
-        pss = build_pss(filtrate(g, n=3), split_with_holdout(g))
+        pss = build_pss(filtrate(g, n=3))
         # layer 1: item 1; layer 2: item 2 twice; layer 3: item 0 three times
         assert pss.items.tolist() == [1, 2, 2, 0, 0, 0]
         assert pss.layers.tolist() == [1, 2, 2, 3, 3, 3]
 
     def test_n1_equals_train_edges_in_order(self, drift_split):
         g = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
-        pss = build_pss(filtrate(g, n=1), drift_split)
+        pss = build_pss(filtrate(g, n=1))
         assert np.array_equal(pss.users, drift_split.train.users)
         assert np.array_equal(pss.items, drift_split.train.items)
         assert np.all(pss.layers == 1)
@@ -178,7 +146,7 @@ class TestBuildPss:
     def test_rate_zero_all_top_layer(self):
         log = make_log([("a", "x", 0), ("a", "y", 50), ("b", "z", 10)])
         g = build_weighted_graph(log, DecaySpec(rate=0.0))
-        pss = build_pss(filtrate(g, n=3), split_with_holdout(g))
+        pss = build_pss(filtrate(g, n=3))
         assert np.all(pss.layers == 3)
         assert len(pss) == 9
         pi = pss.pi()
@@ -188,27 +156,14 @@ class TestBuildPss:
         rng = np.random.default_rng(31)
         for _ in range(25):
             g = random_graph(rng)
-            pss = build_pss(filtrate(g, int(rng.integers(1, 6))), split_with_holdout(g))
+            pss = build_pss(filtrate(g, int(rng.integers(1, 6))))
             assert abs(sum(pss.pi().values()) - 1.0) <= 1e-12
 
     def test_pi_proportional_to_multiplicity(self):
         g = graph_of([0.3, 0.7, 1.0])
-        pss = build_pss(filtrate(g, n=2), split_with_holdout(g))
+        pss = build_pss(filtrate(g, n=2))
         pi = pss.pi()
         assert pi[(0, 1)] == pytest.approx(2 * pi[(0, 0)], rel=1e-15)
-
-    def test_leakage_removes_all_copies(self):
-        g = graph_of([0.3, 0.7, 1.0])
-        split = split_with_holdout(g, holdout_pairs=[(0, 1)])
-        pss = build_pss(filtrate(g, n=2), split)
-        assert len(pss) == 3
-        assert (0, 1) not in pss.multiplicity()
-
-    def test_all_filtered_raises(self):
-        g = graph_of([0.5])
-        split = split_with_holdout(g, holdout_pairs=[(0, 0)])
-        with pytest.raises(ValueError, match="empty"):
-            build_pss(filtrate(g, n=2), split)
 
     def test_audit_records_sorted_and_complete(self):
         g = graph_of(
@@ -216,7 +171,7 @@ class TestBuildPss:
             users=[1, 0, 0],
             items=[0, 1, 0],
         )
-        pss = build_pss(filtrate(g, n=2), split_with_holdout(g))
+        pss = build_pss(filtrate(g, n=2))
         recs = pss.audit_records()
         keys = [(r["user_index"], r["item_index"]) for r in recs]
         assert keys == sorted(keys)
@@ -233,28 +188,6 @@ class TestTrainPositives:
         assert np.array_equal(pss.users, drift_split.train.users)
         assert np.array_equal(pss.items, drift_split.train.items)
         assert np.all(pss.layers == 1)
-
-    def test_leakage_filtered(self):
-        train = make_log([("a", "x", 0), ("a", "y", 5)])
-        # validation shares train's vocab: item "y" is index 1
-        val = InteractionLog(
-            users=np.array([0], dtype=np.int64),
-            items=np.array([1], dtype=np.int64),
-            times=np.array([9], dtype=np.int64),
-            user_vocab=train.user_vocab,
-            item_vocab=train.item_vocab,
-        )
-        split = SplitDataset(
-            train=train,
-            validation=val,
-            test=empty_log(),
-            cutting_timestamp=6,
-            num_users=1,
-            num_items=2,
-        )
-        pss = train_positives(split)
-        assert pss.multiplicity() == {(0, 0): 1}
-
 
 class TestRecentK:
     def test_keeps_k_most_recent(self):
@@ -287,36 +220,3 @@ class TestRecentK:
         log = make_log([("a", "x", 1)])
         with pytest.raises(ValueError, match="k must be"):
             recent_k_positives(log, k=0)
-
-
-class TestLeakageFilter:
-    def test_no_holdout_is_identity(self):
-        g = graph_of([0.4, 0.8])
-        pss = build_pss(filtrate(g, n=1), split_with_holdout(g))
-        again = leakage_filter(pss, split_with_holdout(g))
-        assert again is pss or np.array_equal(again.users, pss.users)
-
-    def test_random_property(self):
-        """Filtered set = multiset difference on pair keys, exactly."""
-        rng = np.random.default_rng(99)
-        for _ in range(30):
-            g = random_graph(rng, max_users=8, max_items=12, max_edges=40)
-            n = int(rng.integers(1, 5))
-            all_pairs = list(zip(g.users.tolist(), g.items.tolist()))
-            k = int(rng.integers(0, len(all_pairs) + 1))
-            banned = [all_pairs[j] for j in rng.choice(len(all_pairs), size=k, replace=False)]
-            split = split_with_holdout(g, holdout_pairs=banned)
-            layered = filtrate(g, n)
-            if len(banned) == len(all_pairs):
-                with pytest.raises(ValueError):
-                    build_pss(layered, split)
-                continue
-            pss = build_pss(layered, split)
-            mult = pss.multiplicity()
-            banned_set = set(banned)
-            for e in range(g.num_edges):
-                pair = (int(g.users[e]), int(g.items[e]))
-                if pair in banned_set:
-                    assert pair not in mult
-                else:
-                    assert mult[pair] == layered.labels[e]

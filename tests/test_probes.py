@@ -214,7 +214,7 @@ class TestCountUpdates:
     def test_multiplicity_times_epochs(self):
         split = forced_negative_split()
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.0))
-        pss = build_pss(filtrate(graph, 2), split)  # every pair in layer 2
+        pss = build_pss(filtrate(graph, 2))  # every pair in layer 2
         config = TrainConfig(lr=0.01, batch_size=3, epochs=1, d=4, seed=0)
         counts = count_updates(split, pss, config, epochs=3)
         assert counts == {(0, 0): 6, (0, 1): 6, (1, 0): 6, (1, 2): 6}
@@ -243,7 +243,7 @@ class TestCountUpdates:
         split = forced_negative_split()
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.4, time_unit=1))
         layered = filtrate(graph, 3)
-        pss = build_pss(layered, split)
+        pss = build_pss(layered)
         config = TrainConfig(lr=0.01, batch_size=4, epochs=1, d=4, seed=1)
         counts = count_updates(split, pss, config, epochs=2)
         mult = pss.multiplicity()
@@ -279,7 +279,7 @@ class TestCumulativeSeparation:
 
     def test_epoch_zero_shared(self, drift_split):
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
-        pss_layered = build_pss(filtrate(graph, 3), drift_split)
+        pss_layered = build_pss(filtrate(graph, 3))
         pss_base = train_positives(drift_split)
         config = TrainConfig(lr=0.01, batch_size=256, epochs=1, d=8, seed=0)
         res = cumulative_separation(
@@ -293,7 +293,7 @@ class TestCumulativeSeparation:
         of recent train pairs well above the plain set's trajectory."""
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
         layered = filtrate(graph, 3)
-        pss_layered = build_pss(layered, drift_split)
+        pss_layered = build_pss(layered)
         pss_base = train_positives(drift_split)
         top = layered.layer_edge_indices(3)
         rng = np.random.default_rng(0)

@@ -345,3 +345,29 @@ class TestBitsetMembership:
         # shuffled queries with repeats read the same bits
         perm = rng.integers(0, all_users.size, size=500)
         assert np.array_equal(sampler._interacted(all_users[perm], all_items[perm]), got[perm])
+
+
+class TestUserItems:
+    """Per-user item lists hold each user's train items in ascending order."""
+
+    def test_matches_sorted_train_items(self, drift_split):
+        train = drift_split.train
+        sampler = NegativeSampler(SamplerSpec(), train)
+        for u in range(train.num_users):
+            want = sorted(train.items[train.users == u].tolist())
+            assert sampler.user_items(u).tolist() == want, u
+
+    def test_unsorted_log_and_users_without_items(self):
+        rng = np.random.default_rng(71)
+        num_users, num_items = 9, 17
+        keys = rng.choice(num_users * num_items, size=60, replace=False)  # log order
+        log = InteractionLog(
+            users=keys // num_items, items=keys % num_items,
+            times=np.arange(keys.size, dtype=np.int64),
+            user_vocab={f"u{k}": k for k in range(num_users + 2)},  # two users with no items
+            item_vocab={f"i{k}": k for k in range(num_items)},
+        )
+        sampler = NegativeSampler(SamplerSpec(), log)
+        for u in range(num_users + 2):
+            want = sorted((keys[keys // num_items == u] % num_items).tolist())
+            assert sampler.user_items(u).tolist() == want, u

@@ -653,7 +653,7 @@ class TestTrainEpoch:
     def test_pi_sample_draws_train_size(self):
         split = forced_negative_split()
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.0))
-        pss = build_pss(filtrate(graph, 3), split)  # 12 instances, 4 train edges
+        pss = build_pss(filtrate(graph, 3))  # 12 instances, 4 train edges
         config = TrainConfig(lr=0.01, batch_size=3, epochs=1, d=4, seed=0,
                              epoch_mode="pi_sample")
         model = init_xavier(2, 3, 4, seed=0)
@@ -820,7 +820,7 @@ class TestFit:
 
     def test_layered_pss_trains(self, drift_split):
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
-        pss = build_pss(filtrate(graph, 3), drift_split)
+        pss = build_pss(filtrate(graph, 3))
         model, history = fit(drift_split, self.small_config(epochs=4), pss=pss)
         assert len(history) == 1
         assert np.all(np.isfinite(model.user_emb))
