@@ -68,6 +68,7 @@ from .training import (
     batch_gradients,
     bpr_loss,
     fit,
+    init_training,
     train_epoch,
 )
 
@@ -111,6 +112,7 @@ __all__ = [
     "filtrate",
     "fit",
     "generate",
+    "init_training",
     "init_xavier",
     "load_checkpoint",
     "load_config",

@@ -12,12 +12,15 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 import yaml
 
 from .data import write_split_manifest
+from .decay import KINDS as DECAY_KINDS
 from .experiment import (
+    EXPERIMENT_VARIANTS,
     ExperimentConfig,
     build_positives,
     load_config,
@@ -28,80 +31,93 @@ from .experiment import (
 )
 from .metrics import evaluate
 from .models import (
+    BACKBONES,
     build_norm_adjacency,
     checkpoint_header,
-    init_xavier,
     load_checkpoint,
     save_checkpoint,
 )
+from .positives import RANGE_MODES
 from .probes import probe_one_step
-from .samplers import NegativeSampler
+from .samplers import KINDS as SAMPLER_KINDS
 from .synthetic import SyntheticSpec, generate, write_tsv
-from .training import AdamState, fit
+from .training import EPOCH_MODES, OPTIMIZERS, fit, init_training
 
 __all__ = ["main"]
 
+# ExperimentConfig fields that subcommands expose as flags, in flag order
+_DATA = ("data_path", "data_format", "skip_header", "train_fraction",
+         "val_fraction_of_holdout", "drop_cold_items")
+_GRAPH = ("decay", "rate", "time_unit", "layers", "range_mode")
+_VARIANT = ("variant", "recent_k")
+_SAMPLER = ("sampler", "pool", "alpha", "m", "n")
+_PIPELINE = _DATA + _GRAPH + _VARIANT + (
+    "backbone", "d", "lr", "batch_size", "l2", "epochs", "eval_every",
+    "optimizer", "epoch_mode", "prop_layers", "ks",
+) + _SAMPLER
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="interaction log file (user, item, timestamp)")
-    p.add_argument("--format", dest="data_format", choices=("tsv", "csv"))
-    p.add_argument("--skip-header", action="store_const", const=True, default=None)
-    p.add_argument("--train-fraction", type=float)
-    p.add_argument("--val-fraction", dest="val_fraction_of_holdout", type=float)
-    p.add_argument("--drop-cold-items", action="store_const", const=True, default=None)
+# (option string, dest) of the fields whose flag is not --field-name
+_ALIASES = {
+    "data_path": ("--data", "data"),
+    "data_format": ("--format", "data_format"),
+    "val_fraction_of_holdout": ("--val-fraction", "val_fraction_of_holdout"),
+}
+_CHOICES = {
+    "data_format": ("tsv", "csv"),
+    "variant": EXPERIMENT_VARIANTS,
+    "decay": DECAY_KINDS,
+    "range_mode": RANGE_MODES,
+    "backbone": BACKBONES,
+    "optimizer": OPTIMIZERS,
+    "epoch_mode": EPOCH_MODES,
+    "sampler": tuple(kind.replace("_", "-") for kind in SAMPLER_KINDS),
+}
+_HELP = {
+    "data_path": "interaction log file (user, item, timestamp)",
+    "rate": "decay rate per time unit",
+    "time_unit": "seconds per gap unit",
+    "layers": "number of filtration layers",
+    "d": "embedding dimension",
+    "ks": "comma-separated cutoffs, e.g. 20,30",
+    "pool": "candidate pool size for dns / dns-mn",
+    "alpha": "popularity exponent for pns",
+    "m": "dns-mn window start rank (1-based)",
+    "n": "dns-mn window end rank (inclusive)",
+    "seeds": "comma-separated seeds",
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
-def _add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decay", choices=("exponential", "linear", "power"))
-    p.add_argument("--rate", type=float, help="decay rate per time unit")
-    p.add_argument("--time-unit", dest="time_unit", type=float, help="seconds per gap unit")
-    p.add_argument("--layers", type=int, help="number of filtration layers")
-    p.add_argument("--range-mode", dest="range_mode", choices=("unit_interval", "data_range"))
+def _flag(name: str) -> tuple[str, str]:
+    return _ALIASES.get(name, ("--" + name.replace("_", "-"), name))
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=("layered", "baseline", "weighted_bpr", "recent_k"))
-    p.add_argument("--recent-k", dest="recent_k", type=int)
-    p.add_argument("--backbone", choices=("mf", "lightgcn"))
-    p.add_argument("--d", type=int, help="embedding dimension")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--epoch-mode", dest="epoch_mode", choices=("full_pass", "pi_sample"))
-    p.add_argument("--prop-layers", dest="prop_layers", type=int)
-    p.add_argument("--ks", help="comma-separated cutoffs, e.g. 20,30")
+def _add_config_flags(p: argparse.ArgumentParser, names, described: bool = True) -> None:
+    """One flag per named ExperimentConfig field, defaulting to None.
 
-
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sampler", choices=("rns", "pns", "dns", "dns-mn"))
-    p.add_argument("--pool", type=int, help="candidate pool size for dns / dns-mn")
-    p.add_argument("--alpha", type=float, help="popularity exponent for pns")
-    p.add_argument("--m", type=int, help="dns-mn window start rank (1-based)")
-    p.add_argument("--n", type=int, help="dns-mn window end rank (inclusive)")
+    Tuple fields (ks, seeds) stay strings until :func:`_config_from_args`,
+    so a malformed list is the command's JSON error, not a usage error.
+    """
+    for name in names:
+        flag, dest = _flag(name)
+        kwargs = {"dest": dest, "help": _HELP.get(name) if described else None}
+        default = _DEFAULTS[name]
+        if isinstance(default, bool):
+            kwargs.update(action="store_const", const=True, default=None)
+        else:
+            kwargs["choices"] = _CHOICES.get(name)
+            if isinstance(default, (int, float)):
+                kwargs["type"] = type(default)
+        p.add_argument(flag, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    keys = (
-        "data_format", "skip_header", "train_fraction", "val_fraction_of_holdout",
-        "drop_cold_items", "variant", "decay", "rate", "time_unit", "layers",
-        "range_mode", "recent_k", "backbone", "d", "lr", "batch_size", "l2",
-        "epochs", "eval_every", "optimizer", "epoch_mode", "prop_layers",
-        "sampler", "alpha", "pool", "m", "n",
-    )
-    overrides = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "data", None) is not None:
-        overrides["data_path"] = args.data
-    if getattr(args, "ks", None) is not None:
-        overrides["ks"] = tuple(int(k) for k in str(args.ks).split(","))
+    overrides = {name: getattr(args, _flag(name)[1], None) for name in _DEFAULTS}
+    for name in ("ks", "seeds"):
+        if overrides[name] is not None:
+            overrides[name] = tuple(int(v) for v in str(overrides[name]).split(","))
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
-    if getattr(args, "seeds", None) is not None:
-        overrides["seeds"] = tuple(int(s) for s in str(args.seeds).split(","))
-    if getattr(args, "out_dir", None) is not None:
-        overrides["out_dir"] = args.out_dir
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -175,7 +191,7 @@ def cmd_train(args) -> int:
         metrics_path=args.metrics_out,
         checkpoint_path=args.checkpoint_out,
     )
-    best_epoch = getattr(model, "best_epoch", None)
+    best_epoch = model.best_epoch
     if args.checkpoint_out and best_epoch is None:
         # fit wrote no checkpoint (no validation improvement), so save the final model
         save_checkpoint(model, args.checkpoint_out)
@@ -243,19 +259,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _config_from_args(args)
+    if config.backbone != "mf":  # checked up front, so even zero pairs fail
+        raise ValueError("margin probes are defined for the dot-product backbone")
     split = load_split(config)
     seed = config.seeds[0]
-    model = init_xavier(split.num_users, split.num_items, config.d, seed)
-    sampler = NegativeSampler(config.sampler_spec(), split.train)
+    # the training state a run of this config starts from; pairs and
+    # negatives come from a separate rng stream
+    model, adam, sampler, _ = init_training(split, config.train_config(seed))
     rng = np.random.default_rng([seed, 2])
     idx = rng.integers(0, len(split.train), size=args.num_pairs)
     users = split.train.users[idx]
     pos = split.train.items[idx]
     negs = sampler.sample_batch(users, model, rng)
     etas = [float(e) for e in args.etas.split(",")]
-    optimizer = "identity"
-    if args.probe_optimizer == "adam":
-        optimizer = AdamState(split.num_users, split.num_items, config.d)
+    optimizer = adam if args.probe_optimizer == "adam" else "identity"
 
     columns = [
         "user", "pos_item", "neg_item", "eta", "optimizer",
@@ -323,25 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("split", help="write a chronological split manifest")
-    _add_data_flags(p)
+    _add_config_flags(p, _DATA)
     p.add_argument("--config")
     p.add_argument("--out", help="manifest path (default stdout)")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("build-pss", help="dump the positive multiset per pair")
-    _add_data_flags(p)
-    _add_graph_flags(p)
-    p.add_argument("--variant", choices=("layered", "baseline", "weighted_bpr", "recent_k"))
-    p.add_argument("--recent-k", dest="recent_k", type=int)
+    _add_config_flags(p, _DATA + _GRAPH + _VARIANT)
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_build_pss)
 
     p = sub.add_parser("train", help="train one model and report test metrics")
-    _add_data_flags(p)
-    _add_graph_flags(p)
-    _add_train_flags(p)
-    _add_sampler_flags(p)
+    _add_config_flags(p, _PIPELINE)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--checkpoint-out", dest="checkpoint_out")
@@ -349,30 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    _add_data_flags(p)
+    _add_config_flags(p, _DATA)
     p.add_argument("--config")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--part", choices=("validation", "test"), default="test")
-    p.add_argument("--ks")
+    _add_config_flags(p, ("ks",), described=False)
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--per-user-out", dest="per_user_out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="multi-seed experiment with summary")
-    _add_data_flags(p)
-    _add_graph_flags(p)
-    _add_train_flags(p)
-    _add_sampler_flags(p)
+    _add_config_flags(p, _PIPELINE)
     p.add_argument("--config")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--out-dir", dest="out_dir")
+    _add_config_flags(p, ("seeds", "out_dir"))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="metric grid across parameter settings")
-    _add_data_flags(p)
-    _add_graph_flags(p)
-    _add_train_flags(p)
-    _add_sampler_flags(p)
+    _add_config_flags(p, _PIPELINE)
     p.add_argument("--config")
     p.add_argument("--param", action="append", required=True, help="name=v1,v2,...")
     p.add_argument("--mode", choices=("one_at_a_time", "grid"), default="one_at_a_time")
@@ -380,11 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("probe", help="one-step margin probes on sampled pairs")
-    _add_data_flags(p)
-    _add_sampler_flags(p)
+    _add_config_flags(p, _DATA + _SAMPLER)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--d", type=int)
+    _add_config_flags(p, ("d",), described=False)
     p.add_argument("--num-pairs", dest="num_pairs", type=int, default=100)
     p.add_argument("--etas", default="0.01,0.001,0.0001")
     p.add_argument(

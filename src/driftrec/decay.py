@@ -25,7 +25,7 @@ __all__ = [
 
 SECONDS_PER_DAY = 86400
 
-_KINDS = ("exponential", "linear", "power")
+KINDS = ("exponential", "linear", "power")
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class DecaySpec:
     time_unit: int = SECONDS_PER_DAY
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown decay kind {self.kind!r}, expected one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown decay kind {self.kind!r}, expected one of {KINDS}")
         if self.rate < 0:
             raise ValueError("decay rate must be >= 0")
         if self.time_unit < 1:

@@ -109,21 +109,12 @@ class ExperimentConfig:
         )
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            batch_size=self.batch_size,
-            l2=self.l2,
-            epochs=self.epochs,
-            d=self.d,
-            seed=seed,
-            sampler=self.sampler_spec(),
-            variant="weighted_bpr" if self.variant == "weighted_bpr" else "standard",
-            eval_every=self.eval_every,
-            backbone=self.backbone,
-            num_prop_layers=self.prop_layers,
-            optimizer=self.optimizer,
-            epoch_mode=self.epoch_mode,
-        )
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(TrainConfig)
+            if f.name not in ("seed", "sampler")
+        }
+        return TrainConfig(seed=seed, sampler=self.sampler_spec(), **shared)
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
@@ -162,14 +153,10 @@ def build_positives(
         return train_positives(split), None
     if config.variant == "recent_k":
         return recent_k_positives(split.train, config.recent_k), None
-    # weighted_bpr: multiplicity-one pairs, each with its recency weight
+    # weighted_bpr: multiplicity-one pairs, each with its recency weight;
+    # both the graph and the plain set list the train edges in train order
     graph = build_weighted_graph(split.train, config.decay_spec())
-    pss = train_positives(split)
-    keys = graph.users * np.int64(split.num_items) + graph.items
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], pss.pair_keys())
-    weights = graph.weights[order][pos]
-    return pss, weights
+    return train_positives(split), graph.weights
 
 
 def load_split(config: ExperimentConfig, log: InteractionLog | None = None) -> SplitDataset:
@@ -267,7 +254,7 @@ def run(config: ExperimentConfig, log: InteractionLog | None = None) -> RunResul
             "variant": config.variant,
             "backbone": config.backbone,
             "sampler": config.sampler,
-            "best_epoch": getattr(model, "best_epoch", None),
+            "best_epoch": model.best_epoch,
             "evaluations": len(history),
             "users_evaluated": report.users_evaluated,
             "pss_size": len(pss),

@@ -98,6 +98,8 @@ class EmbeddingModel:
         self.num_prop_layers = int(num_prop_layers)
         self.adjacency = adjacency
         self.seed = seed
+        # epoch of the validation-selected parameters, set by training.fit
+        self.best_epoch: int | None = None
         self._version = 0
         self._cache_version = -1
         self._cache: tuple[np.ndarray, np.ndarray] | None = None

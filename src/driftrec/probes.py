@@ -7,6 +7,10 @@ lower bound eta * sigmoid(-margin) * grad' D grad realized by the update.
 The preconditioner D is the identity for plain gradient descent; the
 adaptive mode uses only the second-moment diagonal, so the realized update
 is exactly -eta * D * grad_loss either way.
+
+The training comparisons (update counts and cumulative separation) start
+every run from ``training.init_training``, so they train the backbone,
+sampler and optimizer the config names, exactly as ``fit`` would.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import numpy as np
 from scipy.special import expit
 
 from .data import SplitDataset
-from .models import EmbeddingModel, init_xavier
+from .models import EmbeddingModel, init_xavier  # noqa: F401  (perfbench traces probes.init_xavier)
 from .positives import PositiveSampleSet
 from .samplers import NegativeSampler, SamplerSpec
-from .training import AdamState, TrainConfig, train_epoch
+from .training import AdamState, TrainConfig, init_training, train_epoch
 
 __all__ = [
     "MarginProbe",
@@ -151,15 +155,12 @@ def count_updates(
     epochs: int = 1,
 ) -> dict:
     """Exact per-pair update counts from an instrumented training run."""
-    model = init_xavier(split.num_users, split.num_items, config.d, config.seed)
-    adam = AdamState(model.num_users, model.num_items, model.dim)
-    sampler = NegativeSampler(config.sampler, split.train)
-    rng = np.random.default_rng([config.seed, 1])
+    model, adam, sampler, rng = init_training(split, config)
     counter: dict = {}
     for _ in range(epochs):
         train_epoch(
-            model, pss, config, adam, split, rng,
-            sampler=sampler, update_counter=counter, loss=False,
+            model, pss, config, adam, split, rng, sampler,
+            update_counter=counter, loss=False,
         )
     return counter
 
@@ -218,15 +219,10 @@ def cumulative_separation(
 
     trajectories = {}
     for name, pss in pss_by_name.items():
-        model = init_xavier(
-            split.num_users, split.num_items, config.d, config.seed
-        )
-        adam = AdamState(model.num_users, model.num_items, model.dim)
-        sampler = NegativeSampler(config.sampler, split.train)
-        rng = np.random.default_rng([config.seed, 1])
+        model, adam, sampler, rng = init_training(split, config)
         track = [mean_margin(model)]
         for _ in range(epochs):
-            train_epoch(model, pss, config, adam, split, rng, sampler=sampler, loss=False)
+            train_epoch(model, pss, config, adam, split, rng, sampler, loss=False)
             track.append(mean_margin(model))
         trajectories[str(name)] = track
 

@@ -2,9 +2,10 @@
 
 Minimizes -ln sigmoid(s_up - s_un) plus L2 over the positive multiset with
 mini-batch Adam. Negatives are drawn with the model's current parameters
-before each update. The weighted variant trains on the plain (multiplicity
-one) edge set and scales each pair's loss by its recency weight instead of
-duplicating pairs.
+before each update. Given per-pair weights, each pair's loss is scaled by
+its weight: the weighted variant trains on the plain (multiplicity one)
+edge set with recency weights instead of duplicating pairs. Every run
+starts from :func:`init_training`, the one constructor of training state.
 
 The loss value is only a report: `fit` computes it on the epochs that
 evaluate and record it (every `eval_every`-th), and the gradient step is
@@ -30,6 +31,7 @@ from .samplers import NegativeSampler, SamplerSpec
 __all__ = [
     "TrainConfig",
     "AdamState",
+    "init_training",
     "TrainingDiverged",
     "bpr_loss",
     "batch_gradients",
@@ -37,7 +39,6 @@ __all__ = [
     "fit",
 ]
 
-VARIANTS = ("standard", "weighted_bpr")
 OPTIMIZERS = ("adam", "sgd")
 EPOCH_MODES = ("full_pass", "pi_sample")
 
@@ -55,16 +56,13 @@ class TrainConfig:
     d: int = 64
     seed: int = 0
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
-    variant: str = "standard"
     eval_every: int = 10
     backbone: str = "mf"
-    num_prop_layers: int = 3
+    prop_layers: int = 3
     optimizer: str = "adam"
     epoch_mode: str = "full_pass"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epoch_mode not in EPOCH_MODES:
@@ -301,6 +299,27 @@ def _count_pair_updates(counter: dict, pss: PositiveSampleSet, rows: np.ndarray)
     counter.update(fresh)
 
 
+def init_training(
+    split: SplitDataset, config: TrainConfig
+) -> tuple[EmbeddingModel, AdamState, NegativeSampler, np.random.Generator]:
+    """(model, Adam state, negative sampler, rng) that a run on `split` starts from.
+
+    The model is Xavier-initialized from the seed, with the normalized train
+    adjacency for the propagation backbone; the rng is seeded [seed, 1].
+    """
+    adjacency = None
+    if config.backbone == "lightgcn":
+        adjacency = build_norm_adjacency(
+            split.train.users, split.train.items, split.num_users, split.num_items
+        )
+    model = init_xavier(split.num_users, split.num_items, config.d, config.seed,
+                        backbone=config.backbone, num_prop_layers=config.prop_layers,
+                        adjacency=adjacency)
+    adam = AdamState(model.num_users, model.num_items, model.dim)
+    sampler = NegativeSampler(config.sampler, split.train)
+    return model, adam, sampler, np.random.default_rng([config.seed, 1])
+
+
 def train_epoch(
     model: EmbeddingModel,
     pss: PositiveSampleSet,
@@ -308,7 +327,7 @@ def train_epoch(
     adam: AdamState | None,
     split: SplitDataset,
     rng: np.random.Generator,
-    sampler: NegativeSampler | None = None,
+    sampler: NegativeSampler,
     pair_weights: np.ndarray | None = None,
     update_counter: dict | None = None,
     loss: bool = True,
@@ -321,8 +340,6 @@ def train_epoch(
     """
     if len(pss) == 0:
         raise ValueError("empty positive sample set")
-    if sampler is None:
-        sampler = NegativeSampler(config.sampler, split.train)
 
     if config.epoch_mode == "full_pass":
         order = rng.permutation(len(pss))
@@ -372,41 +389,23 @@ def fit(
     ks: tuple[int, ...] = (20, 30),
     metrics_path: str | None = None,
     checkpoint_path: str | None = None,
-    model: EmbeddingModel | None = None,
 ):
     """Train for the configured epoch budget; keep the best-validation model.
 
-    Selection is by validation recall at the smallest k in `ks`. Returns
-    (best model, history), where history holds one record per evaluation
-    epoch. When a metrics path is given, each evaluation appends a
-    line-delimited record there; when a checkpoint path is given, the file
-    is rewritten on every validation improvement.
+    Training starts from :func:`init_training`. Selection is by validation
+    recall at the smallest k in `ks`; the model's ``best_epoch`` is the
+    selected epoch, or None when no validation pass ran. Returns (best
+    model, history), where history holds one record per evaluation epoch.
+    When a metrics path is given, each evaluation appends a line-delimited
+    record there; when a checkpoint path is given, the file is rewritten on
+    every validation improvement.
     """
     from .metrics import evaluate  # local import avoids a module cycle
     from .models import save_checkpoint
 
-    if config.variant == "weighted_bpr" and pair_weights is None:
-        raise ValueError("weighted_bpr needs per-pair weights")
     if pss is None:
         pss = train_positives(split)
-    if model is None:
-        adjacency = None
-        if config.backbone == "lightgcn":
-            adjacency = build_norm_adjacency(
-                split.train.users, split.train.items, split.num_users, split.num_items
-            )
-        model = init_xavier(
-            split.num_users,
-            split.num_items,
-            config.d,
-            config.seed,
-            backbone=config.backbone,
-            num_prop_layers=config.num_prop_layers,
-            adjacency=adjacency,
-        )
-    adam = AdamState(model.num_users, model.num_items, model.dim)
-    sampler = NegativeSampler(config.sampler, split.train)
-    rng = np.random.default_rng([config.seed, 1])
+    model, adam, sampler, rng = init_training(split, config)
 
     select_k = min(ks)
     history: list[dict] = []
@@ -417,8 +416,8 @@ def fit(
         for epoch in range(1, config.epochs + 1):
             reporting = epoch % config.eval_every == 0
             stats = train_epoch(
-                model, pss, config, adam, split, rng,
-                sampler=sampler, pair_weights=pair_weights, loss=reporting,
+                model, pss, config, adam, split, rng, sampler,
+                pair_weights=pair_weights, loss=reporting,
             )
             if not reporting:
                 continue

@@ -494,3 +494,128 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+
+_DATA_FLAGS = [
+    ("--data", "data", None, None),
+    ("--format", "data_format", ("tsv", "csv"), None),
+    ("--skip-header", "skip_header", None, None),
+    ("--train-fraction", "train_fraction", None, float),
+    ("--val-fraction", "val_fraction_of_holdout", None, float),
+    ("--drop-cold-items", "drop_cold_items", None, None),
+]
+_GRAPH_FLAGS = [
+    ("--decay", "decay", ("exponential", "linear", "power"), None),
+    ("--rate", "rate", None, float),
+    ("--time-unit", "time_unit", None, float),
+    ("--layers", "layers", None, int),
+    ("--range-mode", "range_mode", ("unit_interval", "data_range"), None),
+]
+_VARIANT_FLAGS = [
+    ("--variant", "variant", ("layered", "baseline", "weighted_bpr", "recent_k"), None),
+    ("--recent-k", "recent_k", None, int),
+]
+_SAMPLER_FLAGS = [
+    ("--sampler", "sampler", ("rns", "pns", "dns", "dns-mn"), None),
+    ("--pool", "pool", None, int),
+    ("--alpha", "alpha", None, float),
+    ("--m", "m", None, int),
+    ("--n", "n", None, int),
+]
+_PIPELINE_FLAGS = _DATA_FLAGS + _GRAPH_FLAGS + _VARIANT_FLAGS + [
+    ("--backbone", "backbone", ("mf", "lightgcn"), None),
+    ("--d", "d", None, int),
+    ("--lr", "lr", None, float),
+    ("--batch-size", "batch_size", None, int),
+    ("--l2", "l2", None, float),
+    ("--epochs", "epochs", None, int),
+    ("--eval-every", "eval_every", None, int),
+    ("--optimizer", "optimizer", ("adam", "sgd"), None),
+    ("--epoch-mode", "epoch_mode", ("full_pass", "pi_sample"), None),
+    ("--prop-layers", "prop_layers", None, int),
+    ("--ks", "ks", None, None),
+] + _SAMPLER_FLAGS
+_CONFIG = [("--config", "config", None, None)]
+_OUT = [("--out", "out", None, None)]
+CLI_SURFACE = {
+    "split": _DATA_FLAGS + _CONFIG + _OUT,
+    "build-pss": _DATA_FLAGS + _GRAPH_FLAGS + _VARIANT_FLAGS + _CONFIG + _OUT,
+    "train": _PIPELINE_FLAGS + _CONFIG + [
+        ("--seed", "seed", None, int),
+        ("--checkpoint-out", "checkpoint_out", None, None),
+        ("--metrics-out", "metrics_out", None, None),
+    ],
+    "eval": _DATA_FLAGS + _CONFIG + [
+        ("--checkpoint", "checkpoint", None, None),
+        ("--part", "part", ("validation", "test"), None),
+        ("--ks", "ks", None, None),
+        ("--csv-out", "csv_out", None, None),
+        ("--per-user-out", "per_user_out", None, None),
+    ],
+    "run": _PIPELINE_FLAGS + _CONFIG + [
+        ("--seeds", "seeds", None, None),
+        ("--out-dir", "out_dir", None, None),
+    ],
+    "sweep": _PIPELINE_FLAGS + _CONFIG + [
+        ("--param", "param", None, None),
+        ("--mode", "mode", ("one_at_a_time", "grid"), None),
+    ] + _OUT,
+    "probe": _DATA_FLAGS + _SAMPLER_FLAGS + _CONFIG + [
+        ("--seed", "seed", None, int),
+        ("--d", "d", None, int),
+        ("--num-pairs", "num_pairs", None, int),
+        ("--etas", "etas", None, None),
+        ("--optimizer", "probe_optimizer", ("identity", "adam"), None),
+    ] + _OUT,
+    "gen-synth": [
+        ("--users", "users", None, int),
+        ("--items", "items", None, int),
+        ("--events", "events", None, int),
+        ("--horizon-days", "horizon_days", None, float),
+        ("--drift-time", "drift_time", None, float),
+        ("--drift-strength", "drift_strength", None, float),
+        ("--seed", "seed", None, int),
+    ] + _OUT,
+}
+
+
+class TestCliSurface:
+    """Every subcommand's flags: option string, dest, choices and type, in order."""
+
+    def test_flag_table(self):
+        import argparse
+
+        from driftrec.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(CLI_SURFACE)
+        for name, parser in sub.choices.items():
+            got = [
+                (*a.option_strings, a.dest,
+                 tuple(a.choices) if a.choices is not None else None, a.type)
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            ]
+            assert got == CLI_SURFACE[name], name
+
+    def test_malformed_cutoffs_are_json_error(self, tiny_tsv, capsys):
+        assert main(["run", "--data", tiny_tsv, "--ks", "2x"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+
+    def test_unknown_choice_is_usage_error(self, tiny_tsv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", tiny_tsv, "--sampler", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_pairs", ["0", "5"])
+    def test_probe_rejects_lightgcn_config(self, tiny_tsv, tmp_path, capsys, num_pairs):
+        config, out = tmp_path / "lightgcn.yaml", tmp_path / "probes.csv"
+        config.write_text(yaml.safe_dump({"backbone": "lightgcn"}))
+        rc = main(["probe", "--data", tiny_tsv, "--config", str(config), "--d", "8",
+                   "--num-pairs", num_pairs, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "dot-product backbone" in err["message"]

@@ -262,7 +262,7 @@ def random_pairs(rng, num_users, num_items, per_user):
 @pytest.fixture(scope="module", params=["mf", "lightgcn"])
 def trained_drift_model(request, drift_split):
     config = TrainConfig(lr=0.02, batch_size=512, epochs=8, d=16, seed=3, eval_every=4,
-                         backbone=request.param, num_prop_layers=2)
+                         backbone=request.param, prop_layers=2)
     model, _ = fit(drift_split, config)
     return model
 

@@ -17,6 +17,7 @@ from driftrec.data import SplitDataset, InteractionLog
 from driftrec.decay import DecaySpec, build_weighted_graph
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier
 from driftrec.positives import build_pss, filtrate, train_positives
+import driftrec.probes as probes
 from driftrec.probes import (
     MarginProbe,
     count_updates,
@@ -24,7 +25,8 @@ from driftrec.probes import (
     expected_margin,
     probe_one_step,
 )
-from driftrec.training import AdamState, TrainConfig
+from driftrec.samplers import NegativeSampler, SamplerSpec
+from driftrec.training import AdamState, TrainConfig, train_epoch
 from conftest import make_log
 
 
@@ -325,3 +327,59 @@ class TestCumulativeSeparation:
         assert doc["epochs"] == [0, 1]
         assert doc["pairs"] == [[0, 0]]
         assert len(doc["trajectories"]["a"]) == 2
+
+
+class TestConfiguredBackbone:
+    """The training comparisons train the backbone, sampler and seed the
+    config names: each equals a LightGCN/dns run built by hand."""
+
+    CONFIG = TrainConfig(lr=0.05, batch_size=128, epochs=1, d=4, seed=3, backbone="lightgcn",
+                         prop_layers=2, sampler=SamplerSpec(kind="dns", pool=3))
+
+    @classmethod
+    def hand_built(cls, split):
+        train = split.train
+        adjacency = build_norm_adjacency(train.users, train.items,
+                                         split.num_users, split.num_items)
+        model = init_xavier(split.num_users, split.num_items, 4, 3, backbone="lightgcn",
+                            num_prop_layers=2, adjacency=adjacency)
+        return (model, AdamState(split.num_users, split.num_items, 4),
+                NegativeSampler(cls.CONFIG.sampler, train), np.random.default_rng([3, 1]))
+
+    def test_count_updates(self, drift_split, monkeypatch):
+        pss = train_positives(drift_split)
+        trained = []
+
+        def spy(model, *args, **kwargs):
+            trained.append(model)
+            return train_epoch(model, *args, **kwargs)
+
+        monkeypatch.setattr(probes, "train_epoch", spy)
+        counts = count_updates(drift_split, pss, self.CONFIG, epochs=2)
+        model, adam, sampler, rng = self.hand_built(drift_split)
+        want = {}
+        for _ in range(2):
+            train_epoch(model, pss, self.CONFIG, adam, drift_split, rng, sampler,
+                        update_counter=want, loss=False)
+        assert counts == want
+        assert trained[0] is trained[1] and trained[0].backbone == "lightgcn"
+        assert np.array_equal(trained[0].user_emb, model.user_emb)
+        assert np.array_equal(trained[0].item_emb, model.item_emb)
+
+    def test_cumulative_separation(self, drift_split):
+        pss = train_positives(drift_split)
+        train = drift_split.train
+        pairs = [(int(u), int(p)) for u, p in zip(train.users[:5], train.items[:5])]
+        res = cumulative_separation(drift_split, {"plain": pss}, self.CONFIG, epochs=2,
+                                    probe_pairs=pairs)
+        model, adam, sampler, rng = self.hand_built(drift_split)
+
+        def mean_margin():
+            return float(np.mean([expected_margin(model, u, p, sampler.user_items(u))
+                                  for u, p in pairs]))
+
+        want = [mean_margin()]
+        for _ in range(2):
+            train_epoch(model, pss, self.CONFIG, adam, drift_split, rng, sampler, loss=False)
+            want.append(mean_margin())
+        assert res.trajectories["plain"] == want

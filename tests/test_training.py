@@ -422,7 +422,7 @@ class TestLossGate:
     @pytest.mark.parametrize("backbone,sampler", [("mf", "rns"), ("lightgcn", "dns")])
     def test_three_epochs_equal(self, drift_split, backbone, sampler, monkeypatch):
         config = TrainConfig(lr=0.02, batch_size=256, l2=1e-4, d=8, seed=3,
-                             backbone=backbone, num_prop_layers=2,
+                             backbone=backbone, prop_layers=2,
                              sampler=SamplerSpec(kind=sampler, pool=5))
         pss = train_positives(drift_split)
         train = drift_split.train
@@ -466,7 +466,7 @@ class TestLossGate:
     def test_fit_equals_loss_on_every_epoch(self, drift_split, backbone, sampler,
                                             monkeypatch):
         config = TrainConfig(lr=0.02, batch_size=512, l2=1e-4, epochs=7, d=8, seed=2,
-                             eval_every=3, backbone=backbone, num_prop_layers=2,
+                             eval_every=3, backbone=backbone, prop_layers=2,
                              sampler=SamplerSpec(kind=sampler, pool=5))
         inner = training.train_epoch
 
@@ -551,7 +551,7 @@ class TestTrainingStepMatchesOracle:
         def fresh_model():
             return init_xavier(drift_split.num_users, drift_split.num_items, config.d,
                                config.seed, backbone=backbone,
-                               num_prop_layers=config.num_prop_layers, adjacency=adjacency)
+                               num_prop_layers=config.prop_layers, adjacency=adjacency)
 
         model = fresh_model()
         adam = AdamState(model.num_users, model.num_items, model.dim)
@@ -635,7 +635,8 @@ class TestTrainEpoch:
         probe = EmbeddingModel(before_u, before_i)
         _, gu, gi = batch_gradients(probe, users, pos, negs, config.l2)
 
-        train_epoch(model, pss, config, None, split, np.random.default_rng(9))
+        train_epoch(model, pss, config, None, split, np.random.default_rng(9),
+                    NegativeSampler(config.sampler, split.train))
         assert np.array_equal(model.user_emb, before_u + (-config.lr * gu))
         assert np.array_equal(model.item_emb, before_i + (-config.lr * gi))
 
@@ -646,7 +647,8 @@ class TestTrainEpoch:
         model = init_xavier(2, 3, 4, seed=0)
         counter = {}
         stats = train_epoch(model, pss, config, AdamState(2, 3, 4), split,
-                            np.random.default_rng(1), update_counter=counter)
+                            np.random.default_rng(1), NegativeSampler(config.sampler, split.train),
+                            update_counter=counter)
         assert stats["pairs"] == len(pss) == 4
         assert counter == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 2): 1}
 
@@ -659,7 +661,8 @@ class TestTrainEpoch:
         model = init_xavier(2, 3, 4, seed=0)
         counter = {}
         stats = train_epoch(model, pss, config, AdamState(2, 3, 4), split,
-                            np.random.default_rng(2), update_counter=counter)
+                            np.random.default_rng(2), NegativeSampler(config.sampler, split.train),
+                            update_counter=counter)
         assert stats["pairs"] == len(split.train) == 4
         assert sum(counter.values()) == 4
 
@@ -670,9 +673,10 @@ class TestTrainEpoch:
         m1 = init_xavier(2, 3, 4, seed=5)
         m2 = init_xavier(2, 3, 4, seed=5)
         a1, a2 = AdamState(2, 3, 4), AdamState(2, 3, 4)
+        sampler = NegativeSampler(config.sampler, split.train)
         for _ in range(3):
-            train_epoch(m1, pss, config, a1, split, np.random.default_rng(7))
-            train_epoch(m2, pss, config, a2, split, np.random.default_rng(7),
+            train_epoch(m1, pss, config, a1, split, np.random.default_rng(7), sampler)
+            train_epoch(m2, pss, config, a2, split, np.random.default_rng(7), sampler,
                         pair_weights=np.ones(len(pss)))
         assert np.array_equal(m1.user_emb, m2.user_emb)
         assert np.array_equal(m1.item_emb, m2.item_emb)
@@ -690,8 +694,9 @@ class TestTrainEpoch:
         m1 = init_xavier(2, 3, 4, seed=6)
         m2 = init_xavier(2, 3, 4, seed=6)
         a1, a2 = AdamState(2, 3, 4), AdamState(2, 3, 4)
-        train_epoch(m1, pss, config, a1, split, np.random.default_rng(8))
-        train_epoch(m2, pss, config, a2, split, np.random.default_rng(8),
+        sampler = NegativeSampler(config.sampler, split.train)
+        train_epoch(m1, pss, config, a1, split, np.random.default_rng(8), sampler)
+        train_epoch(m2, pss, config, a2, split, np.random.default_rng(8), sampler,
                     pair_weights=weights)
         assert np.array_equal(m1.user_emb, m2.user_emb)
 
@@ -703,7 +708,8 @@ class TestTrainEpoch:
             model = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=0)
             adam = AdamState(drift_split.num_users, drift_split.num_items, 8)
             train_epoch(model, pss, config, adam, drift_split,
-                        np.random.default_rng(rng_seed))
+                        np.random.default_rng(rng_seed),
+                        NegativeSampler(config.sampler, drift_split.train))
             return model
 
         a, b, c = one_epoch(5), one_epoch(5), one_epoch(6)
@@ -721,7 +727,7 @@ class TestTrainEpoch:
         model.set_params(bad, model.item_emb)
         with pytest.raises(TrainingDiverged):
             train_epoch(model, pss, config, AdamState(2, 3, 4), split,
-                        np.random.default_rng(0))
+                        np.random.default_rng(0), NegativeSampler(config.sampler, split.train))
 
     def test_empty_pss_raises(self):
         split = forced_negative_split()
@@ -733,13 +739,12 @@ class TestTrainEpoch:
         config = TrainConfig(epochs=1, d=4)
         with pytest.raises(ValueError, match="empty"):
             train_epoch(init_xavier(2, 3, 4, seed=0), empty, config,
-                        AdamState(2, 3, 4), split, np.random.default_rng(0))
+                        AdamState(2, 3, 4), split, np.random.default_rng(0),
+                        NegativeSampler(config.sampler, split.train))
 
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="variant"):
-            TrainConfig(variant="hinge")
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(optimizer="rmsprop")
         with pytest.raises(ValueError, match="epoch_mode"):
@@ -813,11 +818,6 @@ class TestFit:
         assert np.array_equal(loaded.user_emb, model.user_emb)
         assert np.array_equal(loaded.item_emb, model.item_emb)
 
-    def test_weighted_variant_requires_weights(self, drift_split):
-        config = self.small_config(variant="weighted_bpr")
-        with pytest.raises(ValueError, match="weights"):
-            fit(drift_split, config)
-
     def test_layered_pss_trains(self, drift_split):
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
         pss = build_pss(filtrate(graph, 3))
@@ -826,7 +826,7 @@ class TestFit:
         assert np.all(np.isfinite(model.user_emb))
 
     def test_lightgcn_fit_runs(self, drift_split):
-        config = self.small_config(epochs=4, backbone="lightgcn", num_prop_layers=2)
+        config = self.small_config(epochs=4, backbone="lightgcn", prop_layers=2)
         model, history = fit(drift_split, config)
         assert model.backbone == "lightgcn"
         assert len(history) == 1
