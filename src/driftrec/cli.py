@@ -27,6 +27,7 @@ from .experiment import (
     load_split,
     run,
     sweep,
+    train_and_test,
     write_sweep_csv,
 )
 from .metrics import evaluate
@@ -35,13 +36,12 @@ from .models import (
     build_norm_adjacency,
     checkpoint_header,
     load_checkpoint,
-    save_checkpoint,
 )
 from .positives import RANGE_MODES
 from .probes import probe_one_step
 from .samplers import KINDS as SAMPLER_KINDS
 from .synthetic import SyntheticSpec, generate, write_tsv
-from .training import EPOCH_MODES, OPTIMIZERS, fit, init_training
+from .training import EPOCH_MODES, OPTIMIZERS, init_training
 
 __all__ = ["main"]
 
@@ -79,10 +79,10 @@ _HELP = {
     "layers": "number of filtration layers",
     "d": "embedding dimension",
     "ks": "comma-separated cutoffs, e.g. 20,30",
-    "pool": "candidate pool size for dns / dns-mn",
+    "pool": "candidate pool size for dns",
     "alpha": "popularity exponent for pns",
     "m": "dns-mn window start rank (1-based)",
-    "n": "dns-mn window end rank (inclusive)",
+    "n": "dns-mn candidate count and window end rank (inclusive)",
     "seeds": "comma-separated seeds",
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -181,32 +181,16 @@ def cmd_train(args) -> int:
     config = _config_from_args(args)
     split = load_split(config)
     pss, pair_weights = build_positives(split, config)
-    seed = config.seeds[0]
-    model, history = fit(
+    record = train_and_test(
         split,
-        config.train_config(seed),
-        pss=pss,
-        pair_weights=pair_weights,
-        ks=config.ks,
+        config,
+        config.seeds[0],
+        pss,
+        pair_weights,
         metrics_path=args.metrics_out,
         checkpoint_path=args.checkpoint_out,
     )
-    best_epoch = model.best_epoch
-    if args.checkpoint_out and best_epoch is None:
-        # fit wrote no checkpoint (no validation improvement), so save the final model
-        save_checkpoint(model, args.checkpoint_out)
-    report = evaluate(model, split, ks=config.ks, part="test", per_user=False)
-    doc = {
-        "seed": seed,
-        "best_epoch": best_epoch,
-        "evaluations": len(history),
-        "users_evaluated": report.users_evaluated,
-        "pss_size": len(pss),
-    }
-    for k in config.ks:
-        doc[f"recall@{k}"] = report.aggregates[k]["recall"]
-        doc[f"ndcg@{k}"] = report.aggregates[k]["ndcg"]
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(record, sort_keys=True))
     return 0
 
 

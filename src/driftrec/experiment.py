@@ -26,6 +26,7 @@ import yaml
 from .data import InteractionLog, SplitDataset, build_log, parse_log, timestamp_split
 from .decay import DecaySpec, build_weighted_graph
 from .metrics import evaluate
+from .models import save_checkpoint
 from .positives import (
     PositiveSampleSet,
     build_pss,
@@ -41,6 +42,7 @@ __all__ = [
     "RunResult",
     "load_config",
     "build_positives",
+    "train_and_test",
     "run",
     "sweep",
     "write_sweep_csv",
@@ -225,6 +227,47 @@ def _summarize(results: list, ks: tuple) -> list:
     return rows
 
 
+def train_and_test(
+    split: SplitDataset,
+    config: ExperimentConfig,
+    seed: int,
+    pss: PositiveSampleSet,
+    pair_weights: np.ndarray | None,
+    metrics_path: str | None = None,
+    checkpoint_path: str | None = None,
+) -> dict:
+    """Fit one seed, then evaluate it on the test part.
+
+    Returns the seed's record: seed, best_epoch, evaluations,
+    users_evaluated, pss_size and recall/ndcg at each cutoff. When fit
+    wrote no checkpoint to ``checkpoint_path`` (no validation improvement),
+    the final model is saved there before the test evaluation.
+    """
+    model, history = fit(
+        split,
+        config.train_config(seed),
+        pss=pss,
+        pair_weights=pair_weights,
+        ks=config.ks,
+        metrics_path=metrics_path,
+        checkpoint_path=checkpoint_path,
+    )
+    if checkpoint_path and model.best_epoch is None:
+        save_checkpoint(model, checkpoint_path)
+    report = evaluate(model, split, ks=config.ks, part="test", per_user=False)
+    record = {
+        "seed": seed,
+        "best_epoch": model.best_epoch,
+        "evaluations": len(history),
+        "users_evaluated": report.users_evaluated,
+        "pss_size": len(pss),
+    }
+    for k in config.ks:
+        record[f"recall@{k}"] = report.aggregates[k]["recall"]
+        record[f"ndcg@{k}"] = report.aggregates[k]["ndcg"]
+    return record
+
+
 def run(config: ExperimentConfig, log: InteractionLog | None = None) -> RunResult:
     """Train and evaluate once per seed; returns results plus a summary.
 
@@ -240,28 +283,8 @@ def run(config: ExperimentConfig, log: InteractionLog | None = None) -> RunResul
             os.makedirs(config.out_dir, exist_ok=True)
             metrics_path = os.path.join(config.out_dir, f"epoch_metrics_seed{seed}.jsonl")
             open(metrics_path, "w").close()  # truncate any previous stream
-        model, history = fit(
-            split,
-            config.train_config(seed),
-            pss=pss,
-            pair_weights=pair_weights,
-            ks=config.ks,
-            metrics_path=metrics_path,
-        )
-        report = evaluate(model, split, ks=config.ks, part="test", per_user=False)
-        record = {
-            "seed": seed,
-            "variant": config.variant,
-            "backbone": config.backbone,
-            "sampler": config.sampler,
-            "best_epoch": model.best_epoch,
-            "evaluations": len(history),
-            "users_evaluated": report.users_evaluated,
-            "pss_size": len(pss),
-        }
-        for k in config.ks:
-            record[f"recall@{k}"] = report.aggregates[k]["recall"]
-            record[f"ndcg@{k}"] = report.aggregates[k]["ndcg"]
+        record = train_and_test(split, config, seed, pss, pair_weights, metrics_path=metrics_path)
+        record.update(variant=config.variant, backbone=config.backbone, sampler=config.sampler)
         results.append(record)
     out = RunResult(config=config, results=results, summary=_summarize(results, config.ks))
     if config.out_dir:

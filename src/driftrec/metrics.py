@@ -20,11 +20,8 @@ of the product are finite and each lies more than the tolerance above the
 next, the matrix-vector product ranks the same items first in the same
 order, with no ties; ``np.argpartition`` and a sort of that head give the
 row's ranking. Any other row (near-ties, too few rankable items, non-finite
-or overflowing values) is rescored with the matrix-vector product itself
-and ranked exactly: ``np.partition`` finds the row's ``max(ks)``-th best
-score, every item scoring at least as well is kept, so ties at the cutoff
-all survive, and a lexsort by (score, item) puts them in the order of a
-full stable argsort.
+or overflowing values) is ranked by :func:`rank_items` itself, so it is
+exact by construction.
 Recall and NDCG are then computed for all users at once with the float
 operations of the per-user helpers (:func:`rank_items`,
 :func:`recall_at_k`, :func:`ndcg_at_k`) in the same order, so the results
@@ -165,34 +162,6 @@ def _certified_head(
     return np.take_along_axis(idx, order[:, :kmax], axis=1), certain
 
 
-def _exact_top(
-    neg: np.ndarray, out_rows: np.ndarray, out_items: np.ndarray, kmax: int
-) -> np.ndarray:
-    """Each row's first ``kmax`` items in the order of a stable argsort of
-    ``neg``, leaving out (``out_rows``, ``out_items``), which are set to +inf
-    in ``neg``; a row with fewer than ``kmax`` rankable items is padded with -1."""
-    n, num_items = neg.shape
-    neg[out_rows, out_items] = np.inf
-    kcol = min(kmax, num_items) - 1
-    part = neg.copy()
-    part.partition(kcol, axis=1)
-    kth = part[:, kcol]
-    # keep every score tied with the k-th; a row whose k-th value is +inf
-    # or nan has too few rankable items and keeps them all
-    keep = neg <= kth[:, None]
-    keep[~(kth < np.inf)] = True
-    keep[out_rows, out_items] = False
-    flat = np.flatnonzero(keep)
-    r, items = np.divmod(flat, num_items)
-    order = np.lexsort((items, neg.ravel()[flat], r))  # the stable argsort's order
-    r, items = r[order], items[order]
-    rank = np.arange(r.size) - np.searchsorted(r, r)
-    first = rank < kmax
-    top = np.full((n, kmax), -1, dtype=np.int64)
-    top[r[first], rank[first]] = items[first]
-    return top
-
-
 def _top_items(
     model: EmbeddingModel,
     users: np.ndarray,
@@ -229,17 +198,11 @@ def _top_items(
         top[start : start + block.size], certain = _certified_head(
             neg, user_emb, item_abs_max, kmax
         )
-        redo = np.flatnonzero(~certain)
-        if redo.size:
-            exact = np.empty((redo.size, num_items))
-            for j, row in enumerate(redo):
-                np.matmul(ie, ue[block[row]], out=exact[j])  # the same product as score_all
-            np.negative(exact, out=exact)
-            slot = np.full(block.size, -1)
-            slot[redo] = np.arange(redo.size)
-            redo_rows = slot[out_rows]
-            pick = redo_rows >= 0
-            top[start + redo] = _exact_top(exact, redo_rows[pick], out_items[pick], kmax)
+        for row in np.flatnonzero(~certain):
+            a, b = np.searchsorted(out_rows, [row, row + 1])
+            ranked = rank_items(model, int(block[row]), out_items[a:b])[:kmax]
+            top[start + row] = -1
+            top[start + row, : ranked.size] = ranked
     return top
 
 

@@ -269,6 +269,9 @@ def _read_header(f, path: str) -> dict:
     shape = [header.get(key) for key in ("num_users", "num_items", "d")]
     if not all(type(n) is int and n > 0 for n in shape):
         raise ValueError(f"{path}: bad checkpoint shape {shape}")
+    layers = header.get("num_prop_layers")
+    if type(layers) is not int or layers < 0:
+        raise ValueError(f"{path}: bad num_prop_layers {layers!r}")
     return header
 
 

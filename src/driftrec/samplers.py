@@ -178,7 +178,3 @@ class NegativeSampler:
         order = np.lexsort((cands, -scores), axis=-1)
         ranks = rng.integers(self.spec.m - 1, self.spec.n, size=b)
         return cands[np.arange(b), order[np.arange(b), ranks]]
-
-    def sample(self, u: int, p: int, model, rng: np.random.Generator) -> int:
-        """Single-pair form of :meth:`sample_batch`; `p` is the paired positive."""
-        return int(self.sample_batch(np.array([u], dtype=np.int64), model, rng)[0])

@@ -70,8 +70,9 @@ class TrainConfig:
         for name in ("lr", "batch_size", "l2", "d", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "prop_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 class AdamState:

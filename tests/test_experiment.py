@@ -409,10 +409,10 @@ class TestCli:
                                                           monkeypatch, epochs, eval_every):
         """fit writes on each validation improvement and restores that model,
         so the CLI saves again only when fit wrote nothing."""
-        import driftrec.cli as cli
+        import driftrec.experiment as experiment
         import driftrec.models as models
 
-        real_save, real_fit = models.save_checkpoint, cli.fit
+        real_save, real_fit = models.save_checkpoint, experiment.fit
         saves, fitted = [], []
 
         def counting_save(model, path):
@@ -425,8 +425,8 @@ class TestCli:
             return result
 
         monkeypatch.setattr(models, "save_checkpoint", counting_save)
-        monkeypatch.setattr(cli, "save_checkpoint", counting_save)
-        monkeypatch.setattr(cli, "fit", capturing_fit)
+        monkeypatch.setattr(experiment, "save_checkpoint", counting_save)
+        monkeypatch.setattr(experiment, "fit", capturing_fit)
         ckpt, metrics = tmp_path / "model.ckpt", tmp_path / "epochs.jsonl"
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", str(epochs),
                           "--eval-every", str(eval_every), "--d", "8", "--lr", "0.02",
@@ -487,6 +487,35 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
         assert "does not match the split" in err["message"]
+
+    def test_negative_prop_layers_is_json_error(self, tiny_tsv, capsys):
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--d", "4",
+                          "--backbone", "lightgcn", "--prop-layers", "-1")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": "prop_layers must be >= 0"}
+
+    @pytest.mark.parametrize("layers", [-1, "two", 1.5, None])
+    def test_bad_prop_layers_in_checkpoint_header_is_json_error(self, tiny_tsv, tmp_path,
+                                                                capsys, layers):
+        ckpt = tmp_path / "model.ckpt"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--backbone", "lightgcn", "--checkpoint-out", str(ckpt))
+        assert rc == 0
+        header, rest = ckpt.read_text().split("\n", 1)
+        header = json.loads(header)
+        header["num_prop_layers"] = layers
+        ckpt.write_text(json.dumps(header) + "\n" + rest)
+        capsys.readouterr()
+        rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert str(ckpt) in err["message"] and "num_prop_layers" in err["message"]
 
     def test_bad_flag_value_is_json_error(self, tiny_tsv, capsys):
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "2",

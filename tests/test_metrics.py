@@ -368,15 +368,18 @@ class TestBlockedEvaluationMatchesLoop:
 
 
 def spy_exact_rows(monkeypatch):
-    """Record the number of rows each call to the exact per-user fallback ranks."""
+    """Record the user of each row evaluate ranks through the per-user fallback.
+
+    Only evaluate's lookup of ``rank_items`` in ``metrics`` is replaced; the
+    reference loop in conftest keeps its own binding and is not counted.
+    """
     calls = []
-    exact_top = metrics._exact_top
 
-    def spy(neg, *args):
-        calls.append(neg.shape[0])
-        return exact_top(neg, *args)
+    def spy(model, user, exclude):
+        calls.append(user)
+        return rank_items(model, user, exclude)
 
-    monkeypatch.setattr(metrics, "_exact_top", spy)
+    monkeypatch.setattr(metrics, "rank_items", spy)
     return calls
 
 
@@ -403,7 +406,7 @@ class TestCertifiedRanking:
         split = split_of(pairs[:200], pairs[200:], num_users, num_items)
         calls = spy_exact_rows(monkeypatch)
         assert_matches_loop(model, split, (1, 5, 20))
-        assert sum(calls) > 0
+        assert len(calls) > 0
 
     def test_permuted_item_rows_tie_up_to_rounding(self, monkeypatch):
         # each user row is constant, so the items of one group of permuted rows
@@ -420,7 +423,7 @@ class TestCertifiedRanking:
         for ks in ((1, 2), (1, 5, 20)):
             calls = spy_exact_rows(monkeypatch)
             report = assert_matches_loop(model, split, ks)
-            assert sum(calls) == report.users_evaluated
+            assert len(calls) == report.users_evaluated
 
     @pytest.mark.parametrize("user_scale, item_scale", [
         (1e150, 1e150),  # scores near 1e301: a huge tolerance, still certified
@@ -450,7 +453,7 @@ class TestCertifiedRanking:
         split = split_of(train, test, num_users, num_items)
         calls = spy_exact_rows(monkeypatch)
         assert_matches_loop(model, split, (5, 20))
-        assert calls == [6]
+        assert calls == [0, 1, 2, 3, 4, 5]
 
     def test_non_finite_user_rows_fall_back_alone(self, monkeypatch):
         rng = np.random.default_rng(83)
@@ -462,7 +465,20 @@ class TestCertifiedRanking:
         split = split_of(pairs[:30], pairs[30:], num_users, num_items)
         calls = spy_exact_rows(monkeypatch)
         assert_matches_loop(model, split, (1, 3, 10))
-        assert calls == [2]
+        assert calls == [3, 7]
+
+    @pytest.mark.parametrize("part", ["validation", "test"])
+    def test_every_row_uncertified(self, trained_drift_model, drift_split, part, monkeypatch):
+        certified_head = metrics._certified_head
+
+        def certify_none(*args):
+            head, certain = certified_head(*args)
+            return head, np.zeros_like(certain)
+
+        monkeypatch.setattr(metrics, "_certified_head", certify_none)
+        calls = spy_exact_rows(monkeypatch)
+        report = assert_matches_loop(trained_drift_model, drift_split, (1, 20, 30), part=part)
+        assert len(calls) == report.users_evaluated > 0
 
 
 def certify(ue, ie, kmax, excluded=()):

@@ -42,15 +42,7 @@ class TestForcedOutcome:
         sampler = NegativeSampler(SamplerSpec(kind=kind, pool=3, m=1, n=2), log)
         rng = np.random.default_rng(7)
         for _ in range(25):
-            assert sampler.sample(0, 0, model, rng) == 2
-
-    def test_sample_equals_batch_of_one(self):
-        log = forced_log()
-        model = init_xavier(log.num_users, log.num_items, 4, seed=0)
-        sampler = NegativeSampler(SamplerSpec(), log)
-        a = sampler.sample(0, 0, model, np.random.default_rng(5))
-        b = sampler.sample_batch(np.array([0]), model, np.random.default_rng(5))
-        assert a == int(b[0])
+            assert sampler.sample_batch(np.array([0]), model, rng)[0] == 2
 
 
 class TestValidity:
@@ -81,14 +73,14 @@ class TestValidity:
         for kind in KINDS:
             sampler = NegativeSampler(SamplerSpec(kind=kind), log)
             rng = np.random.default_rng(3)
-            assert sampler.sample(0, 0, model, rng) == 49
+            assert sampler.sample_batch(np.array([0]), model, rng)[0] == 49
 
     def test_infeasible_user_raises(self):
         log = make_log([("a", "x", 1)])  # user 0 interacted with every item
         model = init_xavier(1, 1, 4, seed=0)
         sampler = NegativeSampler(SamplerSpec(), log)
         with pytest.raises(ValueError, match="no negative exists"):
-            sampler.sample(0, 0, model, np.random.default_rng(0))
+            sampler.sample_batch(np.array([0]), model, np.random.default_rng(0))
 
     def test_determinism(self):
         log = forced_log()
@@ -208,7 +200,7 @@ class TestDynamic:
         # over 5 valid items misses item 1 with probability (4/5)^100
         sampler = NegativeSampler(SamplerSpec(kind="dns", pool=100), log)
         rng = np.random.default_rng(12)
-        negs = [sampler.sample(0, 0, model, rng) for _ in range(60)]
+        negs = [sampler.sample_batch(np.array([0]), model, rng)[0] for _ in range(60)]
         assert set(negs) == {1}
 
     def test_dns_dominates_rns_in_score(self):

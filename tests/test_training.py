@@ -753,6 +753,10 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=-1)
+        for backbone in ("mf", "lightgcn"):
+            with pytest.raises(ValueError, match="prop_layers"):
+                TrainConfig(backbone=backbone, prop_layers=-1)
+        assert TrainConfig(prop_layers=0).prop_layers == 0
 
     def test_config_with(self):
         base = TrainConfig(lr=0.01)
