@@ -161,15 +161,16 @@ def cmd_build_pss(args) -> int:
     config = _config_from_args(args)
     split = load_split(config)
     pss, _ = build_positives(split, config)
+    records = pss.audit_records()
     stream = _out_stream(args.out)
     try:
-        for record in pss.audit_records():
+        for record in records:
             stream.write(json.dumps(record, sort_keys=True) + "\n")
     finally:
         _close(stream)
     print(
         json.dumps(
-            {"pss_size": len(pss), "distinct_pairs": len(pss.multiplicity())},
+            {"pss_size": len(pss), "distinct_pairs": len(records)},
             sort_keys=True,
         ),
         file=sys.stderr,

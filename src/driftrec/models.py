@@ -1,8 +1,10 @@
 """Embedding backbones: plain matrix factorization and light graph propagation.
 
 Both backbones score a (user, item) pair by a dot product of d-dimensional
-embeddings. The propagation backbone additionally smooths embeddings over
-the symmetrically normalized train interaction graph before scoring:
+embeddings, held as one stacked (num_users + num_items, d) matrix: users
+first, then items, the node order of the interaction graph. The
+propagation backbone additionally smooths that matrix over the
+symmetrically normalized train interaction graph before scoring:
 E(l+1) = A_norm @ E(l), with the final embedding the mean of all L+1 levels
 and no feature transforms or nonlinearities in between. Propagated
 embeddings are cached and invalidated on every parameter update, so scores
@@ -70,11 +72,12 @@ def propagate_matrix(adj: sp.csr_matrix, x: np.ndarray, num_layers: int) -> np.n
 
 
 class EmbeddingModel:
-    """User/item embedding matrices with an optional propagation operator.
+    """User/item embeddings as one stacked matrix, with an optional propagation operator.
 
-    Parameters are mutated only through :meth:`add_to_params` /
-    :meth:`set_params`; the exposed matrices are read-only views so the
-    propagation cache cannot silently go stale.
+    Row r < num_users is user r and row num_users + i is item i, the node
+    order of :func:`build_norm_adjacency`. Parameters are mutated only through
+    :meth:`add_to_params` / :meth:`set_params`; the exposed matrices are
+    read-only views so the propagation cache cannot silently go stale.
     """
 
     def __init__(
@@ -92,81 +95,78 @@ class EmbeddingModel:
             raise ValueError("embedding matrices must be 2-D with a shared dimension")
         if backbone == "lightgcn" and adjacency is None:
             raise ValueError("lightgcn backbone needs a normalized adjacency operator")
-        self._user = np.array(user_emb, dtype=np.float64)
-        self._item = np.array(item_emb, dtype=np.float64)
+        layers = int(num_prop_layers)
+        if layers != num_prop_layers or layers < 0:
+            raise ValueError(
+                f"num_prop_layers must be a non-negative integer, got {num_prop_layers!r}"
+            )
+        self._params = np.concatenate([user_emb, item_emb], dtype=np.float64)
+        self.num_users = user_emb.shape[0]
         self.backbone = backbone
-        self.num_prop_layers = int(num_prop_layers)
+        self.num_prop_layers = layers
         self.adjacency = adjacency
         self.seed = seed
         # epoch of the validation-selected parameters, set by training.fit
         self.best_epoch: int | None = None
         self._version = 0
         self._cache_version = -1
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._propagated: np.ndarray | None = None
 
     # --- shape metadata -------------------------------------------------
     @property
-    def num_users(self) -> int:
-        return self._user.shape[0]
-
-    @property
     def num_items(self) -> int:
-        return self._item.shape[0]
+        return self._params.shape[0] - self.num_users
 
     @property
     def dim(self) -> int:
-        return self._user.shape[1]
+        return self._params.shape[1]
 
     # --- parameter access ------------------------------------------------
     @property
-    def user_emb(self) -> np.ndarray:
-        view = self._user.view()
+    def params(self) -> np.ndarray:
+        """The stacked (num_users + num_items, d) parameters, read-only."""
+        view = self._params.view()
         view.setflags(write=False)
         return view
 
     @property
+    def user_emb(self) -> np.ndarray:
+        return self.params[: self.num_users]
+
+    @property
     def item_emb(self) -> np.ndarray:
-        view = self._item.view()
-        view.setflags(write=False)
-        return view
+        return self.params[self.num_users :]
 
-    def add_to_params(self, user_delta: np.ndarray, item_delta: np.ndarray) -> None:
-        self._user += user_delta
-        self._item += item_delta
+    def add_to_params(self, delta: np.ndarray) -> None:
+        self._params += delta
         self._version += 1
 
-    def set_params(self, user_emb: np.ndarray, item_emb: np.ndarray) -> None:
-        self._user = np.array(user_emb, dtype=np.float64)
-        self._item = np.array(item_emb, dtype=np.float64)
+    def set_params(self, params: np.ndarray) -> None:
+        self._params = np.array(params, dtype=np.float64)
         self._version += 1
-
-    def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            self._user,
-            self._item,
-            backbone=self.backbone,
-            num_prop_layers=self.num_prop_layers,
-            adjacency=self.adjacency,
-            seed=self.seed,
-        )
 
     # --- propagation ------------------------------------------------------
     def propagate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Propagated (user, item) embeddings; cached until parameters change."""
+        """Propagated (user, item) embeddings: row views of the stacked
+        result, which is cached until parameters change."""
         if self.backbone != "lightgcn":
             raise ValueError("propagate() is only defined for the lightgcn backbone")
-        if self._cache is None or self._cache_version != self._version:
-            stacked = np.vstack([self._user, self._item])
-            out = propagate_matrix(self.adjacency, stacked, self.num_prop_layers)
-            self._cache = (out[: self.num_users], out[self.num_users :])
+        if self._cache_version != self._version:
+            self._propagated = propagate_matrix(self.adjacency, self._params, self.num_prop_layers)
             self._cache_version = self._version
-        return self._cache
+        return self._propagated[: self.num_users], self._propagated[self.num_users :]
+
+    def scoring_params(self) -> np.ndarray:
+        """The stacked rows scores are computed from, in the parameters' row space."""
+        if self.backbone == "lightgcn":
+            self.propagate()
+            return self._propagated
+        return self.params
 
     def scoring_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
         """The (user, item) matrices scores are computed from."""
-        if self.backbone == "lightgcn":
-            return self.propagate()
-        return self._user, self._item
+        rows = self.scoring_params()
+        return rows[: self.num_users], rows[self.num_users :]
 
     # --- scoring -----------------------------------------------------------
     def score(self, u: int, p: int) -> float:
@@ -200,16 +200,15 @@ def init_xavier(
     num_prop_layers: int = 0,
     adjacency: sp.csr_matrix | None = None,
 ) -> EmbeddingModel:
-    """Xavier-uniform initialization: rows uniform on [-a, a], a = sqrt(6/(d+d))."""
+    """Xavier-uniform initialization: rows uniform on [-a, a], a = sqrt(6/(d+d)),
+    in one draw of the stacked rows (users first)."""
     if num_users <= 0 or num_items <= 0 or d <= 0:
         raise ValueError("sizes must be positive")
     a = np.sqrt(6.0 / (d + d))
-    rng = np.random.default_rng(seed)
-    user_emb = rng.uniform(-a, a, size=(num_users, d))
-    item_emb = rng.uniform(-a, a, size=(num_items, d))
+    params = np.random.default_rng(seed).uniform(-a, a, size=(num_users + num_items, d))
     return EmbeddingModel(
-        user_emb,
-        item_emb,
+        params[:num_users],
+        params[num_users:],
         backbone=backbone,
         num_prop_layers=num_prop_layers,
         adjacency=adjacency,
@@ -292,11 +291,10 @@ def load_checkpoint(path: str, adjacency: sp.csr_matrix | None = None) -> Embedd
     with open(path) as f:
         header = _read_header(f, path)
         num_users, num_items, d = (header[key] for key in ("num_users", "num_items", "d"))
-        mats = {
-            "user": np.empty((num_users, d), dtype=np.float64),
-            "item": np.empty((num_items, d), dtype=np.float64),
-        }
-        seen = {name: np.zeros(mat.shape[0], dtype=bool) for name, mat in mats.items()}
+        # (first stacked row, row count) of each record kind
+        blocks = {"user": (0, num_users), "item": (num_users, num_items)}
+        params = np.empty((num_users + num_items, d), dtype=np.float64)
+        seen = np.zeros(num_users + num_items, dtype=bool)
         for lineno, line in enumerate(f, start=2):
             try:
                 rec = json.loads(line)
@@ -305,27 +303,27 @@ def load_checkpoint(path: str, adjacency: sp.csr_matrix | None = None) -> Embedd
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{path}: line {lineno}: malformed checkpoint record") from None
             if name not in ("user", "item") or type(row) is not int or not (
-                0 <= row < mats[name].shape[0]
+                0 <= row < blocks[name][1]
             ):
                 raise ValueError(f"{path}: line {lineno}: no {name!r} row {row!r} in the header shape")
-            if seen[name][row]:
+            if seen[blocks[name][0] + row]:
                 raise ValueError(f"{path}: line {lineno}: duplicate {name} row {row}")
             if len(values) != d:
                 raise ValueError(
                     f"{path}: line {lineno}: {name} row {row} has {len(values)} values, expected {d}"
                 )
-            mats[name][row] = values
-            seen[name][row] = True
-    for name, got in seen.items():
-        if not got.all():
-            missing = np.flatnonzero(~got)
+            params[blocks[name][0] + row] = values
+            seen[blocks[name][0] + row] = True
+    for name, (start, count) in blocks.items():
+        missing = np.flatnonzero(~seen[start : start + count])
+        if missing.size:
             raise ValueError(
                 f"{path}: {missing.size} {name} rows missing (first {int(missing[0])}); "
                 "the checkpoint is truncated"
             )
     return EmbeddingModel(
-        mats["user"],
-        mats["item"],
+        params[:num_users],
+        params[num_users:],
         backbone=header["backbone"],
         num_prop_layers=header["num_prop_layers"],
         adjacency=adjacency,

@@ -81,14 +81,20 @@ class PositiveSampleSet:
     def pair_keys(self) -> np.ndarray:
         return self.users * np.int64(self.num_items) + self.items
 
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first multiset index, count) of each distinct pair, pairs ascending.
+
+        Every copy of a pair shares its layer and weight (the log keeps one
+        row per pair), so the first copy speaks for all of them.
+        """
+        _, first, counts = np.unique(self.pair_keys(), return_index=True, return_counts=True)
+        return first, counts
+
     def multiplicity(self) -> dict[tuple[int, int], int]:
         """Occurrence count per distinct pair."""
-        keys, counts = np.unique(self.pair_keys(), return_counts=True)
-        n_items = self.num_items
-        return {
-            (int(k // n_items), int(k % n_items)): int(c)
-            for k, c in zip(keys, counts)
-        }
+        first, counts = self._distinct()
+        pairs = zip(self.users[first].tolist(), self.items[first].tolist())
+        return dict(zip(pairs, counts.tolist()))
 
     def pi(self) -> dict[tuple[int, int], float]:
         """Training distribution: multiplicity normalized by the multiset size."""
@@ -97,27 +103,19 @@ class PositiveSampleSet:
 
     def audit_records(self) -> list[dict]:
         """One record per distinct pair, (user, item) ascending, for dumps."""
-        order = np.lexsort((self.items, self.users))
-        records: list[dict] = []
-        prev_key = None
-        n_items = self.num_items
-        for idx in order:
-            key = int(self.users[idx]) * n_items + int(self.items[idx])
-            if key == prev_key:
-                records[-1]["multiplicity"] += 1
-                continue
-            prev_key = key
-            w = float(self.weights[idx])
-            records.append(
-                {
-                    "user_index": int(self.users[idx]),
-                    "item_index": int(self.items[idx]),
-                    "multiplicity": 1,
-                    "layer": int(self.layers[idx]),
-                    "weight": w if np.isfinite(w) else None,
-                }
-            )
-        return records
+        first, counts = self._distinct()
+        weights = self.weights[first]
+        columns = zip(
+            self.users[first].tolist(),
+            self.items[first].tolist(),
+            counts.tolist(),
+            self.layers[first].tolist(),
+            np.where(np.isfinite(weights), weights, None).tolist(),
+        )
+        return [
+            {"user_index": u, "item_index": i, "multiplicity": m, "layer": layer, "weight": w}
+            for u, i, m, layer, w in columns
+        ]
 
 
 def filtrate(

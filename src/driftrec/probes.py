@@ -71,20 +71,19 @@ class MarginProbe:
         }
 
 
-def _adam_diagonal(state: AdamState, rows: dict, grads: dict) -> dict:
+def _adam_diagonal(state: AdamState, grads: dict) -> dict:
     """Bias-corrected second-moment preconditioner for the touched rows.
 
-    Uses the state's moments advanced one step with the probe gradient;
-    the state itself is not modified.
+    ``grads`` maps stacked parameter rows to their loss gradients. Uses the
+    state's moments advanced one step with the probe gradient; the state
+    itself is not modified.
     """
     t = state.step_count + 1
     bc2 = 1.0 - state.beta2 ** t
     out = {}
-    for key, g in grads.items():
-        kind, row = key
-        v = (state.v_user if kind == "user" else state.v_item)[row]
-        v_new = state.beta2 * v + (1.0 - state.beta2) * np.square(g)
-        out[key] = 1.0 / (np.sqrt(v_new / bc2) + state.eps)
+    for row, g in grads.items():
+        v_new = state.beta2 * state.v[row] + (1.0 - state.beta2) * np.square(g)
+        out[row] = 1.0 / (np.sqrt(v_new / bc2) + state.eps)
     return out
 
 
@@ -99,25 +98,23 @@ def probe_one_step(
     """Apply one pairwise update on copied rows; the model is unchanged."""
     if model.backbone != "mf":
         raise ValueError("margin probes are defined for the dot-product backbone")
-    e_u = model.user_emb[user].copy()
-    e_p = model.item_emb[pos_item].copy()
-    e_n = model.item_emb[neg_item].copy()
+    # checked, since a negative index would wrap onto a row of the other kind
+    if not (0 <= user < model.num_users and 0 <= min(pos_item, neg_item)
+            and max(pos_item, neg_item) < model.num_items):
+        raise IndexError(f"index out of range: user {user}, items {pos_item}, {neg_item}")
+    row_u, row_p, row_n = user, model.num_users + pos_item, model.num_users + neg_item
+    e_u, e_p, e_n = model.params[[row_u, row_p, row_n]]
 
     margin_before = float(e_u @ (e_p - e_n))
     c = float(expit(-margin_before))
-    grads = {
-        ("user", user): e_p - e_n,
-        ("item", pos_item): e_u,
-        ("item", neg_item): -e_u,
-    }
     if pos_item == neg_item:
         raise ValueError("positive and negative item coincide")
+    # margin gradients keyed by stacked parameter row
+    grads = {row_u: e_p - e_n, row_p: e_u, row_n: -e_u}
 
     if isinstance(optimizer, AdamState):
         # the loss gradient is -c * margin gradient
-        diag = _adam_diagonal(
-            optimizer, grads, {k: -c * g for k, g in grads.items()}
-        )
+        diag = _adam_diagonal(optimizer, {k: -c * g for k, g in grads.items()})
         label = "adam_diag"
     elif optimizer == "identity":
         diag = {k: np.ones_like(g) for k, g in grads.items()}
@@ -130,9 +127,9 @@ def probe_one_step(
         sum(g @ (diag[k] * g) for k, g in grads.items())
     )
 
-    e_u2 = e_u + eta * c * diag[("user", user)] * grads[("user", user)]
-    e_p2 = e_p + eta * c * diag[("item", pos_item)] * grads[("item", pos_item)]
-    e_n2 = e_n + eta * c * diag[("item", neg_item)] * grads[("item", neg_item)]
+    e_u2 = e_u + eta * c * diag[row_u] * grads[row_u]
+    e_p2 = e_p + eta * c * diag[row_p] * grads[row_p]
+    e_n2 = e_n + eta * c * diag[row_n] * grads[row_n]
     margin_after = float(e_u2 @ (e_p2 - e_n2))
 
     return MarginProbe(

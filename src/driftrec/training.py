@@ -7,6 +7,10 @@ its weight: the weighted variant trains on the plain (multiplicity one)
 edge set with recency weights instead of duplicating pairs. Every run
 starts from :func:`init_training`, the one constructor of training state.
 
+Parameters, gradients and Adam moments share the model's stacked
+[users | items] row space: a batch gathers its rows in one take, returns
+one stacked gradient, and the optimizer updates one moment pair.
+
 The loss value is only a report: `fit` computes it on the epochs that
 evaluate and record it (every `eval_every`-th), and the gradient step is
 the same whether or not it is computed.
@@ -76,50 +80,44 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators shaped like the embedding matrices.
+    """First/second moment accumulators shaped like the stacked parameters.
 
-    Every step updates all rows in place; two scratch buffers per matrix
-    hold the intermediate terms, so a step allocates no full-size arrays.
+    Every step updates all rows in place; two scratch buffers hold the
+    intermediate terms, so a step allocates no full-size arrays.
     """
 
-    def __init__(self, num_users: int, num_items: int, d: int,
+    def __init__(self, num_rows: int, d: int,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m_user = np.zeros((num_users, d))
-        self.v_user = np.zeros((num_users, d))
-        self.m_item = np.zeros((num_items, d))
-        self.v_item = np.zeros((num_items, d))
-        self._scratch = [(np.empty((n, d)), np.empty((n, d))) for n in (num_users, num_items)]
+        self.m = np.zeros((num_rows, d))
+        self.v = np.zeros((num_rows, d))
+        self._delta = np.empty((num_rows, d))
+        self._tmp = np.empty((num_rows, d))
 
-    def step(self, model: EmbeddingModel, grad_user: np.ndarray, grad_item: np.ndarray, lr: float) -> None:
+    def step(self, model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        deltas = []
-        for m, v, g, (delta, tmp) in zip(
-            (self.m_user, self.m_item), (self.v_user, self.v_item),
-            (grad_user, grad_item), self._scratch,
-        ):
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-            v *= self.beta2
-            np.square(g, out=tmp)
-            tmp *= 1.0 - self.beta2
-            v += tmp
-            # delta = -lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=delta)
-            delta *= -lr
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            delta /= tmp
-            deltas.append(delta)
-        model.add_to_params(deltas[0], deltas[1])
+        m, v, delta, tmp = self.m, self.v, self._delta, self._tmp
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.square(grad, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        # delta = -lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=delta)
+        delta *= -lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        delta /= tmp
+        model.add_to_params(delta)
 
 
 def bpr_loss(margin):
@@ -180,21 +178,26 @@ def batch_gradients(
     pair_weights: np.ndarray | None = None,
     loss: bool = True,
 ):
-    """Mean objective over one batch and dense gradients for both matrices.
+    """Mean objective over one batch and its dense stacked gradient.
 
     The objective per pair is w * bpr(margin) + l2/2 * (|e_u|^2 + |e_p|^2 +
     |e_n|^2) with w = 1 unless pair weights are given; regularization always
     acts on the base embeddings. For the propagation backbone the margin
     uses propagated embeddings, and the chain rule reuses the propagation
     operator itself (it is self-adjoint). With ``loss=False`` the objective
-    is not computed and None stands in for it; the gradients are the same.
+    is not computed and None stands in for it; the gradient is the same.
+    Returns (objective, gradient), the gradient in the model's stacked
+    [users | num_users + items] row space.
 
     Indices outside [0, num_users) or [0, num_items) raise IndexError,
     checked once up front, so the gathers need no buffered bound check.
 
-    Both backbones scatter into the stacked rows [users | num_users +
-    items] (:func:`_scatter_rows`), reading the gathered rows [e_p - e_n;
-    e_u; e_u; e_p; e_n] scaled by coeff, -coeff or l2/b. Column order is
+    One int32 row array [users; users; U + pos; U + neg] (U = num_users)
+    gathers [e_u; e_u; e_p; e_n] from the stacked scoring rows in one take,
+    below e_p - e_n; its last 3b entries are the scatter rows of the loss
+    terms. Both backbones scatter into the stacked rows
+    (:func:`_scatter_rows`), reading the gathered rows [e_p - e_n; e_u;
+    e_u; e_p; e_n] scaled by coeff, -coeff or l2/b. Column order is
     the order each output row adds its terms, starting from zero: a user
     row adds its loss terms (e_p - e_n) in batch order, then its
     regularization terms (e_u); an item row adds its positive loss terms
@@ -206,23 +209,26 @@ def batch_gradients(
     term and the positive item's loss term, which land on different rows.
     For the propagation backbone the loss scatter reads [:3b], and the
     regularization is added after propagation by a second scatter whose
-    first block is the propagated gradient itself with unit scale.
+    first block is the propagated gradient itself with unit scale; its
+    regularizer rows are one take of the base parameters.
     """
     num_users, num_items = model.num_users, model.num_items
     _check_index("users", users, num_users)
     _check_index("pos_items", pos_items, num_items)
     _check_index("neg_items", neg_items, num_items)
     b = users.shape[0]
-    base_u, base_i = model.user_emb, model.item_emb
-    score_u, score_i = model.scoring_embeddings()
 
+    # stacked rows [users; users; U + pos; U + neg]; the last 3b are the loss rows
+    gather_rows = np.empty(4 * b, dtype=np.int32)
+    gather_rows[:b] = users
+    gather_rows[b : 2 * b] = users
+    np.add(pos_items, num_users, out=gather_rows[2 * b : 3 * b], casting="unsafe")
+    np.add(neg_items, num_users, out=gather_rows[3 * b :], casting="unsafe")
+    loss_rows = gather_rows[b:]
     # gathered rows, laid out in scatter column order: [e_p - e_n; e_u; e_u; e_p; e_n]
     gathered = np.empty((5 * b, model.dim))
     diff, ue, ue2, pe, ne = np.split(gathered, 5)
-    np.take(score_u, users, axis=0, out=ue, mode="clip")
-    ue2[:] = ue
-    np.take(score_i, pos_items, axis=0, out=pe, mode="clip")
-    np.take(score_i, neg_items, axis=0, out=ne, mode="clip")
+    np.take(model.scoring_params(), gather_rows, axis=0, out=gathered[b:], mode="clip")
     np.subtract(pe, ne, out=diff)
     margin = np.einsum("ij,ij->i", ue, diff)
     # d bpr / d margin, the expression bpr_loss uses
@@ -233,11 +239,6 @@ def batch_gradients(
     reg_scale = l2 / b
 
     n = num_users + num_items
-    # stacked scatter rows of the loss terms: [users; U + pos; U + neg]
-    loss_rows = np.empty(3 * b, dtype=np.int32)
-    loss_rows[:b] = users
-    np.add(pos_items, num_users, out=loss_rows[b : 2 * b], casting="unsafe")
-    np.add(neg_items, num_users, out=loss_rows[2 * b :], casting="unsafe")
     if model.backbone == "mf":
         # scoring rows are the base rows, so they double as regularizer rows
         reg_rows_u, reg_rows_p, reg_rows_n = ue, pe, ne
@@ -250,7 +251,7 @@ def batch_gradients(
         rows[b + 1 : 3 * b : 2], scales[b + 1 : 3 * b : 2] = p_rows, coeff  # and positive loss
         rows[3 * b : 4 * b], scales[3 * b : 4 * b] = n_rows, -coeff  # e_u: negative loss
         rows[4 * b :], scales[4 * b :] = loss_rows[b:], reg_scale  # e_p, e_n: item reg
-        g_base = _scatter_rows(n, rows, scales, gathered, _csc_indptr(5 * b, b, 2 * b))
+        grad = _scatter_rows(n, rows, scales, gathered, _csc_indptr(5 * b, b, 2 * b))
     else:
         g_stack = _scatter_rows(
             n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered[: 3 * b],
@@ -262,18 +263,15 @@ def batch_gradients(
         # propagated block as an identity so the regularizer adds after it
         stacked = np.empty((n + 3 * b, model.dim))
         stacked[:n] = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
+        np.take(model.params, loss_rows, axis=0, out=stacked[n:], mode="clip")
         reg_rows_u, reg_rows_p, reg_rows_n = np.split(stacked[n:], 3)
-        np.take(base_u, users, axis=0, out=reg_rows_u, mode="clip")
-        np.take(base_i, pos_items, axis=0, out=reg_rows_p, mode="clip")
-        np.take(base_i, neg_items, axis=0, out=reg_rows_n, mode="clip")
-        g_base = _scatter_rows(
+        grad = _scatter_rows(
             n, np.concatenate([np.arange(n, dtype=np.int32), loss_rows]),
             np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked,
             _csc_indptr(n + 3 * b),
         )
-    grad_user, grad_item = g_base[:num_users], g_base[num_users:]
     if not loss:
-        return None, grad_user, grad_item
+        return None, grad
 
     loss_vec, _ = bpr_loss(margin)
     if pair_weights is not None:
@@ -283,7 +281,7 @@ def batch_gradients(
         + np.einsum("ij,ij->i", reg_rows_p, reg_rows_p)
         + np.einsum("ij,ij->i", reg_rows_n, reg_rows_n)
     )
-    return float(np.mean(loss_vec + reg)), grad_user, grad_item
+    return float(np.mean(loss_vec + reg)), grad
 
 
 def _count_pair_updates(counter: dict, pss: PositiveSampleSet, rows: np.ndarray) -> None:
@@ -316,7 +314,7 @@ def init_training(
     model = init_xavier(split.num_users, split.num_items, config.d, config.seed,
                         backbone=config.backbone, num_prop_layers=config.prop_layers,
                         adjacency=adjacency)
-    adam = AdamState(model.num_users, model.num_items, model.dim)
+    adam = AdamState(model.num_users + model.num_items, model.dim)
     sampler = NegativeSampler(config.sampler, split.train)
     return model, adam, sampler, np.random.default_rng([config.seed, 1])
 
@@ -358,20 +356,18 @@ def train_epoch(
         pos = pss.items[idx]
         negs = sampler.sample_batch(users, model, rng)
         w = pair_weights[idx] if pair_weights is not None else None
-        batch_loss, grad_u, grad_i = batch_gradients(
-            model, users, pos, negs, config.l2, w, loss=loss
-        )
+        batch_loss, grad = batch_gradients(model, users, pos, negs, config.l2, w, loss=loss)
         if config.optimizer == "adam":
-            adam.step(model, grad_u, grad_i, config.lr)
+            adam.step(model, grad, config.lr)
         else:
-            model.add_to_params(-config.lr * grad_u, -config.lr * grad_i)
+            model.add_to_params(-config.lr * grad)
         if loss:
             total_loss += batch_loss * idx.shape[0]
         seen += idx.shape[0]
     if update_counter is not None:
         _count_pair_updates(update_counter, pss, order)
 
-    if not (np.all(np.isfinite(model.user_emb)) and np.all(np.isfinite(model.item_emb))):
+    if not np.all(np.isfinite(model.params)):
         raise TrainingDiverged(
             f"non-finite parameters after optimizer step {adam.step_count if adam else '?'}"
         )
@@ -430,7 +426,7 @@ def fit(
                     record[f"ndcg@{k}"] = report.aggregates[k]["ndcg"]
                 if record[f"recall@{select_k}"] > best_recall:
                     best_recall = record[f"recall@{select_k}"]
-                    best = (model.user_emb.copy(), model.item_emb.copy(), epoch)
+                    best = (model.params.copy(), epoch)
                     if checkpoint_path:
                         save_checkpoint(model, checkpoint_path)
             history.append(record)
@@ -444,8 +440,8 @@ def fit(
             metrics_file.close()
 
     if best is not None:
-        model.set_params(best[0], best[1])
-        model.best_epoch = best[2]
+        model.set_params(best[0])
+        model.best_epoch = best[1]
     return model, history
 
 

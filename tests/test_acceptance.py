@@ -68,14 +68,14 @@ def disjoint_pair_split(num_pairs: int, num_users: int, num_items: int, seed: in
 
 def flat_projection(model, users, pos, negs, direction, l2=0.0):
     """Batch-mean gradient projected onto a fixed direction vector."""
-    _, gu, gi = batch_gradients(
+    _, grad = batch_gradients(
         model,
         np.asarray(users, dtype=np.int64),
         np.asarray(pos, dtype=np.int64),
         np.asarray(negs, dtype=np.int64),
         l2=l2,
     )
-    return float(np.concatenate([gu.ravel(), gi.ravel()]) @ direction)
+    return float(grad.ravel() @ direction)
 
 
 def finite_difference_grads(model, users, pos, negs, l2, pair_weights=None,
@@ -90,7 +90,7 @@ def finite_difference_grads(model, users, pos, negs, l2, pair_weights=None,
             num_prop_layers=model.num_prop_layers,
             adjacency=model.adjacency,
         )
-        loss, _, _ = batch_gradients(probe, users, pos, negs, l2, pair_weights)
+        loss, _ = batch_gradients(probe, users, pos, negs, l2, pair_weights)
         return loss
 
     ue0, ie0 = model.user_emb.copy(), model.item_emb.copy()
@@ -331,8 +331,9 @@ def test_criterion_05_gradient_check():
     for case, weights in (("mf", None), ("mf_weighted", rng.uniform(0.5, 2.0, batch))):
         model = EmbeddingModel(rng.normal(size=(6, 8)) * 0.4,
                                rng.normal(size=(8, 8)) * 0.4)
-        _, gu, gi = batch_gradients(model, users, pos, negs, l2=0.01,
-                                    pair_weights=weights)
+        _, grad = batch_gradients(model, users, pos, negs, l2=0.01,
+                                  pair_weights=weights)
+        gu, gi = grad[:6], grad[6:]
         fu, fi = finite_difference_grads(model, users, pos, negs, l2=0.01,
                                          pair_weights=weights)
         worst_by_case[case] = max(max_rel_error(gu, fu), max_rel_error(gi, fi))
@@ -349,7 +350,8 @@ def test_criterion_05_gradient_check():
                                backbone="lightgcn",
                                num_prop_layers=num_layers,
                                adjacency=adjacency)
-        _, gu, gi = batch_gradients(model, g_users, g_pos, g_negs, l2=0.003)
+        _, grad = batch_gradients(model, g_users, g_pos, g_negs, l2=0.003)
+        gu, gi = grad[:5], grad[5:]
         fu, fi = finite_difference_grads(model, g_users, g_pos, g_negs, l2=0.003)
         worst_by_case[f"lightgcn_L{num_layers}"] = max(
             max_rel_error(gu, fu), max_rel_error(gi, fi)

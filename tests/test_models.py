@@ -59,6 +59,46 @@ class TestInit:
         with pytest.raises(ValueError, match="adjacency"):
             init_xavier(2, 2, 4, seed=0, backbone="lightgcn", num_prop_layers=2)
 
+    @pytest.mark.parametrize("layers", [-1, 2.7])
+    def test_bad_num_prop_layers(self, layers):
+        adj = tiny_adjacency()
+        with pytest.raises(ValueError, match="num_prop_layers"):
+            EmbeddingModel(np.ones((2, 3)), np.ones((2, 3)), backbone="lightgcn",
+                           num_prop_layers=layers, adjacency=adj)
+        with pytest.raises(ValueError, match="num_prop_layers"):
+            init_xavier(2, 2, 3, seed=0, backbone="lightgcn", num_prop_layers=layers,
+                        adjacency=adj)
+
+    def test_equals_two_call_draw(self):
+        """The one stacked draw equals a user draw followed by an item draw."""
+        for num_users, num_items, d in ((1, 1, 1), (5, 7, 8), (40, 3, 33)):
+            m = init_xavier(num_users, num_items, d, seed=11)
+            a = np.sqrt(6.0 / (d + d))
+            rng = np.random.default_rng(11)
+            want_u = rng.uniform(-a, a, size=(num_users, d))
+            want_i = rng.uniform(-a, a, size=(num_items, d))
+            assert m.user_emb.tobytes() == want_u.tobytes()
+            assert m.item_emb.tobytes() == want_i.tobytes()
+
+
+class TestParams:
+    def test_views_share_the_stacked_rows(self):
+        m = init_xavier(3, 4, 2, seed=1)
+        assert m.params.shape == (7, 2)
+        assert np.array_equal(m.params[:3], m.user_emb)
+        assert np.array_equal(m.params[3:], m.item_emb)
+        for view in (m.params, m.user_emb, m.item_emb):
+            assert not view.flags.writeable
+
+    def test_add_and_set(self):
+        m = init_xavier(3, 4, 2, seed=1)
+        before = m.params.copy()
+        delta = np.arange(14.0).reshape(7, 2)
+        m.add_to_params(delta)
+        assert np.array_equal(m.params, before + delta)
+        m.set_params(before)
+        assert np.array_equal(m.params, before)
+
 
 class TestScoring:
     def test_mf_score_is_dot_product(self):
@@ -217,6 +257,15 @@ class TestPropagation:
         assert np.array_equal(pu, want[:2])
         assert np.array_equal(pi, want[2:])
 
+    def test_propagate_after_update_equals_propagate_matrix(self):
+        m = init_xavier(2, 2, 3, seed=2, backbone="lightgcn", num_prop_layers=2,
+                        adjacency=tiny_adjacency())
+        m.propagate()
+        m.add_to_params(np.random.default_rng(3).standard_normal((4, 3)))
+        pu, pi = m.propagate()
+        want = propagate_matrix(m.adjacency, m.params, 2)
+        assert np.array_equal(np.concatenate([pu, pi]), want)
+
     def test_mf_propagate_raises(self):
         m = init_xavier(2, 2, 3, seed=2)
         with pytest.raises(ValueError, match="lightgcn"):
@@ -226,7 +275,7 @@ class TestPropagation:
         m = init_xavier(2, 2, 3, seed=2, backbone="lightgcn", num_prop_layers=2,
                         adjacency=tiny_adjacency())
         before = m.score(0, 0)
-        m.add_to_params(np.ones((2, 3)), np.zeros((2, 3)))
+        m.add_to_params(np.concatenate([np.ones((2, 3)), np.zeros((2, 3))]))
         after = m.score(0, 0)
         assert before != after
         # scores must track the fresh embeddings, not a stale cache
@@ -237,26 +286,17 @@ class TestPropagation:
         m = init_xavier(2, 2, 3, seed=2, backbone="lightgcn", num_prop_layers=1,
                         adjacency=tiny_adjacency())
         _ = m.score(0, 0)
-        m.set_params(np.zeros((2, 3)), np.zeros((2, 3)))
+        m.set_params(np.zeros((2 + 2, 3)))
         assert m.score(0, 0) == 0.0
-
-
-class TestCopy:
-    def test_copy_is_independent(self):
-        m = init_xavier(3, 3, 4, seed=6)
-        c = m.copy()
-        c.add_to_params(np.ones((3, 4)), np.zeros((3, 4)))
-        assert not np.array_equal(m.user_emb, c.user_emb)
-        assert np.array_equal(m.item_emb, c.item_emb)
 
 
 class TestCheckpoint:
     def test_bit_exact_round_trip_mf(self, tmp_path):
         m = init_xavier(7, 11, 6, seed=20)
-        m.add_to_params(
+        m.add_to_params(np.concatenate([
             np.random.default_rng(1).standard_normal((7, 6)) * 1e-3,
             np.random.default_rng(2).standard_normal((11, 6)) * 1e-3,
-        )
+        ]))
         path = str(tmp_path / "ckpt.txt")
         save_checkpoint(m, path)
         loaded = load_checkpoint(path)

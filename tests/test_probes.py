@@ -148,6 +148,9 @@ class TestIdentityProbe:
             probe_one_step(model, 0, 1, 1, 1e-3)
         with pytest.raises(ValueError, match="unknown optimizer"):
             probe_one_step(model, 0, 0, 1, 1e-3, optimizer="sgd")
+        for user, pos, neg in ((2, 0, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 3)):
+            with pytest.raises(IndexError, match="out of range"):
+                probe_one_step(model, user, pos, neg, 1e-3, optimizer=AdamState(2 + 3, 2))
         adj = build_norm_adjacency(np.array([0]), np.array([0]), 1, 2)
         gcn = init_xavier(1, 2, 4, seed=0, backbone="lightgcn",
                           num_prop_layers=1, adjacency=adj)
@@ -158,12 +161,14 @@ class TestIdentityProbe:
 class TestAdamProbe:
     def test_matches_recomputed_definition(self):
         model = hand_model()
-        state = AdamState(2, 3, 2)
+        state = AdamState(2 + 3, 2)
         # advance the second moments so the diagonal is non-trivial
         rng = np.random.default_rng(71)
         for _ in range(3):
-            state.step(model.copy(), rng.standard_normal((2, 2)),
-                       rng.standard_normal((3, 2)), lr=0.0)
+            grad_user = rng.standard_normal((2, 2))
+            grad_item = rng.standard_normal((3, 2))
+            state.step(EmbeddingModel(model.user_emb, model.item_emb),
+                       np.concatenate([grad_user, grad_item]), lr=0.0)
         eta = 1e-3
         probe = probe_one_step(model, 0, 0, 1, eta, optimizer=state)
         assert probe.optimizer == "adam_diag"
@@ -173,7 +178,7 @@ class TestAdamProbe:
         delta = float(e_u @ (e_p - e_n))
         c = sigmoid(delta)
         g = {"u": e_p - e_n, "p": e_u, "n": -e_u}
-        v = {"u": state.v_user[0], "p": state.v_item[0], "n": state.v_item[1]}
+        v = {"u": state.v[0], "p": state.v[2 + 0], "n": state.v[2 + 1]}
         t = state.step_count + 1
         bc2 = 1.0 - state.beta2**t
         diag = {}
@@ -189,20 +194,19 @@ class TestAdamProbe:
 
     def test_state_not_mutated(self):
         model = hand_model()
-        state = AdamState(2, 3, 2)
-        state.v_user += 0.25
-        state.v_item += 0.5
-        before = (state.v_user.copy(), state.v_item.copy(), state.step_count)
+        state = AdamState(2 + 3, 2)
+        state.v[:2] += 0.25
+        state.v[2:] += 0.5
+        before = (state.v.copy(), state.step_count)
         probe_one_step(model, 0, 0, 1, 1e-3, optimizer=state)
-        assert np.array_equal(state.v_user, before[0])
-        assert np.array_equal(state.v_item, before[1])
-        assert state.step_count == before[2]
+        assert np.array_equal(state.v, before[0])
+        assert state.step_count == before[1]
 
     def test_strict_increase(self):
         rng = np.random.default_rng(72)
-        state = AdamState(6, 10, 6)
-        state.v_user += rng.uniform(0, 0.01, size=state.v_user.shape)
-        state.v_item += rng.uniform(0, 0.01, size=state.v_item.shape)
+        state = AdamState(6 + 10, 6)
+        state.v[:6] += rng.uniform(0, 0.01, size=(6, 6))
+        state.v[6:] += rng.uniform(0, 0.01, size=(10, 6))
         for _ in range(200):
             model = init_xavier(6, 10, 6, seed=int(rng.integers(10**6)))
             p, n = rng.choice(10, size=2, replace=False)
@@ -343,7 +347,7 @@ class TestConfiguredBackbone:
                                          split.num_users, split.num_items)
         model = init_xavier(split.num_users, split.num_items, 4, 3, backbone="lightgcn",
                             num_prop_layers=2, adjacency=adjacency)
-        return (model, AdamState(split.num_users, split.num_items, 4),
+        return (model, AdamState(split.num_users + split.num_items, 4),
                 NegativeSampler(cls.CONFIG.sampler, train), np.random.default_rng([3, 1]))
 
     def test_count_updates(self, drift_split, monkeypatch):

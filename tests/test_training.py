@@ -200,7 +200,8 @@ class TestBatchGradients:
         rng = np.random.default_rng(32)
         model = init_xavier(6, 8, 4, seed=3)
         users, pos, negs = random_batch(rng, 6, 8, 10)
-        _, gu, gi = batch_gradients(model, users, pos, negs, 0.01)
+        _, grad = batch_gradients(model, users, pos, negs, 0.01)
+        gu, gi = grad[:6], grad[6:]
         fu, fi = fd_grads(model, users, pos, negs, 0.01)
         assert max_rel_error(gu, fu) < 1e-5
         assert max_rel_error(gi, fi) < 1e-5
@@ -210,7 +211,8 @@ class TestBatchGradients:
         model = init_xavier(5, 6, 4, seed=4)
         users, pos, negs = random_batch(rng, 5, 6, 8)
         weights = rng.uniform(0.1, 2.0, size=8)
-        _, gu, gi = batch_gradients(model, users, pos, negs, 0.05, weights)
+        _, grad = batch_gradients(model, users, pos, negs, 0.05, weights)
+        gu, gi = grad[:5], grad[5:]
         fu, fi = fd_grads(model, users, pos, negs, 0.05, weights)
         assert max_rel_error(gu, fu) < 1e-5
         assert max_rel_error(gi, fi) < 1e-5
@@ -224,7 +226,8 @@ class TestBatchGradients:
         model = init_xavier(6, 7, 4, seed=5, backbone="lightgcn",
                             num_prop_layers=layers, adjacency=adj)
         users, pos, negs = random_batch(rng, 6, 7, 9)
-        _, gu, gi = batch_gradients(model, users, pos, negs, 0.01)
+        _, grad = batch_gradients(model, users, pos, negs, 0.01)
+        gu, gi = grad[:6], grad[6:]
         fu, fi = fd_grads(model, users, pos, negs, 0.01)
         assert max_rel_error(gu, fu) < 1e-5
         assert max_rel_error(gi, fi) < 1e-5
@@ -234,7 +237,8 @@ class TestBatchGradients:
         users = np.array([0, 1])
         pos = np.array([2, 3])
         negs = np.array([4, 5])
-        _, gu, gi = batch_gradients(model, users, pos, negs, 0.01)
+        _, grad = batch_gradients(model, users, pos, negs, 0.01)
+        gu, gi = grad[:6], grad[6:]
         assert np.all(gu[2:] == 0)
         for untouched in (0, 1, 6, 7):
             assert np.all(gi[untouched] == 0)
@@ -245,9 +249,9 @@ class TestBatchGradients:
         users = np.array([1, 1])
         pos = np.array([0, 2])
         negs = np.array([3, 4])
-        _, gu, _ = batch_gradients(model, users, pos, negs, 0.0)
-        _, gu_a, _ = batch_gradients(model, users[:1], pos[:1], negs[:1], 0.0)
-        _, gu_b, _ = batch_gradients(model, users[1:], pos[1:], negs[1:], 0.0)
+        gu = batch_gradients(model, users, pos, negs, 0.0)[1][:3]
+        gu_a = batch_gradients(model, users[:1], pos[:1], negs[:1], 0.0)[1][:3]
+        gu_b = batch_gradients(model, users[1:], pos[1:], negs[1:], 0.0)[1][:3]
         assert gu[1] == pytest.approx((gu_a[1] + gu_b[1]) / 2, rel=1e-12)
 
 
@@ -269,11 +273,11 @@ class TestBatchGradientsBitIdentity:
     """The one-scatter gradients equal sequential np.add.at bit for bit."""
 
     def assert_matches_oracle(self, model, users, pos, negs, l2, weights):
-        got = batch_gradients(model, users, pos, negs, l2, weights)
+        got_loss, grad = batch_gradients(model, users, pos, negs, l2, weights)
         want = oracle_batch_gradients(model, users, pos, negs, l2, weights)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
+        assert got_loss == want[0]
+        assert np.array_equal(grad[: model.num_users], want[1])
+        assert np.array_equal(grad[model.num_users :], want[2])
 
     @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -308,15 +312,15 @@ class TestBatchGradientsBitIdentity:
         """Parameters after a few Adam steps, a 2048-pair batch over the drift data."""
         train = drift_split.train
         model = scatter_case_model(backbone, drift_split.num_users, drift_split.num_items, 65)
-        adam = AdamState(model.num_users, model.num_items, model.dim)
+        adam = AdamState(model.num_users + model.num_items, model.dim)
         rng = np.random.default_rng(66)
         for _ in range(3):
             idx = rng.integers(0, len(train), size=2048)
             negs = rng.integers(0, drift_split.num_items, size=2048)
             users, pos = train.users[idx], train.items[idx]
             self.assert_matches_oracle(model, users, pos, negs, 1e-4, None)
-            _, gu, gi = batch_gradients(model, users, pos, negs, 1e-4)
-            adam.step(model, gu, gi, lr=0.01)
+            _, grad = batch_gradients(model, users, pos, negs, 1e-4)
+            adam.step(model, grad, lr=0.01)
 
 
 class TestScatterSignsAndBounds:
@@ -334,7 +338,7 @@ class TestScatterSignsAndBounds:
         item_emb = scale * rng.standard_normal(model.item_emb.shape)
         user_emb[[0, 4]] = 0.0
         item_emb[[1, 7, 13]] = 0.0
-        model.set_params(user_emb, item_emb)
+        model.set_params(np.concatenate([user_emb, item_emb]))
         # user 8 and item 12 stay untouched
         users, pos, negs = random_batch(rng, 8, 12, 400)
         negs[::11] = pos[::11]
@@ -358,10 +362,11 @@ class TestScatterSignsAndBounds:
         assert np.sum(negs == 13) >= 3 and np.all(margin[negs == 13] > 1e3)
         weights = (np.random.default_rng(72).uniform(0.1, 2.0, size=users.shape[0])
                    if weighted else None)
-        got = batch_gradients(model, users, pos, negs, 1e-3, weights)
+        got_loss, grad = batch_gradients(model, users, pos, negs, 1e-3, weights)
         want = oracle_batch_gradients(model, users, pos, negs, 1e-3, weights)
-        assert got[0] == want[0]
-        for g, w in zip(got[1:], want[1:]):
+        assert got_loss == want[0]
+        got = (grad[: model.num_users], grad[model.num_users :])
+        for g, w in zip(got, want[1:]):
             assert np.array_equal(g, w)
             assert np.array_equal(np.signbit(g), np.signbit(w))
 
@@ -415,9 +420,9 @@ class TestLossGate:
         weights = rng.uniform(0.1, 2.0, size=200) if weighted else None
         with_loss = batch_gradients(model, users, pos, negs, 1e-3, weights)
         without = batch_gradients(model, users, pos, negs, 1e-3, weights, loss=False)
+        assert len(without) == len(with_loss) == 2
         assert without[0] is None and np.isfinite(with_loss[0])
         assert np.array_equal(without[1], with_loss[1])
-        assert np.array_equal(without[2], with_loss[2])
 
     @pytest.mark.parametrize("backbone,sampler", [("mf", "rns"), ("lightgcn", "dns")])
     def test_three_epochs_equal(self, drift_split, backbone, sampler, monkeypatch):
@@ -443,7 +448,7 @@ class TestLossGate:
             flags.clear()
             model = init_xavier(drift_split.num_users, drift_split.num_items, 8, 3,
                                 backbone=backbone, num_prop_layers=2, adjacency=adjacency)
-            adam = AdamState(model.num_users, model.num_items, model.dim)
+            adam = AdamState(model.num_users + model.num_items, model.dim)
             sampler_obj = NegativeSampler(config.sampler, train)
             rng = np.random.default_rng(5)
             stats = [train_epoch(model, pss, config, adam, drift_split, rng,
@@ -457,7 +462,7 @@ class TestLossGate:
         assert [st["pairs"] for st in s0] == [st["pairs"] for st in s1]
         assert np.array_equal(m0.user_emb, m1.user_emb)
         assert np.array_equal(m0.item_emb, m1.item_emb)
-        for name in ("m_user", "v_user", "m_item", "v_item"):
+        for name in ("m", "v"):
             assert np.array_equal(getattr(a0, name), getattr(a1, name))
         assert a0.step_count == a1.step_count == 3 * -(-len(pss) // 256)
         assert r0.bit_generator.state == r1.bit_generator.state
@@ -527,7 +532,7 @@ class TestTrainingStepMatchesOracle:
                     moments[name] = (m, v)
                     new.append(params + -lr * (m / (1.0 - b1 ** t))
                                / (np.sqrt(v / (1.0 - b2 ** t)) + eps))
-                model.set_params(*new)
+                model.set_params(np.concatenate(new))
 
     @pytest.mark.parametrize("backbone,sampler,variant", [
         ("mf", "rns", "layered"),
@@ -554,7 +559,7 @@ class TestTrainingStepMatchesOracle:
                                num_prop_layers=config.prop_layers, adjacency=adjacency)
 
         model = fresh_model()
-        adam = AdamState(model.num_users, model.num_items, model.dim)
+        adam = AdamState(model.num_users + model.num_items, model.dim)
         sampler_obj = NegativeSampler(config.sampler, drift_split.train)
         rng = np.random.default_rng(9)
         for _ in range(2):
@@ -572,7 +577,7 @@ class TestAdamState:
     def test_in_place_step_matches_reference_bitwise(self):
         """500 steps equal the textbook expression evaluated with temporaries."""
         model = init_xavier(4, 6, 3, seed=41)
-        adam = AdamState(4, 6, 3)
+        adam = AdamState(4 + 6, 3)
         ref_u, ref_i = model.user_emb.copy(), model.item_emb.copy()
         moments = [np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((6, 3)), np.zeros((6, 3))]
         rng = np.random.default_rng(42)
@@ -580,7 +585,7 @@ class TestAdamState:
         for t in range(1, 501):
             gu = rng.standard_normal((4, 3))
             gi = rng.standard_normal((6, 3))
-            adam.step(model, gu, gi, lr)
+            adam.step(model, np.concatenate([gu, gi]), lr)
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for (m, v), g, params in (((moments[0], moments[1]), gu, ref_u),
                                       ((moments[2], moments[3]), gi, ref_i)):
@@ -591,17 +596,17 @@ class TestAdamState:
                 params += -lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         assert np.array_equal(model.user_emb, ref_u)
         assert np.array_equal(model.item_emb, ref_i)
-        assert np.array_equal(adam.m_item, moments[2])
-        assert np.array_equal(adam.v_user, moments[1])
+        assert np.array_equal(adam.m[4:], moments[2])
+        assert np.array_equal(adam.v[:4], moments[1])
 
     def test_first_step_matches_manual_formula(self):
         model = init_xavier(2, 3, 4, seed=8)
         before_u = model.user_emb.copy()
-        adam = AdamState(2, 3, 4)
+        adam = AdamState(2 + 3, 4)
         rng = np.random.default_rng(40)
         gu = rng.standard_normal((2, 4))
         gi = rng.standard_normal((3, 4))
-        adam.step(model, gu, gi, lr=0.01)
+        adam.step(model, np.concatenate([gu, gi]), lr=0.01)
         m = 0.1 * gu
         v = 0.001 * np.square(gu)
         want = before_u - 0.01 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
@@ -610,12 +615,12 @@ class TestAdamState:
 
     def test_moments_accumulate(self):
         model = init_xavier(1, 1, 2, seed=9)
-        adam = AdamState(1, 1, 2)
+        adam = AdamState(1 + 1, 2)
         g = np.ones((1, 2))
-        adam.step(model, g, g, lr=0.1)
-        adam.step(model, g, g, lr=0.1)
+        adam.step(model, np.concatenate([g, g]), lr=0.1)
+        adam.step(model, np.concatenate([g, g]), lr=0.1)
         assert adam.step_count == 2
-        assert adam.m_user == pytest.approx(np.full((1, 2), 1 - 0.9**2), rel=1e-12)
+        assert adam.m[:1] == pytest.approx(np.full((1, 2), 1 - 0.9**2), rel=1e-12)
 
 
 class TestTrainEpoch:
@@ -633,7 +638,8 @@ class TestTrainEpoch:
         users, pos = pss.users[order], pss.items[order]
         negs = np.where(users == 0, 2, 1)  # the only valid negatives
         probe = EmbeddingModel(before_u, before_i)
-        _, gu, gi = batch_gradients(probe, users, pos, negs, config.l2)
+        _, grad = batch_gradients(probe, users, pos, negs, config.l2)
+        gu, gi = grad[:2], grad[2:]
 
         train_epoch(model, pss, config, None, split, np.random.default_rng(9),
                     NegativeSampler(config.sampler, split.train))
@@ -646,7 +652,7 @@ class TestTrainEpoch:
         config = TrainConfig(lr=0.01, batch_size=2, epochs=1, d=4, seed=0)
         model = init_xavier(2, 3, 4, seed=0)
         counter = {}
-        stats = train_epoch(model, pss, config, AdamState(2, 3, 4), split,
+        stats = train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
                             np.random.default_rng(1), NegativeSampler(config.sampler, split.train),
                             update_counter=counter)
         assert stats["pairs"] == len(pss) == 4
@@ -660,7 +666,7 @@ class TestTrainEpoch:
                              epoch_mode="pi_sample")
         model = init_xavier(2, 3, 4, seed=0)
         counter = {}
-        stats = train_epoch(model, pss, config, AdamState(2, 3, 4), split,
+        stats = train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
                             np.random.default_rng(2), NegativeSampler(config.sampler, split.train),
                             update_counter=counter)
         assert stats["pairs"] == len(split.train) == 4
@@ -672,7 +678,7 @@ class TestTrainEpoch:
         config = TrainConfig(lr=0.05, batch_size=2, epochs=1, d=4, seed=5)
         m1 = init_xavier(2, 3, 4, seed=5)
         m2 = init_xavier(2, 3, 4, seed=5)
-        a1, a2 = AdamState(2, 3, 4), AdamState(2, 3, 4)
+        a1, a2 = AdamState(2 + 3, 4), AdamState(2 + 3, 4)
         sampler = NegativeSampler(config.sampler, split.train)
         for _ in range(3):
             train_epoch(m1, pss, config, a1, split, np.random.default_rng(7), sampler)
@@ -693,7 +699,7 @@ class TestTrainEpoch:
         config = TrainConfig(lr=0.05, batch_size=4, epochs=1, d=4, seed=6)
         m1 = init_xavier(2, 3, 4, seed=6)
         m2 = init_xavier(2, 3, 4, seed=6)
-        a1, a2 = AdamState(2, 3, 4), AdamState(2, 3, 4)
+        a1, a2 = AdamState(2 + 3, 4), AdamState(2 + 3, 4)
         sampler = NegativeSampler(config.sampler, split.train)
         train_epoch(m1, pss, config, a1, split, np.random.default_rng(8), sampler)
         train_epoch(m2, pss, config, a2, split, np.random.default_rng(8), sampler,
@@ -706,7 +712,7 @@ class TestTrainEpoch:
 
         def one_epoch(rng_seed):
             model = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=0)
-            adam = AdamState(drift_split.num_users, drift_split.num_items, 8)
+            adam = AdamState(drift_split.num_users + drift_split.num_items, 8)
             train_epoch(model, pss, config, adam, drift_split,
                         np.random.default_rng(rng_seed),
                         NegativeSampler(config.sampler, drift_split.train))
@@ -722,11 +728,11 @@ class TestTrainEpoch:
         pss = train_positives(split)
         config = TrainConfig(lr=0.1, batch_size=4, epochs=1, d=4, seed=0)
         model = init_xavier(2, 3, 4, seed=0)
-        bad = model.user_emb.copy()
+        bad = model.params.copy()
         bad[0, 0] = np.nan
-        model.set_params(bad, model.item_emb)
+        model.set_params(bad)
         with pytest.raises(TrainingDiverged):
-            train_epoch(model, pss, config, AdamState(2, 3, 4), split,
+            train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
                         np.random.default_rng(0), NegativeSampler(config.sampler, split.train))
 
     def test_empty_pss_raises(self):
@@ -739,7 +745,7 @@ class TestTrainEpoch:
         config = TrainConfig(epochs=1, d=4)
         with pytest.raises(ValueError, match="empty"):
             train_epoch(init_xavier(2, 3, 4, seed=0), empty, config,
-                        AdamState(2, 3, 4), split, np.random.default_rng(0),
+                        AdamState(2 + 3, 4), split, np.random.default_rng(0),
                         NegativeSampler(config.sampler, split.train))
 
 

@@ -14,6 +14,8 @@ tree. Each tree runs in its own process, which imports that tree's
 - for mf and lightgcn x rns/pns/dns/dns-mn x layered/weighted_bpr: ``run``
   with seeds 0 and 1, ``train`` with ``--checkpoint-out`` and
   ``--metrics-out``, and ``eval --per-user-out`` of that checkpoint;
+- for mf and lightgcn: ``run`` and ``train`` with ``--optimizer sgd``;
+- one ``run`` with ``--epoch-mode pi_sample``;
 - ``probe`` with the identity and the adam preconditioner;
 - one ``sweep``, including a setting that fails.
 
@@ -65,6 +67,16 @@ def matrix(data: str, epochs: int) -> list[tuple[str, list[str]]]:
             (f"eval-{name}", ["eval", "--data", data, "--checkpoint", f"train-{name}/model.ckpt",
                               "--ks", "5,10", "--per-user-out", f"eval-{name}/per_user.jsonl"]),
         ]
+    for backbone in ("mf", "lightgcn"):
+        name = f"{backbone}-sgd"
+        flags = [*train, "--backbone", backbone, "--optimizer", "sgd"]
+        cells += [
+            (f"run-{name}", ["run", *flags, "--out-dir", f"run-{name}/out"]),
+            (f"train-{name}", ["train", *flags, "--checkpoint-out", f"train-{name}/model.ckpt",
+                               "--metrics-out", f"train-{name}/metrics.jsonl"]),
+        ]
+    cells.append(("run-pi_sample", ["run", *train, "--epoch-mode", "pi_sample",
+                                    "--out-dir", "run-pi_sample/out"]))
     for optimizer in ("identity", "adam"):
         cells.append((f"probe-{optimizer}", [
             "probe", "--data", data, "--d", "8", "--num-pairs", "20",
