@@ -41,7 +41,7 @@ from .positives import RANGE_MODES
 from .probes import probe_one_step
 from .samplers import KINDS as SAMPLER_KINDS
 from .synthetic import SyntheticSpec, generate, write_tsv
-from .training import EPOCH_MODES, OPTIMIZERS, init_training
+from .training import EPOCH_MODES, OPTIMIZERS, AdamState, init_training
 
 __all__ = ["main"]
 
@@ -250,14 +250,16 @@ def cmd_probe(args) -> int:
     seed = config.seeds[0]
     # the training state a run of this config starts from; pairs and
     # negatives come from a separate rng stream
-    model, adam, sampler, _ = init_training(split, config.train_config(seed))
+    model, _, sampler, _ = init_training(split, config.train_config(seed))
     rng = np.random.default_rng([seed, 2])
     idx = rng.integers(0, len(split.train), size=args.num_pairs)
     users = split.train.users[idx]
     pos = split.train.items[idx]
     negs = sampler.sample_batch(users, model, rng)
     etas = [float(e) for e in args.etas.split(",")]
-    optimizer = adam if args.probe_optimizer == "adam" else "identity"
+    # a fresh state: zero moments at step 0, whatever optimizer the config trains with
+    optimizer = (AdamState(model.num_users + model.num_items, model.dim)
+                 if args.probe_optimizer == "adam" else "identity")
 
     columns = [
         "user", "pos_item", "neg_item", "eta", "optimizer",

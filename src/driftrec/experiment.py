@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
 
     def decay_spec(self) -> DecaySpec:
+        if not float(self.time_unit).is_integer():
+            raise ValueError(f"time_unit must be a whole number of seconds, got {self.time_unit!r}")
         return DecaySpec(kind=self.decay, rate=self.rate, time_unit=int(self.time_unit))
 
     def sampler_spec(self) -> SamplerSpec:

@@ -15,7 +15,7 @@ sampler and optimizer the config names, exactly as ``fit`` would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -23,7 +23,6 @@ from scipy.special import expit
 from .data import SplitDataset
 from .models import EmbeddingModel, init_xavier  # noqa: F401  (perfbench traces probes.init_xavier)
 from .positives import PositiveSampleSet
-from .samplers import NegativeSampler, SamplerSpec
 from .training import AdamState, TrainConfig, init_training, train_epoch
 
 __all__ = [
@@ -57,34 +56,7 @@ class MarginProbe:
         return self.gain - self.bound_rhs
 
     def to_dict(self) -> dict:
-        return {
-            "user": self.user,
-            "pos_item": self.pos_item,
-            "neg_item": self.neg_item,
-            "eta": self.eta,
-            "optimizer": self.optimizer,
-            "margin_before": self.margin_before,
-            "margin_after": self.margin_after,
-            "grad_norm_sq": self.grad_norm_sq,
-            "bound_rhs": self.bound_rhs,
-            "gain": self.gain,
-        }
-
-
-def _adam_diagonal(state: AdamState, grads: dict) -> dict:
-    """Bias-corrected second-moment preconditioner for the touched rows.
-
-    ``grads`` maps stacked parameter rows to their loss gradients. Uses the
-    state's moments advanced one step with the probe gradient; the state
-    itself is not modified.
-    """
-    t = state.step_count + 1
-    bc2 = 1.0 - state.beta2 ** t
-    out = {}
-    for row, g in grads.items():
-        v_new = state.beta2 * state.v[row] + (1.0 - state.beta2) * np.square(g)
-        out[row] = 1.0 / (np.sqrt(v_new / bc2) + state.eps)
-    return out
+        return {**asdict(self), "gain": self.gain}
 
 
 def probe_one_step(
@@ -95,42 +67,45 @@ def probe_one_step(
     eta: float,
     optimizer: str | AdamState = "identity",
 ) -> MarginProbe:
-    """Apply one pairwise update on copied rows; the model is unchanged."""
+    """Apply one pairwise update on copied rows; the model is unchanged.
+
+    The triple's stacked parameter rows [user, U + pos, U + neg] are one
+    (3, d) array, and so are their margin gradients and preconditioner.
+    """
     if model.backbone != "mf":
         raise ValueError("margin probes are defined for the dot-product backbone")
     # checked, since a negative index would wrap onto a row of the other kind
     if not (0 <= user < model.num_users and 0 <= min(pos_item, neg_item)
             and max(pos_item, neg_item) < model.num_items):
         raise IndexError(f"index out of range: user {user}, items {pos_item}, {neg_item}")
-    row_u, row_p, row_n = user, model.num_users + pos_item, model.num_users + neg_item
-    e_u, e_p, e_n = model.params[[row_u, row_p, row_n]]
+    rows = [user, model.num_users + pos_item, model.num_users + neg_item]
+    emb = model.params[rows]
 
-    margin_before = float(e_u @ (e_p - e_n))
+    margin_before = float(emb[0] @ (emb[1] - emb[2]))
     c = float(expit(-margin_before))
     if pos_item == neg_item:
         raise ValueError("positive and negative item coincide")
-    # margin gradients keyed by stacked parameter row
-    grads = {row_u: e_p - e_n, row_p: e_u, row_n: -e_u}
+    # margin gradients of the user, positive and negative rows
+    grads = np.stack([emb[1] - emb[2], emb[0], -emb[0]])
 
     if isinstance(optimizer, AdamState):
-        # the loss gradient is -c * margin gradient
-        diag = _adam_diagonal(optimizer, {k: -c * g for k, g in grads.items()})
+        # bias-corrected second moments advanced one step with the loss
+        # gradient -c * grads; the state itself is not modified
+        state = optimizer
+        v_new = state.beta2 * state.v[rows] + (1.0 - state.beta2) * np.square(-c * grads)
+        bc2 = 1.0 - state.beta2 ** (state.step_count + 1)
+        diag = 1.0 / (np.sqrt(v_new / bc2) + state.eps)
         label = "adam_diag"
     elif optimizer == "identity":
-        diag = {k: np.ones_like(g) for k, g in grads.items()}
+        diag = 1.0
         label = "identity"
     else:
         raise ValueError(f"unknown optimizer {optimizer!r}")
 
-    grad_norm_sq = float(sum(g @ g for g in grads.values()))
-    bound_rhs = eta * c * float(
-        sum(g @ (diag[k] * g) for k, g in grads.items())
-    )
-
-    e_u2 = e_u + eta * c * diag[row_u] * grads[row_u]
-    e_p2 = e_p + eta * c * diag[row_p] * grads[row_p]
-    e_n2 = e_n + eta * c * diag[row_n] * grads[row_n]
-    margin_after = float(e_u2 @ (e_p2 - e_n2))
+    grad_norm_sq = float(sum(g @ g for g in grads))
+    bound_rhs = eta * c * float(sum(g @ dg for g, dg in zip(grads, diag * grads)))
+    after = emb + eta * c * diag * grads
+    margin_after = float(after[0] @ (after[1] - after[2]))
 
     return MarginProbe(
         user=int(user),
@@ -151,15 +126,17 @@ def count_updates(
     config: TrainConfig,
     epochs: int = 1,
 ) -> dict:
-    """Exact per-pair update counts from an instrumented training run."""
+    """Exact per-pair update counts: the multiset rows each epoch trained,
+    counted per distinct pair. Pairs enter the dict in ascending order."""
     model, adam, sampler, rng = init_training(split, config)
-    counter: dict = {}
+    keys, pair_of_row = np.unique(pss.pair_keys(), return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
     for _ in range(epochs):
-        train_epoch(
-            model, pss, config, adam, split, rng, sampler,
-            update_counter=counter, loss=False,
-        )
-    return counter
+        stats = train_epoch(model, pss, config, adam, split, rng, sampler, loss=False)
+        counts += np.bincount(pair_of_row[stats["rows"]], minlength=keys.size)
+    trained = np.flatnonzero(counts)
+    users, items = np.divmod(keys[trained], np.int64(pss.num_items))
+    return dict(zip(zip(users.tolist(), items.tolist()), counts[trained].tolist()))
 
 
 def expected_margin(
@@ -191,40 +168,36 @@ class SeparationResult:
 
 def cumulative_separation(
     split: SplitDataset,
-    pss_by_name: dict,
+    runs: dict,
     config: TrainConfig,
     epochs: int,
     probe_pairs: list,
 ) -> SeparationResult:
     """Paired runs from one seed, tracking mean expected margin per epoch.
 
-    Every named positive set trains its own copy of the same initial model;
-    after each epoch the mean expected margin over the probe pairs is
-    recorded. Epoch zero holds the shared starting value.
+    ``runs`` maps a name to ``(pss, pair_weights)``, as ``build_positives``
+    returns them; the weights (or None) scale each pair's loss. Every run
+    trains its own copy of the same initial model; after each epoch the
+    mean expected margin over the probe pairs is recorded. Epoch zero holds
+    the shared starting value.
     """
     if not probe_pairs:
         raise ValueError("no probe pairs given")
-    sampler_train = NegativeSampler(SamplerSpec(), split.train)
-    items_of = {int(u): sampler_train.user_items(int(u)) for u, _ in probe_pairs}
+    pairs = [(int(u), int(p)) for u, p in probe_pairs]
 
-    def mean_margin(model):
-        vals = [
-            expected_margin(model, int(u), int(p), items_of[int(u)])
-            for u, p in probe_pairs
-        ]
-        return float(np.mean(vals))
+    def mean_margin(model, sampler):
+        return float(np.mean([expected_margin(model, u, p, sampler.user_items(u))
+                              for u, p in pairs]))
 
     trajectories = {}
-    for name, pss in pss_by_name.items():
+    for name, (pss, pair_weights) in runs.items():
         model, adam, sampler, rng = init_training(split, config)
-        track = [mean_margin(model)]
+        track = [mean_margin(model, sampler)]
         for _ in range(epochs):
-            train_epoch(model, pss, config, adam, split, rng, sampler, loss=False)
-            track.append(mean_margin(model))
+            train_epoch(model, pss, config, adam, split, rng, sampler,
+                        pair_weights=pair_weights, loss=False)
+            track.append(mean_margin(model, sampler))
         trajectories[str(name)] = track
 
-    return SeparationResult(
-        epochs=list(range(epochs + 1)),
-        pairs=[(int(u), int(p)) for u, p in probe_pairs],
-        trajectories=trajectories,
-    )
+    return SeparationResult(epochs=list(range(epochs + 1)), pairs=pairs,
+                            trajectories=trajectories)

@@ -284,27 +284,15 @@ def batch_gradients(
     return float(np.mean(loss_vec + reg)), grad
 
 
-def _count_pair_updates(counter: dict, pss: PositiveSampleSet, rows: np.ndarray) -> None:
-    """Add one update per trained multiset row to ``counter[(user, item)]``.
-
-    Pairs new to the counter enter it in ascending (user, item) order.
-    """
-    keys, counts = np.unique(pss.pair_keys()[rows], return_counts=True)
-    n_items = np.int64(pss.num_items)
-    pairs = zip((keys // n_items).tolist(), (keys % n_items).tolist())
-    fresh = dict(zip(pairs, counts.tolist()))
-    for pair in fresh.keys() & counter.keys():
-        fresh[pair] += counter[pair]
-    counter.update(fresh)
-
-
 def init_training(
     split: SplitDataset, config: TrainConfig
-) -> tuple[EmbeddingModel, AdamState, NegativeSampler, np.random.Generator]:
+) -> tuple[EmbeddingModel, AdamState | None, NegativeSampler, np.random.Generator]:
     """(model, Adam state, negative sampler, rng) that a run on `split` starts from.
 
     The model is Xavier-initialized from the seed, with the normalized train
-    adjacency for the propagation backbone; the rng is seeded [seed, 1].
+    adjacency for the propagation backbone; the Adam state holds zero
+    moments for ``optimizer: adam`` and is None for SGD; the rng is seeded
+    [seed, 1].
     """
     adjacency = None
     if config.backbone == "lightgcn":
@@ -314,7 +302,8 @@ def init_training(
     model = init_xavier(split.num_users, split.num_items, config.d, config.seed,
                         backbone=config.backbone, num_prop_layers=config.prop_layers,
                         adjacency=adjacency)
-    adam = AdamState(model.num_users + model.num_items, model.dim)
+    adam = (AdamState(model.num_users + model.num_items, model.dim)
+            if config.optimizer == "adam" else None)
     sampler = NegativeSampler(config.sampler, split.train)
     return model, adam, sampler, np.random.default_rng([config.seed, 1])
 
@@ -328,14 +317,14 @@ def train_epoch(
     rng: np.random.Generator,
     sampler: NegativeSampler,
     pair_weights: np.ndarray | None = None,
-    update_counter: dict | None = None,
     loss: bool = True,
 ) -> dict:
     """One pass over the positive multiset in shuffled mini-batches.
 
-    The epoch's mean loss is computed only with ``loss=True``; otherwise
-    the record's "loss" is None. Parameters and rng draws do not depend on
-    it.
+    The record holds the epoch's mean loss, the number of pairs trained,
+    the multiset rows trained in order ("rows"; a row drawn twice appears
+    twice) and the wall time. The loss is computed only with ``loss=True``;
+    otherwise it is None. Parameters and rng draws do not depend on it.
     """
     if len(pss) == 0:
         raise ValueError("empty positive sample set")
@@ -364,16 +353,15 @@ def train_epoch(
         if loss:
             total_loss += batch_loss * idx.shape[0]
         seen += idx.shape[0]
-    if update_counter is not None:
-        _count_pair_updates(update_counter, pss, order)
 
     if not np.all(np.isfinite(model.params)):
-        raise TrainingDiverged(
-            f"non-finite parameters after optimizer step {adam.step_count if adam else '?'}"
-        )
+        where = (f"Adam step {adam.step_count}" if config.optimizer == "adam"
+                 else f"SGD batch {-(-seen // config.batch_size)} of the epoch")
+        raise TrainingDiverged(f"non-finite parameters after {where}")
     return {
         "loss": total_loss / seen if loss else None,
         "pairs": seen,
+        "rows": order,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
     }
 

@@ -377,6 +377,20 @@ class TestCli:
         rows = list(csv.DictReader(open(out)))
         assert {row["optimizer"] for row in rows} == {"adam_diag"}
 
+    def test_probe_adam_mode_under_sgd_config(self, tiny_tsv, tmp_path):
+        """The adam probe starts from zero moments whatever optimizer the
+        config trains with, so an SGD config writes the same probes."""
+        config = tmp_path / "sgd.yaml"
+        config.write_text(yaml.safe_dump({"optimizer": "sgd"}))
+        outs = []
+        for extra in ([], ["--config", str(config)]):
+            outs.append(tmp_path / f"probes{len(extra)}.csv")
+            rc = self.run_cli("probe", "--data", tiny_tsv, *extra, "--d", "8",
+                              "--num-pairs", "5", "--optimizer", "adam",
+                              "--out", str(outs[-1]))
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_gen_synth_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "synth.tsv")
         rc = self.run_cli(
@@ -516,6 +530,20 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
         assert str(ckpt) in err["message"] and "num_prop_layers" in err["message"]
+
+    def test_fractional_time_unit_is_json_error(self, tiny_tsv, tmp_path, capsys):
+        out = tmp_path / "pss.jsonl"
+        rc = self.run_cli("build-pss", "--data", tiny_tsv, "--time-unit", "1.5",
+                          "--out", str(out))
+        assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "time_unit must be a whole number of seconds, got 1.5"}
+        rc = self.run_cli("build-pss", "--data", tiny_tsv, "--time-unit", "2.0",
+                          "--out", str(out))
+        assert rc == 0 and out.exists()
 
     def test_bad_flag_value_is_json_error(self, tiny_tsv, capsys):
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "2",

@@ -9,12 +9,15 @@ so gain, bound, and residual are all checkable against exact algebra.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from driftrec.data import SplitDataset, InteractionLog
 from driftrec.decay import DecaySpec, build_weighted_graph
+from driftrec.experiment import ExperimentConfig, build_positives
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier
 from driftrec.positives import build_pss, filtrate, train_positives
 import driftrec.probes as probes
@@ -26,7 +29,7 @@ from driftrec.probes import (
     probe_one_step,
 )
 from driftrec.samplers import NegativeSampler, SamplerSpec
-from driftrec.training import AdamState, TrainConfig, train_epoch
+from driftrec.training import AdamState, TrainConfig, init_training, train_epoch
 from conftest import make_log
 
 
@@ -192,6 +195,38 @@ class TestAdamProbe:
         n2 = e_n + eta * c * diag["n"] * g["n"]
         assert probe.margin_after == pytest.approx(float(u2 @ (p2 - n2)), rel=1e-12)
 
+    def test_equals_per_row_definition_exactly(self):
+        """Each row's preconditioner and update, written out row by row with
+        the probe's own sigmoid, give the same floats as the stacked probe."""
+        rng = np.random.default_rng(73)
+        state = AdamState(6 + 10, 5)
+        for _ in range(4):
+            state.step(init_xavier(6, 10, 5, seed=1), rng.standard_normal((16, 5)), lr=0.0)
+        for seed in range(30):
+            model = init_xavier(6, 10, 5, seed=seed)
+            u = int(rng.integers(6))
+            p, n = (int(i) for i in rng.choice(10, size=2, replace=False))
+            eta = float(rng.choice([1e-1, 1e-3, 1e-5]))
+            probe = probe_one_step(model, u, p, n, eta, optimizer=state)
+
+            e_u, e_p, e_n = model.user_emb[u], model.item_emb[p], model.item_emb[n]
+            margin = float(e_u @ (e_p - e_n))
+            c = float(expit(-margin))
+            g = {"u": e_p - e_n, "p": e_u, "n": -e_u}
+            v = {"u": state.v[u], "p": state.v[6 + p], "n": state.v[6 + n]}
+            bc2 = 1.0 - state.beta2 ** (state.step_count + 1)
+            diag = {}
+            for key in g:
+                v_new = state.beta2 * v[key] + (1.0 - state.beta2) * np.square(-c * g[key])
+                diag[key] = 1.0 / (np.sqrt(v_new / bc2) + state.eps)
+            u2 = e_u + eta * c * diag["u"] * g["u"]
+            p2 = e_p + eta * c * diag["p"] * g["p"]
+            n2 = e_n + eta * c * diag["n"] * g["n"]
+            assert probe.margin_before == margin
+            assert probe.grad_norm_sq == float(sum(g[k] @ g[k] for k in g))
+            assert probe.bound_rhs == eta * c * float(sum(g[k] @ (diag[k] * g[k]) for k in g))
+            assert probe.margin_after == float(u2 @ (p2 - n2))
+
     def test_state_not_mutated(self):
         model = hand_model()
         state = AdamState(2 + 3, 2)
@@ -256,6 +291,25 @@ class TestCountUpdates:
         assert counts == {pair: 2 * m for pair, m in mult.items()}
 
 
+    def test_pi_sample_counts_the_rows_trained(self, drift_split):
+        """Under pi_sample a row can be drawn twice or not at all; the counts
+        are the rows each epoch of the same run trained."""
+        graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
+        pss = build_pss(filtrate(graph, 3))
+        config = TrainConfig(lr=0.01, batch_size=256, epochs=1, d=4, seed=5,
+                             epoch_mode="pi_sample")
+        counts = count_updates(drift_split, pss, config, epochs=3)
+        model, adam, sampler, rng = init_training(drift_split, config)
+        want = Counter()
+        for _ in range(3):
+            rows = train_epoch(model, pss, config, adam, drift_split, rng, sampler,
+                               loss=False)["rows"]
+            want.update(zip(pss.users[rows].tolist(), pss.items[rows].tolist()))
+        assert counts == want
+        assert sum(counts.values()) == 3 * len(drift_split.train)
+        assert list(counts) == sorted(counts)
+
+
 class TestExpectedMargin:
     def test_hand_computed(self):
         # scores for user 0: [2, -1, 3, 0]; train = {0}; rest mean = 2/3
@@ -277,7 +331,7 @@ class TestCumulativeSeparation:
         pss = train_positives(split)
         config = TrainConfig(lr=0.05, batch_size=4, epochs=2, d=4, seed=2)
         res = cumulative_separation(
-            split, {"a": pss, "b": pss}, config, epochs=2,
+            split, {"a": (pss, None), "b": (pss, None)}, config, epochs=2,
             probe_pairs=[(0, 0), (1, 2)],
         )
         assert res.trajectories["a"] == res.trajectories["b"]
@@ -289,7 +343,7 @@ class TestCumulativeSeparation:
         pss_base = train_positives(drift_split)
         config = TrainConfig(lr=0.01, batch_size=256, epochs=1, d=8, seed=0)
         res = cumulative_separation(
-            drift_split, {"layered": pss_layered, "baseline": pss_base},
+            drift_split, {"layered": (pss_layered, None), "baseline": (pss_base, None)},
             config, epochs=1, probe_pairs=[(0, int(drift_split.train.items[0]))],
         )
         assert res.trajectories["layered"][0] == res.trajectories["baseline"][0]
@@ -307,25 +361,64 @@ class TestCumulativeSeparation:
         pairs = [(int(graph.users[e]), int(graph.items[e])) for e in pick]
         config = TrainConfig(lr=0.01, batch_size=256, l2=1e-4, epochs=5, d=8, seed=0)
         res = cumulative_separation(
-            drift_split, {"layered": pss_layered, "baseline": pss_base},
+            drift_split, {"layered": (pss_layered, None), "baseline": (pss_base, None)},
             config, epochs=5, probe_pairs=pairs,
         )
         lay, base = res.trajectories["layered"], res.trajectories["baseline"]
         assert all(l > b for l, b in zip(lay[1:], base[1:]))
         assert lay[-1] > base[-1] + 0.1
 
+    def test_weighted_run_trains_with_its_weights(self, drift_split, monkeypatch):
+        """weighted_bpr's (pss, weights) trains exactly as train_epoch with
+        those weights from the same init_training state, and not as its
+        plain set alone."""
+        exp = ExperimentConfig(variant="weighted_bpr", rate=0.05, d=8, lr=0.01,
+                               batch_size=256)
+        pss, weights = build_positives(drift_split, exp)
+        assert weights is not None
+        config = exp.train_config(seed=0)
+        train = drift_split.train
+        pairs = [(int(u), int(p)) for u, p in zip(train.users[-6:], train.items[-6:])]
+        trained = []
+
+        def spy(model, *args, **kwargs):
+            trained.append(model)
+            return train_epoch(model, *args, **kwargs)
+
+        monkeypatch.setattr(probes, "train_epoch", spy)
+        res = cumulative_separation(
+            drift_split, {"weighted": (pss, weights), "plain": (pss, None)},
+            config, epochs=3, probe_pairs=pairs,
+        )
+        model, adam, sampler, rng = init_training(drift_split, config)
+
+        def mean_margin():
+            return float(np.mean([expected_margin(model, u, p, sampler.user_items(u))
+                                  for u, p in pairs]))
+
+        want = [mean_margin()]
+        for _ in range(3):
+            train_epoch(model, pss, config, adam, drift_split, rng, sampler,
+                        pair_weights=weights, loss=False)
+            want.append(mean_margin())
+        assert res.trajectories["weighted"] == want
+        assert np.array_equal(trained[0].params, model.params)
+        assert res.trajectories["plain"][0] == want[0]
+        assert res.trajectories["plain"][1:] != want[1:]
+        assert not np.array_equal(trained[-1].params, model.params)
+
     def test_no_pairs_raises(self):
         split = forced_negative_split()
         config = TrainConfig(epochs=1, d=4)
         with pytest.raises(ValueError, match="probe pairs"):
-            cumulative_separation(split, {"a": train_positives(split)},
+            cumulative_separation(split, {"a": (train_positives(split), None)},
                                   config, epochs=1, probe_pairs=[])
 
     def test_to_dict(self):
         split = forced_negative_split()
         pss = train_positives(split)
         config = TrainConfig(lr=0.05, batch_size=4, epochs=1, d=4, seed=2)
-        res = cumulative_separation(split, {"a": pss}, config, epochs=1,
+        res = cumulative_separation(split, {"a": (pss, None)}, config, epochs=1,
                                     probe_pairs=[(0, 0)])
         doc = res.to_dict()
         assert doc["epochs"] == [0, 1]
@@ -361,10 +454,11 @@ class TestConfiguredBackbone:
         monkeypatch.setattr(probes, "train_epoch", spy)
         counts = count_updates(drift_split, pss, self.CONFIG, epochs=2)
         model, adam, sampler, rng = self.hand_built(drift_split)
-        want = {}
+        want = Counter()
         for _ in range(2):
-            train_epoch(model, pss, self.CONFIG, adam, drift_split, rng, sampler,
-                        update_counter=want, loss=False)
+            rows = train_epoch(model, pss, self.CONFIG, adam, drift_split, rng, sampler,
+                               loss=False)["rows"]
+            want.update(zip(pss.users[rows].tolist(), pss.items[rows].tolist()))
         assert counts == want
         assert trained[0] is trained[1] and trained[0].backbone == "lightgcn"
         assert np.array_equal(trained[0].user_emb, model.user_emb)
@@ -374,8 +468,8 @@ class TestConfiguredBackbone:
         pss = train_positives(drift_split)
         train = drift_split.train
         pairs = [(int(u), int(p)) for u, p in zip(train.users[:5], train.items[:5])]
-        res = cumulative_separation(drift_split, {"plain": pss}, self.CONFIG, epochs=2,
-                                    probe_pairs=pairs)
+        res = cumulative_separation(drift_split, {"plain": (pss, None)}, self.CONFIG,
+                                    epochs=2, probe_pairs=pairs)
         model, adam, sampler, rng = self.hand_built(drift_split)
 
         def mean_margin():

@@ -7,6 +7,7 @@ and the analytic gradients against central finite differences of that loss.
 
 import json
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -651,10 +652,10 @@ class TestTrainEpoch:
         pss = train_positives(split)
         config = TrainConfig(lr=0.01, batch_size=2, epochs=1, d=4, seed=0)
         model = init_xavier(2, 3, 4, seed=0)
-        counter = {}
         stats = train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
-                            np.random.default_rng(1), NegativeSampler(config.sampler, split.train),
-                            update_counter=counter)
+                            np.random.default_rng(1), NegativeSampler(config.sampler, split.train))
+        rows = stats["rows"]
+        counter = Counter(zip(pss.users[rows].tolist(), pss.items[rows].tolist()))
         assert stats["pairs"] == len(pss) == 4
         assert counter == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 2): 1}
 
@@ -665,10 +666,10 @@ class TestTrainEpoch:
         config = TrainConfig(lr=0.01, batch_size=3, epochs=1, d=4, seed=0,
                              epoch_mode="pi_sample")
         model = init_xavier(2, 3, 4, seed=0)
-        counter = {}
         stats = train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
-                            np.random.default_rng(2), NegativeSampler(config.sampler, split.train),
-                            update_counter=counter)
+                            np.random.default_rng(2), NegativeSampler(config.sampler, split.train))
+        rows = stats["rows"]
+        counter = Counter(zip(pss.users[rows].tolist(), pss.items[rows].tolist()))
         assert stats["pairs"] == len(split.train) == 4
         assert sum(counter.values()) == 4
 
@@ -734,6 +735,32 @@ class TestTrainEpoch:
         with pytest.raises(TrainingDiverged):
             train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
                         np.random.default_rng(0), NegativeSampler(config.sampler, split.train))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sgd_divergence_names_its_batch(self):
+        """SGD builds and steps no Adam state, so the message counts the
+        epoch's batches instead of claiming an optimizer step."""
+        split = forced_negative_split()
+        config = TrainConfig(lr=1e200, batch_size=3, epochs=5, d=4, seed=0,
+                             optimizer="sgd", eval_every=1)
+        assert training.init_training(split, config)[1] is None
+        with pytest.raises(TrainingDiverged) as exc:
+            fit(split, config)
+        assert str(exc.value) == "non-finite parameters after SGD batch 2 of the epoch"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_adam_divergence_names_its_global_step(self):
+        split = forced_negative_split()
+        pss = train_positives(split)
+        config = TrainConfig(lr=0.1, batch_size=3, epochs=1, d=4, seed=0)
+        model, adam, sampler, rng = training.init_training(split, config)
+        train_epoch(model, pss, config, adam, split, rng, sampler)
+        bad = model.params.copy()
+        bad[0, 0] = np.nan
+        model.set_params(bad)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_epoch(model, pss, config, adam, split, rng, sampler)
+        assert str(exc.value) == "non-finite parameters after Adam step 4"
 
     def test_empty_pss_raises(self):
         split = forced_negative_split()

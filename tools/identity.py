@@ -4,19 +4,23 @@
                              [--events N] [--epochs N]
 
 Extracts ``src/`` of <rev> with ``git archive`` into a temporary directory
-(the repository is only read), generates one log with ``gen-synth``, and
-runs the same command matrix once on that tree and once on the working
-tree. Each tree runs in its own process, which imports that tree's
-``src/`` and calls ``driftrec.cli.main`` in-process:
+(the repository is only read) and runs the same command matrix once on that
+tree and once on the working tree. Each tree runs in its own process, which
+imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 
+- ``gen-synth``, whose log every later command reads, so each tree trains
+  on its own generator's output;
 - ``split``;
 - ``build-pss`` for every variant;
 - for mf and lightgcn x rns/pns/dns/dns-mn x layered/weighted_bpr: ``run``
   with seeds 0 and 1, ``train`` with ``--checkpoint-out`` and
   ``--metrics-out``, and ``eval --per-user-out`` of that checkpoint;
+- for mf and lightgcn: ``eval --part validation --csv-out`` of the
+  rns/layered checkpoint;
 - for mf and lightgcn: ``run`` and ``train`` with ``--optimizer sgd``;
 - one ``run`` with ``--epoch-mode pi_sample``;
-- ``probe`` with the identity and the adam preconditioner;
+- ``probe`` with the identity and the adam preconditioner, and with the
+  adam preconditioner under a config file that trains with sgd;
 - one ``sweep``, including a setting that fails.
 
 Every output file, and each command's exit code, stdout and stderr, is
@@ -42,14 +46,21 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 MASKED = re.compile(rb'("(?:out_dir|wall_ms)": )("(?:[^"\\]|\\.)*"|[^,}\s]+)')
+# a config file that trains with sgd, written by the worker before the matrix runs
+SGD_CONFIG = "probe-adam-sgd-config/sgd.yaml"
 
 
-def matrix(data: str, epochs: int) -> list[tuple[str, list[str]]]:
+def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, list[str]]]:
     """(cell, argv) of every command in run order; output paths are relative."""
+    data = "gen-synth/events.tsv"
     train = ["--data", data, "--epochs", str(epochs), "--eval-every", "1", "--d", "8",
              "--lr", "0.02", "--batch-size", "256", "--layers", "2", "--ks", "5,10",
              "--pool", "5", "--m", "2", "--n", "5"]
-    cells = [("split", ["split", "--data", data, "--out", "split/manifest.jsonl"])]
+    cells = [
+        ("gen-synth", ["gen-synth", "--users", str(users), "--items", str(items),
+                       "--events", str(events), "--seed", "13", "--out", data]),
+        ("split", ["split", "--data", data, "--out", "split/manifest.jsonl"]),
+    ]
     for variant in ("layered", "baseline", "weighted_bpr", "recent_k"):
         cells.append((f"build-pss-{variant}", [
             "build-pss", "--data", data, "--variant", variant, "--layers", "2",
@@ -68,6 +79,12 @@ def matrix(data: str, epochs: int) -> list[tuple[str, list[str]]]:
                               "--ks", "5,10", "--per-user-out", f"eval-{name}/per_user.jsonl"]),
         ]
     for backbone in ("mf", "lightgcn"):
+        cells.append((f"eval-validation-{backbone}", [
+            "eval", "--data", data, "--checkpoint", f"train-{backbone}-rns-layered/model.ckpt",
+            "--ks", "5,10", "--part", "validation",
+            "--csv-out", f"eval-validation-{backbone}/report.csv",
+        ]))
+    for backbone in ("mf", "lightgcn"):
         name = f"{backbone}-sgd"
         flags = [*train, "--backbone", backbone, "--optimizer", "sgd"]
         cells += [
@@ -82,18 +99,25 @@ def matrix(data: str, epochs: int) -> list[tuple[str, list[str]]]:
             "probe", "--data", data, "--d", "8", "--num-pairs", "20",
             "--optimizer", optimizer, "--out", f"probe-{optimizer}/probes.csv",
         ]))
+    cells.append(("probe-adam-sgd-config", [
+        "probe", "--data", data, "--config", SGD_CONFIG, "--d", "8", "--num-pairs", "20",
+        "--optimizer", "adam", "--out", "probe-adam-sgd-config/probes.csv",
+    ]))
     cells.append(("sweep", ["sweep", *train, "--param", "layers=1,3", "--param", "rate=-1,0.05",
                             "--out", "sweep/sweep.csv"]))
     return cells
 
 
-def worker(src: str, data: str, epochs: str) -> None:
-    """Run the matrix with the driftrec under `src`, writing into the cwd."""
+def worker(src: str, *shape: str) -> None:
+    """Run the matrix with the driftrec under `src`, writing into the cwd;
+    `shape` is users, items, events and epochs."""
     import driftrec.cli as cli
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise ImportError(f"imported {cli.__file__}, not the tree under {src}")
-    for name, argv in matrix(data, int(epochs)):
+    Path(SGD_CONFIG).parent.mkdir(parents=True, exist_ok=True)
+    Path(SGD_CONFIG).write_text("optimizer: sgd\n")
+    for name, argv in matrix(*map(int, shape)):
         os.makedirs(name, exist_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -154,19 +178,13 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         with tarfile.open(fileobj=io.BytesIO(_git("archive", commit, "src"))) as tar:
             tar.extractall(tmp / "tree", filter="data")
-        data = tmp / "events.tsv"
-        subprocess.run(
-            [sys.executable, "-m", "driftrec.cli", "gen-synth", "--users", str(args.users),
-             "--items", str(args.items), "--events", str(args.events), "--seed", "13",
-             "--out", str(data)],
-            check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        )
+        shape = [str(v) for v in (args.users, args.items, args.events, args.epochs)]
         runs = {}
         for side, src in (("against", tmp / "tree" / "src"), ("worktree", REPO / "src")):
             (tmp / side).mkdir()
             runs[side] = subprocess.Popen(
                 [sys.executable, "-c", "import sys, identity; identity.worker(*sys.argv[1:])",
-                 str(src), str(data), str(args.epochs)],
+                 str(src), *shape],
                 cwd=tmp / side, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "tools"), str(src)])},
             )
