@@ -9,6 +9,7 @@ record to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -31,17 +32,12 @@ from .experiment import (
     write_sweep_csv,
 )
 from .metrics import evaluate
-from .models import (
-    BACKBONES,
-    build_norm_adjacency,
-    checkpoint_header,
-    load_checkpoint,
-)
+from .models import BACKBONES, checkpoint_header, load_checkpoint
 from .positives import RANGE_MODES
-from .probes import probe_one_step
+from .probes import MarginProbe, probe_one_step
 from .samplers import KINDS as SAMPLER_KINDS
 from .synthetic import SyntheticSpec, generate, write_tsv
-from .training import EPOCH_MODES, OPTIMIZERS, AdamState, init_training
+from .training import EPOCH_MODES, OPTIMIZERS, AdamState, init_training, train_adjacency
 
 __all__ = ["main"]
 
@@ -121,64 +117,48 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(getattr(args, "config", None), overrides)
 
 
-def _out_stream(path: str | None):
-    return open(path, "w") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path`, opened for writing and closed on exit, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as stream:
+        yield stream
 
 
-def _close(stream) -> None:
-    if stream is not sys.stdout:
-        stream.close()
+def _report(doc: dict) -> None:
+    """A command's one-line JSON summary on stderr."""
+    print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
-def cmd_split(args) -> int:
-    config = _config_from_args(args)
-    split = load_split(config)
-    stream = _out_stream(args.out)
-    try:
+def cmd_split(args) -> None:
+    split = load_split(_config_from_args(args))
+    with _output(args.out) as stream:
         write_split_manifest(split, stream)
-    finally:
-        _close(stream)
-    print(
-        json.dumps(
-            {
-                "cutting_timestamp": split.cutting_timestamp,
-                "train": len(split.train),
-                "validation": len(split.validation),
-                "test": len(split.test),
-                "dropped_cold_user": split.dropped_cold_user,
-                "dropped_cold_item": split.dropped_cold_item,
-                "num_users": split.num_users,
-                "num_items": split.num_items,
-            },
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
-    return 0
+    _report({
+        "cutting_timestamp": split.cutting_timestamp,
+        "train": len(split.train),
+        "validation": len(split.validation),
+        "test": len(split.test),
+        "dropped_cold_user": split.dropped_cold_user,
+        "dropped_cold_item": split.dropped_cold_item,
+        "num_users": split.num_users,
+        "num_items": split.num_items,
+    })
 
 
-def cmd_build_pss(args) -> int:
+def cmd_build_pss(args) -> None:
     config = _config_from_args(args)
-    split = load_split(config)
-    pss, _ = build_positives(split, config)
+    pss, _ = build_positives(load_split(config), config)
     records = pss.audit_records()
-    stream = _out_stream(args.out)
-    try:
+    with _output(args.out) as stream:
         for record in records:
             stream.write(json.dumps(record, sort_keys=True) + "\n")
-    finally:
-        _close(stream)
-    print(
-        json.dumps(
-            {"pss_size": len(pss), "distinct_pairs": len(records)},
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
-    return 0
+    _report({"pss_size": len(pss), "distinct_pairs": len(records)})
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     config = _config_from_args(args)
     split = load_split(config)
     pss, pair_weights = build_positives(split, config)
@@ -192,18 +172,14 @@ def cmd_train(args) -> int:
         checkpoint_path=args.checkpoint_out,
     )
     print(json.dumps(record, sort_keys=True))
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     config = _config_from_args(args)
     split = load_split(config)
-    adjacency = None
-    if checkpoint_header(args.checkpoint)["backbone"] == "lightgcn":
-        adjacency = build_norm_adjacency(
-            split.train.users, split.train.items, split.num_users, split.num_items
-        )
-    model = load_checkpoint(args.checkpoint, adjacency=adjacency)
+    lightgcn = checkpoint_header(args.checkpoint)["backbone"] == "lightgcn"
+    model = load_checkpoint(args.checkpoint,
+                            adjacency=train_adjacency(split) if lightgcn else None)
     report = evaluate(model, split, ks=config.ks, part=args.part, per_user=bool(args.per_user_out))
     if args.per_user_out:
         with open(args.per_user_out, "w") as f:
@@ -215,17 +191,14 @@ def cmd_eval(args) -> int:
     doc = report.to_dict()
     doc.pop("per_user", None)
     print(json.dumps(doc, sort_keys=True))
-    return 0
 
 
-def cmd_run(args) -> int:
-    result = run(_config_from_args(args))
-    for row in result.summary:
+def cmd_run(args) -> None:
+    for row in run(_config_from_args(args)).summary:
         print(json.dumps(row, sort_keys=True))
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     config = _config_from_args(args)
     grid: dict = {}
     for spec in args.param:
@@ -234,15 +207,11 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"malformed --param {spec!r}, expected name=v1,v2,...")
         grid[name.strip()] = [yaml.safe_load(v) for v in values.split(",")]
     rows = sweep(config, grid, mode=args.mode)
-    stream = _out_stream(args.out)
-    try:
+    with _output(args.out) as stream:
         write_sweep_csv(rows, list(grid), config.ks, stream)
-    finally:
-        _close(stream)
-    return 0
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> None:
     config = _config_from_args(args)
     if config.backbone != "mf":  # checked up front, so even zero pairs fail
         raise ValueError("margin probes are defined for the dot-product backbone")
@@ -261,40 +230,26 @@ def cmd_probe(args) -> int:
     optimizer = (AdamState(model.num_users + model.num_items, model.dim)
                  if args.probe_optimizer == "adam" else "identity")
 
-    columns = [
-        "user", "pos_item", "neg_item", "eta", "optimizer",
-        "margin_before", "margin_after", "grad_norm_sq", "bound_rhs", "gain",
-    ]
-    stream = _out_stream(args.out)
     increases = 0
     total = 0
-    try:
-        writer = csv.DictWriter(stream, fieldnames=columns)
+    with _output(args.out) as stream:
+        writer = csv.DictWriter(stream, fieldnames=[f.name for f in fields(MarginProbe)] + ["gain"])
         writer.writeheader()
         for u, p, q in zip(users.tolist(), pos.tolist(), negs.tolist()):
             for eta in etas:
                 probe = probe_one_step(model, u, p, q, eta, optimizer=optimizer)
-                doc = probe.to_dict()
                 writer.writerow(
-                    {k: (repr(v) if isinstance(v, float) else v) for k, v in doc.items()}
+                    {k: (repr(v) if isinstance(v, float) else v) for k, v in probe.to_dict().items()}
                 )
                 total += 1
                 if probe.gain > 0 or probe.grad_norm_sq == 0:
                     increases += 1
-    finally:
-        _close(stream)
-    print(
-        json.dumps(
-            {"pairs": int(args.num_pairs), "etas": etas, "probes": total, "margin_increases": increases},
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
-    return 0
+    _report({"pairs": int(args.num_pairs), "etas": etas, "probes": total,
+             "margin_increases": increases})
 
 
-def cmd_gen_synth(args) -> int:
-    spec = SyntheticSpec(
+def cmd_gen_synth(args) -> None:
+    log = generate(SyntheticSpec(
         num_users=args.users,
         num_items=args.items,
         num_events=args.events,
@@ -302,21 +257,19 @@ def cmd_gen_synth(args) -> int:
         drift_time=args.drift_time,
         drift_strength=args.drift_strength,
         seed=args.seed,
-    )
-    log = generate(spec)
-    stream = _out_stream(args.out)
-    try:
+    ))
+    with _output(args.out) as stream:
         write_tsv(log, stream)
-    finally:
-        _close(stream)
-    print(
-        json.dumps(
-            {"interactions": len(log), "num_users": log.num_users, "num_items": log.num_items},
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
-    return 0
+    _report({"interactions": len(log), "num_users": log.num_users, "num_items": log.num_items})
+
+
+def _subcommand(sub, name: str, help: str, names, func) -> argparse.ArgumentParser:
+    """A config-backed subcommand: its config flags, then --config."""
+    p = sub.add_parser(name, help=help)
+    _add_config_flags(p, names)
+    p.add_argument("--config")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,53 +279,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("split", help="write a chronological split manifest")
-    _add_config_flags(p, _DATA)
-    p.add_argument("--config")
+    p = _subcommand(sub, "split", "write a chronological split manifest", _DATA, cmd_split)
     p.add_argument("--out", help="manifest path (default stdout)")
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("build-pss", help="dump the positive multiset per pair")
-    _add_config_flags(p, _DATA + _GRAPH + _VARIANT)
-    p.add_argument("--config")
+    p = _subcommand(sub, "build-pss", "dump the positive multiset per pair",
+                    _DATA + _GRAPH + _VARIANT, cmd_build_pss)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_build_pss)
 
-    p = sub.add_parser("train", help="train one model and report test metrics")
-    _add_config_flags(p, _PIPELINE)
-    p.add_argument("--config")
+    p = _subcommand(sub, "train", "train one model and report test metrics", _PIPELINE, cmd_train)
     p.add_argument("--seed", type=int)
     p.add_argument("--checkpoint-out", dest="checkpoint_out")
     p.add_argument("--metrics-out", dest="metrics_out", help="per-epoch metrics stream")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    _add_config_flags(p, _DATA)
-    p.add_argument("--config")
+    p = _subcommand(sub, "eval", "evaluate a checkpoint on a split", _DATA, cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--part", choices=("validation", "test"), default="test")
     _add_config_flags(p, ("ks",), described=False)
     p.add_argument("--csv-out", dest="csv_out")
     p.add_argument("--per-user-out", dest="per_user_out")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("run", help="multi-seed experiment with summary")
-    _add_config_flags(p, _PIPELINE)
-    p.add_argument("--config")
+    p = _subcommand(sub, "run", "multi-seed experiment with summary", _PIPELINE, cmd_run)
     _add_config_flags(p, ("seeds", "out_dir"))
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help="metric grid across parameter settings")
-    _add_config_flags(p, _PIPELINE)
-    p.add_argument("--config")
+    p = _subcommand(sub, "sweep", "metric grid across parameter settings", _PIPELINE, cmd_sweep)
     p.add_argument("--param", action="append", required=True, help="name=v1,v2,...")
     p.add_argument("--mode", choices=("one_at_a_time", "grid"), default="one_at_a_time")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("probe", help="one-step margin probes on sampled pairs")
-    _add_config_flags(p, _DATA + _SAMPLER)
-    p.add_argument("--config")
+    p = _subcommand(sub, "probe", "one-step margin probes on sampled pairs",
+                    _DATA + _SAMPLER, cmd_probe)
     p.add_argument("--seed", type=int)
     _add_config_flags(p, ("d",), described=False)
     p.add_argument("--num-pairs", dest="num_pairs", type=int, default=100)
@@ -384,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="identity",
     )
     p.add_argument("--out")
-    p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("gen-synth", help="synthetic drift log as TSV")
     p.add_argument("--users", type=int, default=500)
@@ -404,15 +338,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except BrokenPipeError:
-        return 0
+        pass
     except Exception as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
         return 1
+    return 0
 
 
 if __name__ == "__main__":

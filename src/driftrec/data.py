@@ -35,6 +35,7 @@ __all__ = [
     "ParseError",
     "parse_log",
     "build_log",
+    "latest_per_pair",
     "timestamp_split",
     "write_split_manifest",
 ]
@@ -259,6 +260,22 @@ def _codes(keys: list[str]) -> tuple[dict[str, int], np.ndarray]:
     return dict(vocab), codes
 
 
+def latest_per_pair(keys: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Row indices of the latest row of each pair key, in (time, key) order.
+
+    One ``lexsort`` on (key, time) keeps the last row of each key, in
+    ascending key order; a stable sort on time keeps that order among equal
+    timestamps. With keys ``user * num_items + item`` the kept rows are in
+    (timestamp, user, item) order.
+    """
+    order = np.lexsort((times, keys))
+    sorted_keys = keys[order]
+    last = np.ones(order.shape[0], dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=last[:-1])
+    latest = order[last]
+    return latest[np.argsort(times[latest], kind="stable")]
+
+
 def build_log(events: Iterable[RawEvent]) -> InteractionLog:
     """Assemble an :class:`InteractionLog` from raw events.
 
@@ -266,9 +283,7 @@ def build_log(events: Iterable[RawEvent]) -> InteractionLog:
     iterable of :class:`RawEvent` (turned into columns once). Vocabularies
     are assigned in first-seen order. Duplicate (user, item) pairs collapse
     to a single interaction carrying the latest timestamp, since recency is
-    what downstream weighting cares about: one ``lexsort`` on (pair key,
-    timestamp) keeps the last row of each key, and a stable sort on
-    timestamp gives the (timestamp, user, item) order.
+    what downstream weighting cares about (:func:`latest_per_pair`).
     """
     if not isinstance(events, RawEvents):
         events = _columns(events)
@@ -278,15 +293,7 @@ def build_log(events: Iterable[RawEvent]) -> InteractionLog:
     item_vocab, items = _codes(events.item_keys)
     times = events.timestamps
 
-    keys = users * np.int64(len(item_vocab)) + items
-    order = np.lexsort((times, keys))
-    sorted_keys = keys[order]
-    last = np.empty(order.shape[0], dtype=bool)
-    last[-1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=last[:-1])
-    latest = order[last]  # one row per pair, ascending (user, item)
-    # a stable sort on time keeps (user, item) order among equal timestamps
-    latest = latest[np.argsort(times[latest], kind="stable")]
+    latest = latest_per_pair(users * np.int64(len(item_vocab)) + items, times)
     users, items, times = users[latest], items[latest], times[latest]
     return InteractionLog(users, items, times, user_vocab, item_vocab)
 

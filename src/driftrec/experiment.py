@@ -274,7 +274,8 @@ def run(config: ExperimentConfig, log: InteractionLog | None = None) -> RunResul
     """Train and evaluate once per seed; returns results plus a summary.
 
     When ``config.out_dir`` is set, writes results.jsonl, summary.csv and
-    config.json there (plus per-epoch metric streams when enabled).
+    config.json there (plus per-epoch metric streams when enabled, each
+    rewritten by the run).
     """
     split = load_split(config, log)
     pss, pair_weights = build_positives(split, config)
@@ -284,7 +285,6 @@ def run(config: ExperimentConfig, log: InteractionLog | None = None) -> RunResul
         if config.write_epoch_metrics and config.out_dir:
             os.makedirs(config.out_dir, exist_ok=True)
             metrics_path = os.path.join(config.out_dir, f"epoch_metrics_seed{seed}.jsonl")
-            open(metrics_path, "w").close()  # truncate any previous stream
         record = train_and_test(split, config, seed, pss, pair_weights, metrics_path=metrics_path)
         record.update(variant=config.variant, backbone=config.backbone, sampler=config.sampler)
         results.append(record)

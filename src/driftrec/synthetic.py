@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionLog
+from .data import InteractionLog, latest_per_pair
 
 __all__ = ["SyntheticSpec", "generate", "write_tsv"]
 
@@ -92,19 +92,11 @@ def generate(spec: SyntheticSpec, return_truth: bool = False):
     items = starts + rng.integers(0, sizes)
 
     # collapse duplicate (user, item) pairs keeping the latest timestamp
-    keys = users.astype(np.int64) * i_count + items
-    by_key_time = np.lexsort((times, keys))
-    last = np.r_[keys[by_key_time][1:] != keys[by_key_time][:-1], True]
-    kept = by_key_time[last]
-    u_arr = users[kept].astype(np.int64)
-    i_arr = items[kept].astype(np.int64)
-    t_arr = times[kept]
-    order = np.lexsort((i_arr, u_arr, t_arr))
-
+    kept = latest_per_pair(users.astype(np.int64) * i_count + items, times)
     log = InteractionLog(
-        users=u_arr[order],
-        items=i_arr[order],
-        times=t_arr[order],
+        users=users[kept].astype(np.int64),
+        items=items[kept].astype(np.int64),
+        times=times[kept],
         user_vocab={f"u{k}": k for k in range(u_count)},
         item_vocab={f"i{k}": k for k in range(i_count)},
     )

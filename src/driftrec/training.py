@@ -36,6 +36,7 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "init_training",
+    "train_adjacency",
     "TrainingDiverged",
     "bpr_loss",
     "batch_gradients",
@@ -284,6 +285,14 @@ def batch_gradients(
     return float(np.mean(loss_vec + reg)), grad
 
 
+def train_adjacency(split: SplitDataset) -> sp.csr_matrix:
+    """The normalized adjacency of `split`'s train interactions, the
+    propagation backbone's graph."""
+    return build_norm_adjacency(
+        split.train.users, split.train.items, split.num_users, split.num_items
+    )
+
+
 def init_training(
     split: SplitDataset, config: TrainConfig
 ) -> tuple[EmbeddingModel, AdamState | None, NegativeSampler, np.random.Generator]:
@@ -294,11 +303,7 @@ def init_training(
     moments for ``optimizer: adam`` and is None for SGD; the rng is seeded
     [seed, 1].
     """
-    adjacency = None
-    if config.backbone == "lightgcn":
-        adjacency = build_norm_adjacency(
-            split.train.users, split.train.items, split.num_users, split.num_items
-        )
+    adjacency = train_adjacency(split) if config.backbone == "lightgcn" else None
     model = init_xavier(split.num_users, split.num_items, config.d, config.seed,
                         backbone=config.backbone, num_prop_layers=config.prop_layers,
                         adjacency=adjacency)
@@ -320,6 +325,9 @@ def train_epoch(
     loss: bool = True,
 ) -> dict:
     """One pass over the positive multiset in shuffled mini-batches.
+
+    Raises :class:`TrainingDiverged` at the first optimizer step that
+    leaves a non-finite parameter, naming that step; no batch trains after it.
 
     The record holds the epoch's mean loss, the number of pairs trained,
     the multiset rows trained in order ("rows"; a row drawn twice appears
@@ -350,14 +358,14 @@ def train_epoch(
             adam.step(model, grad, config.lr)
         else:
             model.add_to_params(-config.lr * grad)
+        if not np.isfinite(model.params).all():
+            where = (f"Adam step {adam.step_count}" if config.optimizer == "adam"
+                     else f"SGD batch {start // config.batch_size + 1} of the epoch")
+            raise TrainingDiverged(f"non-finite parameters after {where}")
         if loss:
             total_loss += batch_loss * idx.shape[0]
         seen += idx.shape[0]
 
-    if not np.all(np.isfinite(model.params)):
-        where = (f"Adam step {adam.step_count}" if config.optimizer == "adam"
-                 else f"SGD batch {-(-seen // config.batch_size)} of the epoch")
-        raise TrainingDiverged(f"non-finite parameters after {where}")
     return {
         "loss": total_loss / seen if loss else None,
         "pairs": seen,
@@ -381,9 +389,9 @@ def fit(
     recall at the smallest k in `ks`; the model's ``best_epoch`` is the
     selected epoch, or None when no validation pass ran. Returns (best
     model, history), where history holds one record per evaluation epoch.
-    When a metrics path is given, each evaluation appends a line-delimited
-    record there; when a checkpoint path is given, the file is rewritten on
-    every validation improvement.
+    When a metrics path is given, the file is rewritten for this run with
+    one line-delimited record per evaluation; when a checkpoint path is
+    given, the file is rewritten on every validation improvement.
     """
     from .metrics import evaluate  # local import avoids a module cycle
     from .models import save_checkpoint
@@ -396,7 +404,7 @@ def fit(
     history: list[dict] = []
     best = None
     best_recall = -1.0
-    metrics_file = open(metrics_path, "a") if metrics_path else None
+    metrics_file = open(metrics_path, "w") if metrics_path else None
     try:
         for epoch in range(1, config.epochs + 1):
             reporting = epoch % config.eval_every == 0

@@ -326,6 +326,13 @@ class TestCli:
         user_rows = [json.loads(line) for line in open(per_user)]
         assert "recall@5" in user_rows[0]
 
+    def test_train_metrics_stream_is_rewritten_per_run(self, tiny_tsv, tmp_path):
+        metrics = tmp_path / "epochs.jsonl"
+        for _ in range(2):
+            assert self.run_cli("train", "--data", tiny_tsv, "--epochs", "4", "--eval-every", "2",
+                                "--d", "8", "--metrics-out", str(metrics)) == 0
+        assert [json.loads(line)["epoch"] for line in metrics.read_text().splitlines()] == [2, 4]
+
     def test_run_summary(self, tiny_tsv, tmp_path, capsys):
         out_dir = str(tmp_path / "exp")
         rc = self.run_cli(

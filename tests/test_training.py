@@ -749,6 +749,25 @@ class TestTrainEpoch:
         assert str(exc.value) == "non-finite parameters after SGD batch 2 of the epoch"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_stops_at_the_first_bad_batch(self, monkeypatch):
+        """At lr=1e200 the parameters overflow on the second of four
+        batches; that batch is named and no batch trains after it."""
+        split = forced_negative_split()
+        config = TrainConfig(lr=1e200, batch_size=1, epochs=1, d=4, seed=0, optimizer="sgd")
+        model, adam, sampler, rng = training.init_training(split, config)
+        trained = []
+
+        def spy(*args, **kwargs):
+            trained.append(args[1])
+            return batch_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(training, "batch_gradients", spy)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_epoch(model, train_positives(split), config, adam, split, rng, sampler)
+        assert str(exc.value) == "non-finite parameters after SGD batch 2 of the epoch"
+        assert len(trained) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_adam_divergence_names_its_global_step(self):
         split = forced_negative_split()
         pss = train_positives(split)
@@ -760,7 +779,7 @@ class TestTrainEpoch:
         model.set_params(bad)
         with pytest.raises(TrainingDiverged) as exc:
             train_epoch(model, pss, config, adam, split, rng, sampler)
-        assert str(exc.value) == "non-finite parameters after Adam step 4"
+        assert str(exc.value) == "non-finite parameters after Adam step 3"
 
     def test_empty_pss_raises(self):
         split = forced_negative_split()

@@ -21,7 +21,8 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - one ``run`` with ``--epoch-mode pi_sample``;
 - ``probe`` with the identity and the adam preconditioner, and with the
   adam preconditioner under a config file that trains with sgd;
-- one ``sweep``, including a setting that fails.
+- one ``sweep``, including a setting that fails;
+- ``--help`` of the top level and of each subcommand.
 
 Every output file, and each command's exit code, stdout and stderr, is
 compared byte for byte; only the values of ``out_dir`` and ``wall_ms`` keys
@@ -105,6 +106,9 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
     ]))
     cells.append(("sweep", ["sweep", *train, "--param", "layers=1,3", "--param", "rate=-1,0.05",
                             "--out", "sweep/sweep.csv"]))
+    cells.append(("help", ["--help"]))
+    for command in ("split", "build-pss", "train", "eval", "run", "sweep", "probe", "gen-synth"):
+        cells.append((f"help-{command}", [command, "--help"]))
     return cells
 
 
@@ -123,7 +127,7 @@ def worker(src: str, *shape: str) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejected the command line
+            except SystemExit as exc:  # argparse printed help or rejected the command line
                 code = exc.code
         for stream, text in (("exit_code", f"{code}\n"), ("stdout", out.getvalue()),
                              ("stderr", err.getvalue())):
