@@ -63,7 +63,6 @@ from .samplers import NegativeSampler, SamplerSpec
 from .synthetic import SyntheticSpec, generate
 from .training import (
     AdamState,
-    TrainConfig,
     TrainingDiverged,
     batch_gradients,
     bpr_loss,
@@ -94,7 +93,6 @@ __all__ = [
     "SeparationResult",
     "SplitDataset",
     "SyntheticSpec",
-    "TrainConfig",
     "TrainingDiverged",
     "WeightedBipartiteGraph",
     "batch_gradients",

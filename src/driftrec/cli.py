@@ -162,15 +162,8 @@ def cmd_train(args) -> None:
     config = _config_from_args(args)
     split = load_split(config)
     pss, pair_weights = build_positives(split, config)
-    record = train_and_test(
-        split,
-        config,
-        config.seeds[0],
-        pss,
-        pair_weights,
-        metrics_path=args.metrics_out,
-        checkpoint_path=args.checkpoint_out,
-    )
+    record = train_and_test(split, config, pss, pair_weights, metrics_path=args.metrics_out,
+                            checkpoint_path=args.checkpoint_out)
     print(json.dumps(record, sort_keys=True))
 
 
@@ -216,11 +209,10 @@ def cmd_probe(args) -> None:
     if config.backbone != "mf":  # checked up front, so even zero pairs fail
         raise ValueError("margin probes are defined for the dot-product backbone")
     split = load_split(config)
-    seed = config.seeds[0]
     # the training state a run of this config starts from; pairs and
     # negatives come from a separate rng stream
-    model, _, sampler, _ = init_training(split, config.train_config(seed))
-    rng = np.random.default_rng([seed, 2])
+    model, _, sampler, _ = init_training(split, config)
+    rng = np.random.default_rng([config.seeds[0], 2])
     idx = rng.integers(0, len(split.train), size=args.num_pairs)
     users = split.train.users[idx]
     pos = split.train.items[idx]

@@ -18,7 +18,7 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -35,7 +35,7 @@ from .positives import (
     train_positives,
 )
 from .samplers import SamplerSpec
-from .training import TrainConfig, fit
+from .training import EPOCH_MODES, OPTIMIZERS, fit
 
 __all__ = [
     "ExperimentConfig",
@@ -53,7 +53,11 @@ EXPERIMENT_VARIANTS = ("layered", "baseline", "weighted_bpr", "recent_k")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat key/value configuration; every key is a YAML and CLI name."""
+    """Flat key/value configuration; every key is a YAML and CLI name.
+
+    The one config type from YAML to training. The training, decay, sampler
+    and cutoff keys are checked when it is built, used or not.
+    """
 
     data_path: str = ""
     data_format: str = "tsv"
@@ -97,6 +101,20 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValueError("need at least one seed")
+        self.decay_spec()
+        self.sampler_spec()
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.epoch_mode not in EPOCH_MODES:
+            raise ValueError(f"unknown epoch_mode {self.epoch_mode!r}")
+        for name in ("lr", "batch_size", "l2", "d", "eval_every"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("epochs", "prop_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not self.ks or min(self.ks) <= 0:
+            raise ValueError("cutoffs must be positive")
 
     def decay_spec(self) -> DecaySpec:
         if not float(self.time_unit).is_integer():
@@ -112,13 +130,9 @@ class ExperimentConfig:
             n=self.n,
         )
 
-    def train_config(self, seed: int) -> TrainConfig:
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in fields(TrainConfig)
-            if f.name not in ("seed", "sampler")
-        }
-        return TrainConfig(seed=seed, sampler=self.sampler_spec(), **shared)
+    def train_config(self, seed: int) -> ExperimentConfig:
+        """This config with `seed` as its one training seed."""
+        return replace(self, seeds=(seed,))
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
@@ -232,13 +246,12 @@ def _summarize(results: list, ks: tuple) -> list:
 def train_and_test(
     split: SplitDataset,
     config: ExperimentConfig,
-    seed: int,
     pss: PositiveSampleSet,
     pair_weights: np.ndarray | None,
     metrics_path: str | None = None,
     checkpoint_path: str | None = None,
 ) -> dict:
-    """Fit one seed, then evaluate it on the test part.
+    """Fit the config's first seed, then evaluate it on the test part.
 
     Returns the seed's record: seed, best_epoch, evaluations,
     users_evaluated, pss_size and recall/ndcg at each cutoff. When fit
@@ -247,7 +260,7 @@ def train_and_test(
     """
     model, history = fit(
         split,
-        config.train_config(seed),
+        config,
         pss=pss,
         pair_weights=pair_weights,
         ks=config.ks,
@@ -258,7 +271,7 @@ def train_and_test(
         save_checkpoint(model, checkpoint_path)
     report = evaluate(model, split, ks=config.ks, part="test", per_user=False)
     record = {
-        "seed": seed,
+        "seed": config.seeds[0],
         "best_epoch": model.best_epoch,
         "evaluations": len(history),
         "users_evaluated": report.users_evaluated,
@@ -285,7 +298,8 @@ def run(config: ExperimentConfig, log: InteractionLog | None = None) -> RunResul
         if config.write_epoch_metrics and config.out_dir:
             os.makedirs(config.out_dir, exist_ok=True)
             metrics_path = os.path.join(config.out_dir, f"epoch_metrics_seed{seed}.jsonl")
-        record = train_and_test(split, config, seed, pss, pair_weights, metrics_path=metrics_path)
+        record = train_and_test(split, config.train_config(seed), pss, pair_weights,
+                                metrics_path=metrics_path)
         record.update(variant=config.variant, backbone=config.backbone, sampler=config.sampler)
         results.append(record)
     out = RunResult(config=config, results=results, summary=_summarize(results, config.ks))

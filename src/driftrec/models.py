@@ -271,6 +271,13 @@ def _read_header(f, path: str) -> dict:
     layers = header.get("num_prop_layers")
     if type(layers) is not int or layers < 0:
         raise ValueError(f"{path}: bad num_prop_layers {layers!r}")
+    if header.get("backbone") not in BACKBONES:
+        raise ValueError(f"{path}: bad backbone {header.get('backbone')!r}")
+    if "seed" not in header:
+        raise ValueError(f"{path}: checkpoint header has no seed")
+    # null is what save_checkpoint writes for a model built with no seed
+    if header["seed"] is not None and type(header["seed"]) is not int:
+        raise ValueError(f"{path}: bad seed {header['seed']!r}")
     return header
 
 

@@ -21,9 +21,10 @@ import numpy as np
 from scipy.special import expit
 
 from .data import SplitDataset
+from .experiment import ExperimentConfig
 from .models import EmbeddingModel, init_xavier  # noqa: F401  (perfbench traces probes.init_xavier)
 from .positives import PositiveSampleSet
-from .training import AdamState, TrainConfig, init_training, train_epoch
+from .training import AdamState, init_training, train_epoch
 
 __all__ = [
     "MarginProbe",
@@ -123,7 +124,7 @@ def probe_one_step(
 def count_updates(
     split: SplitDataset,
     pss: PositiveSampleSet,
-    config: TrainConfig,
+    config: ExperimentConfig,
     epochs: int = 1,
 ) -> dict:
     """Exact per-pair update counts: the multiset rows each epoch trained,
@@ -169,7 +170,7 @@ class SeparationResult:
 def cumulative_separation(
     split: SplitDataset,
     runs: dict,
-    config: TrainConfig,
+    config: ExperimentConfig,
     epochs: int,
     probe_pairs: list,
 ) -> SeparationResult:

@@ -5,7 +5,8 @@ mini-batch Adam. Negatives are drawn with the model's current parameters
 before each update. Given per-pair weights, each pair's loss is scaled by
 its weight: the weighted variant trains on the plain (multiplicity one)
 edge set with recency weights instead of duplicating pairs. Every run
-starts from :func:`init_training`, the one constructor of training state.
+starts from :func:`init_training`, the one constructor of training state,
+and reads the experiment's own ``ExperimentConfig``, already checked.
 
 Parameters, gradients and Adam moments share the model's stacked
 [users | items] row space: a batch gathers its rows in one take, returns
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,10 +32,12 @@ from scipy.special import expit
 from .data import SplitDataset
 from .models import EmbeddingModel, build_norm_adjacency, init_xavier, propagate_matrix
 from .positives import PositiveSampleSet, train_positives
-from .samplers import NegativeSampler, SamplerSpec
+from .samplers import NegativeSampler
+
+if TYPE_CHECKING:  # experiment imports this module
+    from .experiment import ExperimentConfig
 
 __all__ = [
-    "TrainConfig",
     "AdamState",
     "init_training",
     "train_adjacency",
@@ -50,34 +54,6 @@ EPOCH_MODES = ("full_pass", "pi_sample")
 
 class TrainingDiverged(RuntimeError):
     """Non-finite parameters detected during training."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 0.001
-    batch_size: int = 2048
-    l2: float = 1e-4
-    epochs: int = 500
-    d: int = 64
-    seed: int = 0
-    sampler: SamplerSpec = field(default_factory=SamplerSpec)
-    eval_every: int = 10
-    backbone: str = "mf"
-    prop_layers: int = 3
-    optimizer: str = "adam"
-    epoch_mode: str = "full_pass"
-
-    def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.epoch_mode not in EPOCH_MODES:
-            raise ValueError(f"unknown epoch_mode {self.epoch_mode!r}")
-        for name in ("lr", "batch_size", "l2", "d", "eval_every"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("epochs", "prop_layers"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 class AdamState:
@@ -294,29 +270,32 @@ def train_adjacency(split: SplitDataset) -> sp.csr_matrix:
 
 
 def init_training(
-    split: SplitDataset, config: TrainConfig
+    split: SplitDataset, config: ExperimentConfig
 ) -> tuple[EmbeddingModel, AdamState | None, NegativeSampler, np.random.Generator]:
     """(model, Adam state, negative sampler, rng) that a run on `split` starts from.
 
-    The model is Xavier-initialized from the seed, with the normalized train
-    adjacency for the propagation backbone; the Adam state holds zero
-    moments for ``optimizer: adam`` and is None for SGD; the rng is seeded
+    The run's seed is ``config.seeds[0]``; a config with several seeds
+    trains its first. The model is Xavier-initialized from the seed, with
+    the normalized train adjacency for the propagation backbone; the Adam
+    state holds zero moments for ``optimizer: adam`` and is None for SGD;
+    the sampler follows ``config.sampler_spec()``; the rng is seeded
     [seed, 1].
     """
+    seed = config.seeds[0]
     adjacency = train_adjacency(split) if config.backbone == "lightgcn" else None
-    model = init_xavier(split.num_users, split.num_items, config.d, config.seed,
+    model = init_xavier(split.num_users, split.num_items, config.d, seed,
                         backbone=config.backbone, num_prop_layers=config.prop_layers,
                         adjacency=adjacency)
     adam = (AdamState(model.num_users + model.num_items, model.dim)
             if config.optimizer == "adam" else None)
-    sampler = NegativeSampler(config.sampler, split.train)
-    return model, adam, sampler, np.random.default_rng([config.seed, 1])
+    sampler = NegativeSampler(config.sampler_spec(), split.train)
+    return model, adam, sampler, np.random.default_rng([seed, 1])
 
 
 def train_epoch(
     model: EmbeddingModel,
     pss: PositiveSampleSet,
-    config: TrainConfig,
+    config: ExperimentConfig,
     adam: AdamState | None,
     split: SplitDataset,
     rng: np.random.Generator,
@@ -376,7 +355,7 @@ def train_epoch(
 
 def fit(
     split: SplitDataset,
-    config: TrainConfig,
+    config: ExperimentConfig,
     pss: PositiveSampleSet | None = None,
     pair_weights: np.ndarray | None = None,
     ks: tuple[int, ...] = (20, 30),
@@ -385,10 +364,12 @@ def fit(
 ):
     """Train for the configured epoch budget; keep the best-validation model.
 
-    Training starts from :func:`init_training`. Selection is by validation
-    recall at the smallest k in `ks`; the model's ``best_epoch`` is the
-    selected epoch, or None when no validation pass ran. Returns (best
-    model, history), where history holds one record per evaluation epoch.
+    Training starts from :func:`init_training`, so it trains the config's
+    first seed. Validation reports the cutoffs `ks` (callers pass
+    ``config.ks``), and selection is by validation recall at the smallest;
+    the model's ``best_epoch`` is the selected epoch, or None when no
+    validation pass ran. Returns (best model, history), where history holds
+    one record per evaluation epoch.
     When a metrics path is given, the file is rewritten for this run with
     one line-delimited record per evaluation; when a checkpoint path is
     given, the file is rewritten on every validation improvement.
@@ -441,5 +422,5 @@ def fit(
     return model, history
 
 
-def config_with(config: TrainConfig, **overrides) -> TrainConfig:
+def config_with(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     return replace(config, **overrides)

@@ -32,7 +32,7 @@ from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier
 from driftrec.positives import build_pss, filtrate
 from driftrec.probes import count_updates, probe_one_step
 from driftrec.synthetic import SyntheticSpec, generate
-from driftrec.training import TrainConfig, batch_gradients
+from driftrec.training import batch_gradients
 
 mpmath.mp.dps = 50
 
@@ -511,7 +511,7 @@ def test_criterion_08_margin_probes():
     split = disjoint_pair_split(50, 9, 12, seed=7)
     graph = build_weighted_graph(split.train, DecaySpec(kind="exponential", rate=0.02))
     pss = build_pss(filtrate(graph, 3))
-    config = TrainConfig(lr=0.01, batch_size=16, epochs=3, d=8, seed=0)
+    config = ExperimentConfig(lr=0.01, batch_size=16, epochs=3, d=8, seeds=(0,))
     counter = count_updates(split, pss, config, epochs=3)
     assert counter == {pair: 3 * m for pair, m in pss.multiplicity().items()}
     print(

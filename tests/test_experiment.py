@@ -94,6 +94,22 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seeds=())
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("lr", 0, "lr must be positive"),
+        ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+        ("pool", 0, "pool must be >= 1"),
+        ("decay", "step", "unknown decay kind 'step'"),
+        ("rate", -1, "decay rate must be >= 0"),
+        ("ks", (), "cutoffs must be positive"),
+        ("ks", (0,), "cutoffs must be positive"),
+        ("ks", (5, -1), "cutoffs must be positive"),
+    ])
+    def test_every_checked_key_is_checked_when_built(self, key, value, message):
+        """Training, sampler, decay and cutoff keys fail at load, even where
+        the variant (baseline) or sampler (rns) would never use them."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_config(None, {"variant": "baseline", "sampler": "rns", key: value})
+
 
 @pytest.fixture(scope="module")
 def split():
@@ -242,6 +258,12 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["error"].startswith("ValueError")
         assert "recall@5" not in rows[0]
+        assert rows[1]["error"] == "" and "recall@5" in rows[1]
+
+    def test_setting_bad_for_training_is_an_error_row(self, log):
+        config = ExperimentConfig(**fast_overrides(epochs=2, ks=(5,)))
+        rows = sweep(config, {"lr": [0, 0.02]}, log=log)
+        assert rows[0] == {"lr": 0, "seed": "", "error": "ValueError: lr must be positive"}
         assert rows[1]["error"] == "" and "recall@5" in rows[1]
 
     def test_unknown_param_errors_upfront(self, log):
@@ -537,6 +559,60 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
         assert str(ckpt) in err["message"] and "num_prop_layers" in err["message"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("backbone", None), ("seed", None), ("backbone", "gcn"), ("seed", "x"), ("seed", 1.5),
+    ])
+    def test_bad_backbone_or_seed_in_checkpoint_header_is_json_error(self, tiny_tsv, tmp_path,
+                                                                     capsys, key, value):
+        """A missing (None here) or malformed header key fails naming the file."""
+        ckpt = tmp_path / "model.ckpt"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--checkpoint-out", str(ckpt))
+        assert rc == 0
+        header, rest = ckpt.read_text().split("\n", 1)
+        header = json.loads(header)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        ckpt.write_text(json.dumps(header) + "\n" + rest)
+        capsys.readouterr()
+        rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert str(ckpt) in err["message"] and key in err["message"]
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("split", {"lr": 0}, "lr must be positive"),
+        ("build-pss", {"sampler": "rns", "pool": 0}, "pool must be >= 1"),
+    ])
+    def test_bad_training_key_in_config_is_json_error(self, tiny_tsv, tmp_path, capsys,
+                                                      command, config, message):
+        """split and build-pss reject a config that train would reject."""
+        path, out = tmp_path / "config.yaml", tmp_path / "out.jsonl"
+        path.write_text(yaml.safe_dump(config))
+        rc = self.run_cli(command, "--data", tiny_tsv, "--config", str(path), "--out", str(out))
+        assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("flags,config", [(["--ks", "0"], None), ([], "ks: []\n")],
+                             ids=["flag", "config"])
+    def test_bad_cutoffs_fail_before_any_data_is_read(self, tmp_path, capsys, flags, config):
+        """The data path does not exist: the cutoffs are rejected first."""
+        if config is not None:
+            (tmp_path / "config.yaml").write_text(config)
+            flags = ["--config", str(tmp_path / "config.yaml")]
+        rc = self.run_cli("train", "--data", str(tmp_path / "missing.tsv"), "--epochs", "3000",
+                          *flags)
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": "cutoffs must be positive"}
 
     def test_fractional_time_unit_is_json_error(self, tiny_tsv, tmp_path, capsys):
         out = tmp_path / "pss.jsonl"

@@ -18,7 +18,8 @@ from driftrec.metrics import (
     rank_items,
     recall_at_k,
 )
-from driftrec.training import TrainConfig, fit
+from driftrec.experiment import ExperimentConfig
+from driftrec.training import fit
 from conftest import (
     oracle_evaluate,
     oracle_evaluate_loop,
@@ -261,8 +262,8 @@ def random_pairs(rng, num_users, num_items, per_user):
 
 @pytest.fixture(scope="module", params=["mf", "lightgcn"])
 def trained_drift_model(request, drift_split):
-    config = TrainConfig(lr=0.02, batch_size=512, epochs=8, d=16, seed=3, eval_every=4,
-                         backbone=request.param, prop_layers=2)
+    config = ExperimentConfig(lr=0.02, batch_size=512, epochs=8, d=16, seeds=(3,),
+                              eval_every=4, backbone=request.param, prop_layers=2)
     model, _ = fit(drift_split, config)
     return model
 

@@ -28,8 +28,8 @@ from driftrec.probes import (
     expected_margin,
     probe_one_step,
 )
-from driftrec.samplers import NegativeSampler, SamplerSpec
-from driftrec.training import AdamState, TrainConfig, init_training, train_epoch
+from driftrec.samplers import NegativeSampler
+from driftrec.training import AdamState, init_training, train_epoch
 from conftest import make_log
 
 
@@ -256,14 +256,14 @@ class TestCountUpdates:
         split = forced_negative_split()
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.0))
         pss = build_pss(filtrate(graph, 2))  # every pair in layer 2
-        config = TrainConfig(lr=0.01, batch_size=3, epochs=1, d=4, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=3, epochs=1, d=4, seeds=(0,))
         counts = count_updates(split, pss, config, epochs=3)
         assert counts == {(0, 0): 6, (0, 1): 6, (1, 0): 6, (1, 2): 6}
 
     def test_single_layer_counts_equal_epochs(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.01, batch_size=2, epochs=1, d=4, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=2, epochs=1, d=4, seeds=(0,))
         counts = count_updates(split, pss, config, epochs=4)
         assert set(counts.values()) == {4}
 
@@ -275,7 +275,7 @@ class TestCountUpdates:
             users=pss.users[keep], items=pss.items[keep], layers=pss.layers[keep],
             weights=pss.weights[keep], num_users=2, num_items=3,
         )
-        config = TrainConfig(lr=0.01, batch_size=2, epochs=1, d=4, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=2, epochs=1, d=4, seeds=(0,))
         counts = count_updates(split, filtered, config, epochs=5)
         assert (0, 1) not in counts
         assert counts[(0, 0)] == 5
@@ -285,7 +285,7 @@ class TestCountUpdates:
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.4, time_unit=1))
         layered = filtrate(graph, 3)
         pss = build_pss(layered)
-        config = TrainConfig(lr=0.01, batch_size=4, epochs=1, d=4, seed=1)
+        config = ExperimentConfig(lr=0.01, batch_size=4, epochs=1, d=4, seeds=(1,))
         counts = count_updates(split, pss, config, epochs=2)
         mult = pss.multiplicity()
         assert counts == {pair: 2 * m for pair, m in mult.items()}
@@ -296,8 +296,8 @@ class TestCountUpdates:
         are the rows each epoch of the same run trained."""
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
         pss = build_pss(filtrate(graph, 3))
-        config = TrainConfig(lr=0.01, batch_size=256, epochs=1, d=4, seed=5,
-                             epoch_mode="pi_sample")
+        config = ExperimentConfig(lr=0.01, batch_size=256, epochs=1, d=4, seeds=(5,),
+                                  epoch_mode="pi_sample")
         counts = count_updates(drift_split, pss, config, epochs=3)
         model, adam, sampler, rng = init_training(drift_split, config)
         want = Counter()
@@ -329,7 +329,7 @@ class TestCumulativeSeparation:
     def test_identical_sets_identical_trajectories(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.05, batch_size=4, epochs=2, d=4, seed=2)
+        config = ExperimentConfig(lr=0.05, batch_size=4, epochs=2, d=4, seeds=(2,))
         res = cumulative_separation(
             split, {"a": (pss, None), "b": (pss, None)}, config, epochs=2,
             probe_pairs=[(0, 0), (1, 2)],
@@ -341,7 +341,7 @@ class TestCumulativeSeparation:
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
         pss_layered = build_pss(filtrate(graph, 3))
         pss_base = train_positives(drift_split)
-        config = TrainConfig(lr=0.01, batch_size=256, epochs=1, d=8, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=256, epochs=1, d=8, seeds=(0,))
         res = cumulative_separation(
             drift_split, {"layered": (pss_layered, None), "baseline": (pss_base, None)},
             config, epochs=1, probe_pairs=[(0, int(drift_split.train.items[0]))],
@@ -359,7 +359,7 @@ class TestCumulativeSeparation:
         rng = np.random.default_rng(0)
         pick = rng.choice(top, size=min(40, top.size), replace=False)
         pairs = [(int(graph.users[e]), int(graph.items[e])) for e in pick]
-        config = TrainConfig(lr=0.01, batch_size=256, l2=1e-4, epochs=5, d=8, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=256, l2=1e-4, epochs=5, d=8, seeds=(0,))
         res = cumulative_separation(
             drift_split, {"layered": (pss_layered, None), "baseline": (pss_base, None)},
             config, epochs=5, probe_pairs=pairs,
@@ -409,7 +409,7 @@ class TestCumulativeSeparation:
 
     def test_no_pairs_raises(self):
         split = forced_negative_split()
-        config = TrainConfig(epochs=1, d=4)
+        config = ExperimentConfig(epochs=1, d=4)
         with pytest.raises(ValueError, match="probe pairs"):
             cumulative_separation(split, {"a": (train_positives(split), None)},
                                   config, epochs=1, probe_pairs=[])
@@ -417,7 +417,7 @@ class TestCumulativeSeparation:
     def test_to_dict(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.05, batch_size=4, epochs=1, d=4, seed=2)
+        config = ExperimentConfig(lr=0.05, batch_size=4, epochs=1, d=4, seeds=(2,))
         res = cumulative_separation(split, {"a": (pss, None)}, config, epochs=1,
                                     probe_pairs=[(0, 0)])
         doc = res.to_dict()
@@ -430,8 +430,8 @@ class TestConfiguredBackbone:
     """The training comparisons train the backbone, sampler and seed the
     config names: each equals a LightGCN/dns run built by hand."""
 
-    CONFIG = TrainConfig(lr=0.05, batch_size=128, epochs=1, d=4, seed=3, backbone="lightgcn",
-                         prop_layers=2, sampler=SamplerSpec(kind="dns", pool=3))
+    CONFIG = ExperimentConfig(lr=0.05, batch_size=128, epochs=1, d=4, seeds=(3,),
+                              backbone="lightgcn", prop_layers=2, sampler="dns", pool=3)
 
     @classmethod
     def hand_built(cls, split):
@@ -441,7 +441,7 @@ class TestConfiguredBackbone:
         model = init_xavier(split.num_users, split.num_items, 4, 3, backbone="lightgcn",
                             num_prop_layers=2, adjacency=adjacency)
         return (model, AdamState(split.num_users + split.num_items, 4),
-                NegativeSampler(cls.CONFIG.sampler, train), np.random.default_rng([3, 1]))
+                NegativeSampler(cls.CONFIG.sampler_spec(), train), np.random.default_rng([3, 1]))
 
     def test_count_updates(self, drift_split, monkeypatch):
         pss = train_positives(drift_split)

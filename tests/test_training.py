@@ -18,11 +18,10 @@ from driftrec.decay import DecaySpec, build_weighted_graph
 from driftrec.experiment import ExperimentConfig, build_positives
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier, load_checkpoint
 from driftrec.positives import build_pss, filtrate, train_positives
-from driftrec.samplers import NegativeSampler, SamplerSpec
+from driftrec.samplers import NegativeSampler
 import driftrec.training as training
 from driftrec.training import (
     AdamState,
-    TrainConfig,
     TrainingDiverged,
     batch_gradients,
     bpr_loss,
@@ -427,9 +426,8 @@ class TestLossGate:
 
     @pytest.mark.parametrize("backbone,sampler", [("mf", "rns"), ("lightgcn", "dns")])
     def test_three_epochs_equal(self, drift_split, backbone, sampler, monkeypatch):
-        config = TrainConfig(lr=0.02, batch_size=256, l2=1e-4, d=8, seed=3,
-                             backbone=backbone, prop_layers=2,
-                             sampler=SamplerSpec(kind=sampler, pool=5))
+        config = ExperimentConfig(lr=0.02, batch_size=256, l2=1e-4, d=8, seeds=(3,),
+                                  backbone=backbone, prop_layers=2, sampler=sampler, pool=5)
         pss = train_positives(drift_split)
         train = drift_split.train
         adjacency = None
@@ -450,7 +448,7 @@ class TestLossGate:
             model = init_xavier(drift_split.num_users, drift_split.num_items, 8, 3,
                                 backbone=backbone, num_prop_layers=2, adjacency=adjacency)
             adam = AdamState(model.num_users + model.num_items, model.dim)
-            sampler_obj = NegativeSampler(config.sampler, train)
+            sampler_obj = NegativeSampler(config.sampler_spec(), train)
             rng = np.random.default_rng(5)
             stats = [train_epoch(model, pss, config, adam, drift_split, rng,
                                  sampler=sampler_obj, loss=loss) for _ in range(3)]
@@ -471,9 +469,9 @@ class TestLossGate:
     @pytest.mark.parametrize("backbone,sampler", [("mf", "rns"), ("lightgcn", "dns")])
     def test_fit_equals_loss_on_every_epoch(self, drift_split, backbone, sampler,
                                             monkeypatch):
-        config = TrainConfig(lr=0.02, batch_size=512, l2=1e-4, epochs=7, d=8, seed=2,
-                             eval_every=3, backbone=backbone, prop_layers=2,
-                             sampler=SamplerSpec(kind=sampler, pool=5))
+        config = ExperimentConfig(lr=0.02, batch_size=512, l2=1e-4, epochs=7, d=8,
+                                  seeds=(2,), eval_every=3, backbone=backbone,
+                                  prop_layers=2, sampler=sampler, pool=5)
         inner = training.train_epoch
 
         def run(force_loss):
@@ -510,7 +508,7 @@ class TestTrainingStepMatchesOracle:
 
     @staticmethod
     def oracle_epochs(model, pss, config, split, rng, epochs, pair_weights):
-        sampler = NegativeSampler(config.sampler, split.train)
+        sampler = NegativeSampler(config.sampler_spec(), split.train)
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, config.lr
         moments = {name: (np.zeros_like(emb), np.zeros_like(emb))
                    for name, emb in (("user", model.user_emb), ("item", model.item_emb))}
@@ -556,12 +554,12 @@ class TestTrainingStepMatchesOracle:
 
         def fresh_model():
             return init_xavier(drift_split.num_users, drift_split.num_items, config.d,
-                               config.seed, backbone=backbone,
+                               config.seeds[0], backbone=backbone,
                                num_prop_layers=config.prop_layers, adjacency=adjacency)
 
         model = fresh_model()
         adam = AdamState(model.num_users + model.num_items, model.dim)
-        sampler_obj = NegativeSampler(config.sampler, drift_split.train)
+        sampler_obj = NegativeSampler(config.sampler_spec(), drift_split.train)
         rng = np.random.default_rng(9)
         for _ in range(2):
             train_epoch(model, pss, config, adam, drift_split, rng,
@@ -628,8 +626,8 @@ class TestTrainEpoch:
     def test_sgd_single_batch_manual_update(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.1, batch_size=100, l2=0.01, epochs=1, d=4,
-                             seed=3, optimizer="sgd", eval_every=1)
+        config = ExperimentConfig(lr=0.1, batch_size=100, l2=0.01, epochs=1, d=4,
+                                  seeds=(3,), optimizer="sgd", eval_every=1)
         model = init_xavier(2, 3, 4, seed=3)
         before_u = model.user_emb.copy()
         before_i = model.item_emb.copy()
@@ -643,17 +641,18 @@ class TestTrainEpoch:
         gu, gi = grad[:2], grad[2:]
 
         train_epoch(model, pss, config, None, split, np.random.default_rng(9),
-                    NegativeSampler(config.sampler, split.train))
+                    NegativeSampler(config.sampler_spec(), split.train))
         assert np.array_equal(model.user_emb, before_u + (-config.lr * gu))
         assert np.array_equal(model.item_emb, before_i + (-config.lr * gi))
 
     def test_full_pass_visits_each_instance_once(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.01, batch_size=2, epochs=1, d=4, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=2, epochs=1, d=4, seeds=(0,))
         model = init_xavier(2, 3, 4, seed=0)
         stats = train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
-                            np.random.default_rng(1), NegativeSampler(config.sampler, split.train))
+                            np.random.default_rng(1),
+                            NegativeSampler(config.sampler_spec(), split.train))
         rows = stats["rows"]
         counter = Counter(zip(pss.users[rows].tolist(), pss.items[rows].tolist()))
         assert stats["pairs"] == len(pss) == 4
@@ -663,11 +662,12 @@ class TestTrainEpoch:
         split = forced_negative_split()
         graph = build_weighted_graph(split.train, DecaySpec(rate=0.0))
         pss = build_pss(filtrate(graph, 3))  # 12 instances, 4 train edges
-        config = TrainConfig(lr=0.01, batch_size=3, epochs=1, d=4, seed=0,
-                             epoch_mode="pi_sample")
+        config = ExperimentConfig(lr=0.01, batch_size=3, epochs=1, d=4, seeds=(0,),
+                                  epoch_mode="pi_sample")
         model = init_xavier(2, 3, 4, seed=0)
         stats = train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
-                            np.random.default_rng(2), NegativeSampler(config.sampler, split.train))
+                            np.random.default_rng(2),
+                            NegativeSampler(config.sampler_spec(), split.train))
         rows = stats["rows"]
         counter = Counter(zip(pss.users[rows].tolist(), pss.items[rows].tolist()))
         assert stats["pairs"] == len(split.train) == 4
@@ -676,11 +676,11 @@ class TestTrainEpoch:
     def test_weighted_all_ones_equals_standard(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.05, batch_size=2, epochs=1, d=4, seed=5)
+        config = ExperimentConfig(lr=0.05, batch_size=2, epochs=1, d=4, seeds=(5,))
         m1 = init_xavier(2, 3, 4, seed=5)
         m2 = init_xavier(2, 3, 4, seed=5)
         a1, a2 = AdamState(2 + 3, 4), AdamState(2 + 3, 4)
-        sampler = NegativeSampler(config.sampler, split.train)
+        sampler = NegativeSampler(config.sampler_spec(), split.train)
         for _ in range(3):
             train_epoch(m1, pss, config, a1, split, np.random.default_rng(7), sampler)
             train_epoch(m2, pss, config, a2, split, np.random.default_rng(7), sampler,
@@ -697,11 +697,11 @@ class TestTrainEpoch:
         lookup = pair_weight_lookup(graph)
         weights = np.array([lookup[(int(u), int(p))]
                             for u, p in zip(pss.users, pss.items)])
-        config = TrainConfig(lr=0.05, batch_size=4, epochs=1, d=4, seed=6)
+        config = ExperimentConfig(lr=0.05, batch_size=4, epochs=1, d=4, seeds=(6,))
         m1 = init_xavier(2, 3, 4, seed=6)
         m2 = init_xavier(2, 3, 4, seed=6)
         a1, a2 = AdamState(2 + 3, 4), AdamState(2 + 3, 4)
-        sampler = NegativeSampler(config.sampler, split.train)
+        sampler = NegativeSampler(config.sampler_spec(), split.train)
         train_epoch(m1, pss, config, a1, split, np.random.default_rng(8), sampler)
         train_epoch(m2, pss, config, a2, split, np.random.default_rng(8), sampler,
                     pair_weights=weights)
@@ -709,14 +709,14 @@ class TestTrainEpoch:
 
     def test_determinism_and_seed_sensitivity(self, drift_split):
         pss = train_positives(drift_split)
-        config = TrainConfig(lr=0.01, batch_size=256, epochs=1, d=8, seed=0)
+        config = ExperimentConfig(lr=0.01, batch_size=256, epochs=1, d=8, seeds=(0,))
 
         def one_epoch(rng_seed):
             model = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=0)
             adam = AdamState(drift_split.num_users + drift_split.num_items, 8)
             train_epoch(model, pss, config, adam, drift_split,
                         np.random.default_rng(rng_seed),
-                        NegativeSampler(config.sampler, drift_split.train))
+                        NegativeSampler(config.sampler_spec(), drift_split.train))
             return model
 
         a, b, c = one_epoch(5), one_epoch(5), one_epoch(6)
@@ -727,22 +727,23 @@ class TestTrainEpoch:
     def test_divergence_detected(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.1, batch_size=4, epochs=1, d=4, seed=0)
+        config = ExperimentConfig(lr=0.1, batch_size=4, epochs=1, d=4, seeds=(0,))
         model = init_xavier(2, 3, 4, seed=0)
         bad = model.params.copy()
         bad[0, 0] = np.nan
         model.set_params(bad)
         with pytest.raises(TrainingDiverged):
             train_epoch(model, pss, config, AdamState(2 + 3, 4), split,
-                        np.random.default_rng(0), NegativeSampler(config.sampler, split.train))
+                        np.random.default_rng(0),
+                        NegativeSampler(config.sampler_spec(), split.train))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sgd_divergence_names_its_batch(self):
         """SGD builds and steps no Adam state, so the message counts the
         epoch's batches instead of claiming an optimizer step."""
         split = forced_negative_split()
-        config = TrainConfig(lr=1e200, batch_size=3, epochs=5, d=4, seed=0,
-                             optimizer="sgd", eval_every=1)
+        config = ExperimentConfig(lr=1e200, batch_size=3, epochs=5, d=4, seeds=(0,),
+                                  optimizer="sgd", eval_every=1)
         assert training.init_training(split, config)[1] is None
         with pytest.raises(TrainingDiverged) as exc:
             fit(split, config)
@@ -753,7 +754,8 @@ class TestTrainEpoch:
         """At lr=1e200 the parameters overflow on the second of four
         batches; that batch is named and no batch trains after it."""
         split = forced_negative_split()
-        config = TrainConfig(lr=1e200, batch_size=1, epochs=1, d=4, seed=0, optimizer="sgd")
+        config = ExperimentConfig(lr=1e200, batch_size=1, epochs=1, d=4, seeds=(0,),
+                                  optimizer="sgd")
         model, adam, sampler, rng = training.init_training(split, config)
         trained = []
 
@@ -771,7 +773,7 @@ class TestTrainEpoch:
     def test_adam_divergence_names_its_global_step(self):
         split = forced_negative_split()
         pss = train_positives(split)
-        config = TrainConfig(lr=0.1, batch_size=3, epochs=1, d=4, seed=0)
+        config = ExperimentConfig(lr=0.1, batch_size=3, epochs=1, d=4, seeds=(0,))
         model, adam, sampler, rng = training.init_training(split, config)
         train_epoch(model, pss, config, adam, split, rng, sampler)
         bad = model.params.copy()
@@ -788,40 +790,40 @@ class TestTrainEpoch:
             users=pss.users[:0], items=pss.items[:0], layers=pss.layers[:0],
             weights=pss.weights[:0], num_users=2, num_items=3,
         )
-        config = TrainConfig(epochs=1, d=4)
+        config = ExperimentConfig(epochs=1, d=4)
         with pytest.raises(ValueError, match="empty"):
             train_epoch(init_xavier(2, 3, 4, seed=0), empty, config,
                         AdamState(2 + 3, 4), split, np.random.default_rng(0),
-                        NegativeSampler(config.sampler, split.train))
+                        NegativeSampler(config.sampler_spec(), split.train))
 
 
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="optimizer"):
-            TrainConfig(optimizer="rmsprop")
+            ExperimentConfig(optimizer="rmsprop")
         with pytest.raises(ValueError, match="epoch_mode"):
-            TrainConfig(epoch_mode="bootstrap")
+            ExperimentConfig(epoch_mode="bootstrap")
         with pytest.raises(ValueError, match="lr"):
-            TrainConfig(lr=0.0)
+            ExperimentConfig(lr=0.0)
         with pytest.raises(ValueError, match="epochs"):
-            TrainConfig(epochs=-1)
+            ExperimentConfig(epochs=-1)
         for backbone in ("mf", "lightgcn"):
             with pytest.raises(ValueError, match="prop_layers"):
-                TrainConfig(backbone=backbone, prop_layers=-1)
-        assert TrainConfig(prop_layers=0).prop_layers == 0
+                ExperimentConfig(backbone=backbone, prop_layers=-1)
+        assert ExperimentConfig(prop_layers=0).prop_layers == 0
 
     def test_config_with(self):
-        base = TrainConfig(lr=0.01)
+        base = ExperimentConfig(lr=0.01)
         changed = config_with(base, lr=0.5, d=8)
         assert changed.lr == 0.5 and changed.d == 8 and changed.batch_size == base.batch_size
 
 
 class TestFit:
     def small_config(self, **overrides):
-        base = dict(lr=0.02, batch_size=512, l2=1e-4, epochs=12, d=8, seed=0,
+        base = dict(lr=0.02, batch_size=512, l2=1e-4, epochs=12, d=8, seeds=(0,),
                     eval_every=4)
         base.update(overrides)
-        return TrainConfig(**base)
+        return ExperimentConfig(**base)
 
     def test_epochs_zero_returns_init(self, drift_split):
         config = self.small_config(epochs=0)
@@ -829,6 +831,12 @@ class TestFit:
         assert history == []
         init = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=0)
         assert np.array_equal(model.user_emb, init.user_emb)
+
+    def test_fit_trains_the_first_seed(self, drift_split):
+        model, history = fit(drift_split, self.small_config(seeds=(5, 6)))
+        first, first_history = fit(drift_split, self.small_config().train_config(5))
+        assert np.array_equal(model.params, first.params)
+        assert history == first_history
 
     def test_history_length(self, drift_split):
         model, history = fit(drift_split, self.small_config())

@@ -21,6 +21,10 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - one ``run`` with ``--epoch-mode pi_sample``;
 - ``probe`` with the identity and the adam preconditioner, and with the
   adam preconditioner under a config file that trains with sgd;
+- ``split``, ``build-pss``, ``train --checkpoint-out``, ``eval`` of that
+  checkpoint and ``run --seeds 0,1``, each with no flag but ``--config``
+  and its outputs: a config file with data, graph, training, sampler
+  (dns-mn) and cutoff keys;
 - one ``sweep``, including a setting that fails;
 - ``--help`` of the top level and of each subcommand.
 
@@ -47,8 +51,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 MASKED = re.compile(rb'("(?:out_dir|wall_ms)": )("(?:[^"\\]|\\.)*"|[^,}\s]+)')
-# a config file that trains with sgd, written by the worker before the matrix runs
+# config files written by the worker before the matrix runs: one that
+# trains with sgd, and one with keys from every group of the pipeline
 SGD_CONFIG = "probe-adam-sgd-config/sgd.yaml"
+PIPELINE_CONFIG = "probe-adam-sgd-config/pipeline.yaml"
 
 
 def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, list[str]]]:
@@ -104,6 +110,14 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
         "probe", "--data", data, "--config", SGD_CONFIG, "--d", "8", "--num-pairs", "20",
         "--optimizer", "adam", "--out", "probe-adam-sgd-config/probes.csv",
     ]))
+    config = ["--config", PIPELINE_CONFIG]
+    cells += [
+        ("config-split", ["split", *config, "--out", "config-split/manifest.jsonl"]),
+        ("config-build-pss", ["build-pss", *config, "--out", "config-build-pss/pss.jsonl"]),
+        ("config-train", ["train", *config, "--checkpoint-out", "config-train/model.ckpt"]),
+        ("config-eval", ["eval", *config, "--checkpoint", "config-train/model.ckpt"]),
+        ("config-run", ["run", *config, "--seeds", "0,1", "--out-dir", "config-run/out"]),
+    ]
     cells.append(("sweep", ["sweep", *train, "--param", "layers=1,3", "--param", "rate=-1,0.05",
                             "--out", "sweep/sweep.csv"]))
     cells.append(("help", ["--help"]))
@@ -119,9 +133,15 @@ def worker(src: str, *shape: str) -> None:
 
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise ImportError(f"imported {cli.__file__}, not the tree under {src}")
+    users, items, events, epochs = map(int, shape)
     Path(SGD_CONFIG).parent.mkdir(parents=True, exist_ok=True)
     Path(SGD_CONFIG).write_text("optimizer: sgd\n")
-    for name, argv in matrix(*map(int, shape)):
+    Path(PIPELINE_CONFIG).write_text(
+        "data_path: gen-synth/events.tsv\nlayers: 2\nrate: 0.02\n"
+        f"d: 8\nlr: 0.02\nbatch_size: 256\nepochs: {epochs}\neval_every: 1\n"
+        "sampler: dns-mn\nm: 2\nn: 5\nks: [5, 10]\n"
+    )
+    for name, argv in matrix(users, items, events, epochs):
         os.makedirs(name, exist_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
