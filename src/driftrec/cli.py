@@ -13,7 +13,7 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import yaml
@@ -37,7 +37,7 @@ from .positives import RANGE_MODES
 from .probes import MarginProbe, probe_one_step
 from .samplers import KINDS as SAMPLER_KINDS
 from .synthetic import SyntheticSpec, generate, write_tsv
-from .training import EPOCH_MODES, OPTIMIZERS, AdamState, init_training, train_adjacency
+from .training import EPOCH_MODES, OPTIMIZERS, init_training, train_adjacency
 
 __all__ = ["main"]
 
@@ -82,6 +82,7 @@ _HELP = {
     "seeds": "comma-separated seeds",
 }
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_PROBE_OPTIMIZERS = {"identity": "sgd", "adam": "adam"}
 
 
 def _flag(name: str) -> tuple[str, str]:
@@ -209,18 +210,16 @@ def cmd_probe(args) -> None:
     if config.backbone != "mf":  # checked up front, so even zero pairs fail
         raise ValueError("margin probes are defined for the dot-product backbone")
     split = load_split(config)
-    # the training state a run of this config starts from; pairs and
-    # negatives come from a separate rng stream
-    model, _, sampler, _ = init_training(split, config)
+    # the training state a run of this config starts from, with a fresh
+    # --optimizer; pairs and negatives come from a separate rng stream
+    model, optimizer, sampler, _ = init_training(
+        split, replace(config, optimizer=_PROBE_OPTIMIZERS[args.probe_optimizer]))
     rng = np.random.default_rng([config.seeds[0], 2])
     idx = rng.integers(0, len(split.train), size=args.num_pairs)
     users = split.train.users[idx]
     pos = split.train.items[idx]
     negs = sampler.sample_batch(users, model, rng)
     etas = [float(e) for e in args.etas.split(",")]
-    # a fresh state: zero moments at step 0, whatever optimizer the config trains with
-    optimizer = (AdamState(model.num_users + model.num_items, model.dim)
-                 if args.probe_optimizer == "adam" else "identity")
 
     increases = 0
     total = 0
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--optimizer",
         dest="probe_optimizer",
-        choices=("identity", "adam"),
+        choices=tuple(_PROBE_OPTIMIZERS),
         default="identity",
     )
     p.add_argument("--out")

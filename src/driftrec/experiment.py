@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -49,14 +50,24 @@ __all__ = [
 ]
 
 EXPERIMENT_VARIANTS = ("layered", "baseline", "weighted_bpr", "recent_k")
+# (accepted types, their name in messages) per field annotation; an int is
+# accepted for a float and a list for a tuple
+_ANNOTATION_TYPES = {
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "tuple": ((tuple, list), "a list"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat key/value configuration; every key is a YAML and CLI name.
 
-    The one config type from YAML to training. The training, decay, sampler
-    and cutoff keys are checked when it is built, used or not.
+    The one config type from YAML to training. Every value is checked
+    against its key's annotation when it is built; the training, decay,
+    sampler and cutoff keys are also checked then, used or not.
     """
 
     data_path: str = ""
@@ -93,12 +104,21 @@ class ExperimentConfig:
     write_epoch_metrics: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            types, description = _ANNOTATION_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, types):
+                raise ValueError(f"{f.name} must be {description}, got {value!r}")
         if self.variant not in EXPERIMENT_VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}, expected one of {EXPERIMENT_VARIANTS}"
             )
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name in ("ks", "seeds"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(int(v) for v in value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}") from None
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.decay_spec()

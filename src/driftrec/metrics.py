@@ -31,7 +31,6 @@ equal a loop over those helpers exactly, not just within a tolerance.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +73,6 @@ class EvalReport:
         if self.per_user is not None:
             doc["per_user"] = self.per_user
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def write_csv(self, stream) -> None:
         writer = csv.writer(stream)
@@ -149,8 +145,10 @@ def _certified_head(
     d = user_emb.shape[1]
     gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
     # bound >= sum_k |u_k i_k| for every item, with no squares to underflow;
-    # see the module docstring for the tolerance
-    bound = np.abs(user_emb).sum(axis=1) * item_abs_max
+    # see the module docstring for the tolerance. An overflowing bound is
+    # inf, which leaves its row uncertain.
+    with np.errstate(over="ignore"):
+        bound = np.abs(user_emb).sum(axis=1) * item_abs_max
     tol = CERTIFY_SAFETY * 4 * (gamma * bound + d * SUBNORMAL_MIN)
     with np.errstate(invalid="ignore"):  # inf - inf between excluded items
         gaps = np.diff(head, axis=1)

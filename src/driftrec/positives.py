@@ -53,11 +53,6 @@ class LayeredGraph:
             raise IndexError(f"layer {layer} out of range 1..{self.n}")
         return np.nonzero(self.labels == layer)[0]
 
-    @property
-    def layers(self) -> list[np.ndarray]:
-        """All layers as index arrays, layer 1 first."""
-        return [self.layer_edge_indices(i) for i in range(1, self.n + 1)]
-
 
 @dataclass(frozen=True)
 class PositiveSampleSet:

@@ -24,7 +24,7 @@ from .data import SplitDataset
 from .experiment import ExperimentConfig
 from .models import EmbeddingModel, init_xavier  # noqa: F401  (perfbench traces probes.init_xavier)
 from .positives import PositiveSampleSet
-from .training import AdamState, init_training, train_epoch
+from .training import SGD, AdamState, init_training, train_epoch
 
 __all__ = [
     "MarginProbe",
@@ -66,7 +66,7 @@ def probe_one_step(
     pos_item: int,
     neg_item: int,
     eta: float,
-    optimizer: str | AdamState = "identity",
+    optimizer: SGD | AdamState = SGD(),
 ) -> MarginProbe:
     """Apply one pairwise update on copied rows; the model is unchanged.
 
@@ -89,19 +89,7 @@ def probe_one_step(
     # margin gradients of the user, positive and negative rows
     grads = np.stack([emb[1] - emb[2], emb[0], -emb[0]])
 
-    if isinstance(optimizer, AdamState):
-        # bias-corrected second moments advanced one step with the loss
-        # gradient -c * grads; the state itself is not modified
-        state = optimizer
-        v_new = state.beta2 * state.v[rows] + (1.0 - state.beta2) * np.square(-c * grads)
-        bc2 = 1.0 - state.beta2 ** (state.step_count + 1)
-        diag = 1.0 / (np.sqrt(v_new / bc2) + state.eps)
-        label = "adam_diag"
-    elif optimizer == "identity":
-        diag = 1.0
-        label = "identity"
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    diag = optimizer.preconditioner(rows, -c * grads)
 
     grad_norm_sq = float(sum(g @ g for g in grads))
     bound_rhs = eta * c * float(sum(g @ dg for g, dg in zip(grads, diag * grads)))
@@ -113,7 +101,7 @@ def probe_one_step(
         pos_item=int(pos_item),
         neg_item=int(neg_item),
         eta=float(eta),
-        optimizer=label,
+        optimizer=optimizer.probe_label,
         margin_before=margin_before,
         margin_after=margin_after,
         grad_norm_sq=grad_norm_sq,
@@ -129,11 +117,11 @@ def count_updates(
 ) -> dict:
     """Exact per-pair update counts: the multiset rows each epoch trained,
     counted per distinct pair. Pairs enter the dict in ascending order."""
-    model, adam, sampler, rng = init_training(split, config)
+    model, optimizer, sampler, rng = init_training(split, config)
     keys, pair_of_row = np.unique(pss.pair_keys(), return_inverse=True)
     counts = np.zeros(keys.size, dtype=np.int64)
     for _ in range(epochs):
-        stats = train_epoch(model, pss, config, adam, split, rng, sampler, loss=False)
+        stats = train_epoch(model, pss, config, optimizer, split, rng, sampler, loss=False)
         counts += np.bincount(pair_of_row[stats["rows"]], minlength=keys.size)
     trained = np.flatnonzero(counts)
     users, items = np.divmod(keys[trained], np.int64(pss.num_items))
@@ -192,10 +180,10 @@ def cumulative_separation(
 
     trajectories = {}
     for name, (pss, pair_weights) in runs.items():
-        model, adam, sampler, rng = init_training(split, config)
+        model, optimizer, sampler, rng = init_training(split, config)
         track = [mean_margin(model, sampler)]
         for _ in range(epochs):
-            train_epoch(model, pss, config, adam, split, rng, sampler,
+            train_epoch(model, pss, config, optimizer, split, rng, sampler,
                         pair_weights=pair_weights, loss=False)
             track.append(mean_margin(model, sampler))
         trajectories[str(name)] = track

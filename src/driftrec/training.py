@@ -1,7 +1,7 @@
 """Pairwise ranking training loop.
 
 Minimizes -ln sigmoid(s_up - s_un) plus L2 over the positive multiset with
-mini-batch Adam. Negatives are drawn with the model's current parameters
+mini-batch Adam or SGD. Negatives are drawn with the model's current parameters
 before each update. Given per-pair weights, each pair's loss is scaled by
 its weight: the weighted variant trains on the plain (multiplicity one)
 edge set with recency weights instead of duplicating pairs. Every run
@@ -10,7 +10,7 @@ and reads the experiment's own ``ExperimentConfig``, already checked.
 
 Parameters, gradients and Adam moments share the model's stacked
 [users | items] row space: a batch gathers its rows in one take, returns
-one stacked gradient, and the optimizer updates one moment pair.
+one stacked gradient, and Adam updates one moment pair.
 
 The loss value is only a report: `fit` computes it on the epochs that
 evaluate and record it (every `eval_every`-th), and the gradient step is
@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # experiment imports this module
     from .experiment import ExperimentConfig
 
 __all__ = [
+    "SGD",
     "AdamState",
     "init_training",
     "train_adjacency",
@@ -56,6 +57,21 @@ class TrainingDiverged(RuntimeError):
     """Non-finite parameters detected during training."""
 
 
+class SGD:
+    """Plain gradient descent: no moment arrays, the identity preconditioner."""
+
+    probe_label = "identity"
+
+    def step(self, model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
+        model.add_to_params(-lr * grad)
+
+    def step_name(self, batch: int) -> str:
+        return f"SGD batch {batch} of the epoch"
+
+    def preconditioner(self, rows: list, grad: np.ndarray) -> float:
+        return 1.0
+
+
 class AdamState:
     """First/second moment accumulators shaped like the stacked parameters.
 
@@ -63,38 +79,40 @@ class AdamState:
     intermediate terms, so a step allocates no full-size arrays.
     """
 
+    probe_label = "adam_diag"
+
     def __init__(self, num_rows: int, d: int,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = np.zeros((num_rows, d))
-        self.v = np.zeros((num_rows, d))
-        self._delta = np.empty((num_rows, d))
-        self._tmp = np.empty((num_rows, d))
+        self.m, self.v = np.zeros((num_rows, d)), np.zeros((num_rows, d))
+        self._delta, self._tmp = np.empty((num_rows, d)), np.empty((num_rows, d))
+
+    def _divisor(self, v: np.ndarray, grad: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
+        """v = b2*v + (1-b2)*g^2 in place; `out` = sqrt(v / (1 - b2^t)) + eps, step t's divisor."""
+        v *= self.beta2
+        v += np.multiply(np.square(grad, out=out), 1.0 - self.beta2, out=out)
+        np.divide(v, 1.0 - self.beta2 ** t, out=out)
+        np.sqrt(out, out=out)
+        return np.add(out, self.eps, out=out)
 
     def step(self, model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        m, v, delta, tmp = self.m, self.v, self._delta, self._tmp
-        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
+        m, delta, tmp = self.m, self._delta, self._tmp
+        # m = b1*m + (1-b1)*g;  delta = -lr * (m / bc1) / divisor
         m *= self.beta1
         m += np.multiply(grad, 1.0 - self.beta1, out=tmp)
-        v *= self.beta2
-        np.square(grad, out=tmp)
-        tmp *= 1.0 - self.beta2
-        v += tmp
-        # delta = -lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=delta)
+        np.divide(m, 1.0 - self.beta1 ** self.step_count, out=delta)
         delta *= -lr
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        delta /= tmp
+        delta /= self._divisor(self.v, grad, self.step_count, tmp)
         model.add_to_params(delta)
+
+    def step_name(self, batch: int) -> str:
+        return f"Adam step {self.step_count}"
+
+    def preconditioner(self, rows: list, grad: np.ndarray) -> np.ndarray:
+        """1 / the divisor of a next step with `grad` on stacked `rows`; the state is unchanged."""
+        return 1.0 / self._divisor(self.v[rows], grad, self.step_count + 1, np.empty_like(grad))
 
 
 def bpr_loss(margin):
@@ -271,32 +289,32 @@ def train_adjacency(split: SplitDataset) -> sp.csr_matrix:
 
 def init_training(
     split: SplitDataset, config: ExperimentConfig
-) -> tuple[EmbeddingModel, AdamState | None, NegativeSampler, np.random.Generator]:
-    """(model, Adam state, negative sampler, rng) that a run on `split` starts from.
+) -> tuple[EmbeddingModel, SGD | AdamState, NegativeSampler, np.random.Generator]:
+    """(model, optimizer, negative sampler, rng) that a run on `split` starts from.
 
     The run's seed is ``config.seeds[0]``; a config with several seeds
     trains its first. The model is Xavier-initialized from the seed, with
-    the normalized train adjacency for the propagation backbone; the Adam
-    state holds zero moments for ``optimizer: adam`` and is None for SGD;
-    the sampler follows ``config.sampler_spec()``; the rng is seeded
-    [seed, 1].
+    the normalized train adjacency for the propagation backbone; the
+    optimizer is a zero-moment :class:`AdamState` for ``optimizer: adam``,
+    else :class:`SGD`; the sampler follows ``config.sampler_spec()``; the
+    rng is seeded [seed, 1].
     """
     seed = config.seeds[0]
     adjacency = train_adjacency(split) if config.backbone == "lightgcn" else None
     model = init_xavier(split.num_users, split.num_items, config.d, seed,
                         backbone=config.backbone, num_prop_layers=config.prop_layers,
                         adjacency=adjacency)
-    adam = (AdamState(model.num_users + model.num_items, model.dim)
-            if config.optimizer == "adam" else None)
+    optimizer = (AdamState(model.num_users + model.num_items, model.dim)
+                 if config.optimizer == "adam" else SGD())
     sampler = NegativeSampler(config.sampler_spec(), split.train)
-    return model, adam, sampler, np.random.default_rng([seed, 1])
+    return model, optimizer, sampler, np.random.default_rng([seed, 1])
 
 
 def train_epoch(
     model: EmbeddingModel,
     pss: PositiveSampleSet,
     config: ExperimentConfig,
-    adam: AdamState | None,
+    optimizer: SGD | AdamState,
     split: SplitDataset,
     rng: np.random.Generator,
     sampler: NegativeSampler,
@@ -306,7 +324,7 @@ def train_epoch(
     """One pass over the positive multiset in shuffled mini-batches.
 
     Raises :class:`TrainingDiverged` at the first optimizer step that
-    leaves a non-finite parameter, naming that step; no batch trains after it.
+    leaves a non-finite parameter, named by the optimizer; no batch trains after it.
 
     The record holds the epoch's mean loss, the number of pairs trained,
     the multiset rows trained in order ("rows"; a row drawn twice appears
@@ -326,21 +344,16 @@ def train_epoch(
     t0 = time.perf_counter()
     total_loss = 0.0
     seen = 0
-    for start in range(0, order.shape[0], config.batch_size):
+    for batch, start in enumerate(range(0, order.shape[0], config.batch_size), start=1):
         idx = order[start : start + config.batch_size]
         users = pss.users[idx]
         pos = pss.items[idx]
         negs = sampler.sample_batch(users, model, rng)
         w = pair_weights[idx] if pair_weights is not None else None
         batch_loss, grad = batch_gradients(model, users, pos, negs, config.l2, w, loss=loss)
-        if config.optimizer == "adam":
-            adam.step(model, grad, config.lr)
-        else:
-            model.add_to_params(-config.lr * grad)
+        optimizer.step(model, grad, config.lr)
         if not np.isfinite(model.params).all():
-            where = (f"Adam step {adam.step_count}" if config.optimizer == "adam"
-                     else f"SGD batch {start // config.batch_size + 1} of the epoch")
-            raise TrainingDiverged(f"non-finite parameters after {where}")
+            raise TrainingDiverged(f"non-finite parameters after {optimizer.step_name(batch)}")
         if loss:
             total_loss += batch_loss * idx.shape[0]
         seen += idx.shape[0]
@@ -379,7 +392,7 @@ def fit(
 
     if pss is None:
         pss = train_positives(split)
-    model, adam, sampler, rng = init_training(split, config)
+    model, optimizer, sampler, rng = init_training(split, config)
 
     select_k = min(ks)
     history: list[dict] = []
@@ -390,7 +403,7 @@ def fit(
         for epoch in range(1, config.epochs + 1):
             reporting = epoch % config.eval_every == 0
             stats = train_epoch(
-                model, pss, config, adam, split, rng, sampler,
+                model, pss, config, optimizer, split, rng, sampler,
                 pair_weights=pair_weights, loss=reporting,
             )
             if not reporting:

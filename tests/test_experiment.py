@@ -132,7 +132,8 @@ class TestBuildPositives:
         assert np.array_equal(pss.users, want.users)
         assert np.array_equal(pss.items, want.items)
         assert np.array_equal(pss.layers, want.layers)
-        sizes = [idx.size for idx in filtrate(graph, 4).layers]
+        layered = filtrate(graph, 4)
+        sizes = [layered.layer_edge_indices(i).size for i in range(1, 5)]
         assert len(pss) == sum((i + 1) * s for i, s in enumerate(sizes))
 
     @pytest.mark.parametrize("variant", ["layered", "baseline", "weighted_bpr", "recent_k"])
@@ -596,6 +597,20 @@ class TestCli:
         path, out = tmp_path / "config.yaml", tmp_path / "out.jsonl"
         path.write_text(yaml.safe_dump(config))
         rc = self.run_cli(command, "--data", tiny_tsv, "--config", str(path), "--out", str(out))
+        assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("config,message", [
+        ("ks: 20\n", "ks must be a list, got 20"),
+        ('lr: "0.01"\n', "lr must be a number, got '0.01'"),
+    ], ids=["ks", "lr"])
+    def test_wrong_typed_config_value_names_its_key(self, tiny_tsv, tmp_path, capsys,
+                                                    config, message):
+        path, out = tmp_path / "config.yaml", tmp_path / "manifest.jsonl"
+        path.write_text(config)
+        rc = self.run_cli("split", "--data", tiny_tsv, "--config", str(path), "--out", str(out))
         assert rc == 1 and not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""

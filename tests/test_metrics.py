@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestEvaluate:
         model = model_with_scores([[0.9, 0.5, 0.1]])
         split = split_of([], [(0, 0)], 1, 3)
         report = evaluate(model, split, ks=(1, 2))
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert doc["metrics"]["1"]["recall"] == 1.0
         buf = io.StringIO()
         report.write_csv(buf)
@@ -467,6 +468,25 @@ class TestCertifiedRanking:
         calls = spy_exact_rows(monkeypatch)
         assert_matches_loop(model, split, (1, 3, 10))
         assert calls == [3, 7]
+
+    def test_overflowing_bound_warns_nothing(self, monkeypatch):
+        # rows 2 and 7 score 1e300 * item[0], all finite, but their bound
+        # 1e300 * max |item entry| (1e9-scale column 1) overflows: they fall
+        # back quietly
+        rng = np.random.default_rng(90)
+        num_users, num_items = 12, 40
+        ue = rng.standard_normal((num_users, 4))
+        ue[[2, 7]] = [1e300, 0.0, 0.0, 0.0]
+        ie = rng.standard_normal((num_items, 4))
+        ie[:, 1] *= 1e9
+        model = EmbeddingModel(ue, ie)
+        pairs = random_pairs(rng, num_users, num_items, 6)
+        split = split_of(pairs[:36], pairs[36:], num_users, num_items)
+        calls = spy_exact_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_loop(model, split, (1, 5, 10))
+        assert calls == [2, 7]
 
     @pytest.mark.parametrize("part", ["validation", "test"])
     def test_every_row_uncertified(self, trained_drift_model, drift_split, part, monkeypatch):

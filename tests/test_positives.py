@@ -80,7 +80,8 @@ class TestFiltrate:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # degenerate data_range warns
                 layered = filtrate(g, n, range_mode=mode)
-            got = np.sort(np.concatenate(layered.layers))
+            got = np.sort(np.concatenate(
+                [layered.layer_edge_indices(i) for i in range(1, n + 1)]))
             assert np.array_equal(got, np.arange(g.num_edges))
             assert layered.labels.min() >= 1 and layered.labels.max() <= n
             # independent re-binning by scalar interval membership

@@ -8,6 +8,7 @@ The identity-preconditioner probe has a closed form:
 so gain, bound, and residual are all checkable against exact algebra.
 """
 
+import copy
 import math
 from collections import Counter
 
@@ -149,8 +150,6 @@ class TestIdentityProbe:
         model = hand_model()
         with pytest.raises(ValueError, match="coincide"):
             probe_one_step(model, 0, 1, 1, 1e-3)
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            probe_one_step(model, 0, 0, 1, 1e-3, optimizer="sgd")
         for user, pos, neg in ((2, 0, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 3)):
             with pytest.raises(IndexError, match="out of range"):
                 probe_one_step(model, user, pos, neg, 1e-3, optimizer=AdamState(2 + 3, 2))
@@ -226,6 +225,39 @@ class TestAdamProbe:
             assert probe.grad_norm_sq == float(sum(g[k] @ g[k] for k in g))
             assert probe.bound_rhs == eta * c * float(sum(g[k] @ (diag[k] * g[k]) for k in g))
             assert probe.margin_after == float(u2 @ (p2 - n2))
+
+    def test_preconditioner_is_the_next_steps_divisor(self):
+        """The preconditioner AdamState gives the probe on rows [u, U+p, U+n]
+        is, bit for bit, 1 / the divisor a real step divides those rows by:
+        a step of a copied state with -c * grads on those rows, zero elsewhere."""
+        rng = np.random.default_rng(74)
+        state = AdamState(6 + 10, 5)
+        for _ in range(3):
+            state.step(init_xavier(6, 10, 5, seed=2), rng.standard_normal((16, 5)), lr=0.0)
+        given = []
+        preconditioner = state.preconditioner
+
+        def spy(rows, grad):
+            given.append((rows, grad, preconditioner(rows, grad)))
+            return given[-1][2]
+
+        state.preconditioner = spy
+        model = init_xavier(6, 10, 5, seed=3)
+        for u, p, n in ((0, 1, 2), (5, 9, 0), (3, 4, 7), (2, 0, 9)):
+            probe_one_step(model, u, p, n, 1e-3, optimizer=state)
+            rows, grad, diag = given[-1]
+            assert rows == [u, 6 + p, 6 + n]
+            e_u, e_p, e_n = model.user_emb[u], model.item_emb[p], model.item_emb[n]
+            c = float(expit(-float(e_u @ (e_p - e_n))))
+            assert np.array_equal(grad, -c * np.stack([e_p - e_n, e_u, -e_u]))
+
+            stepped = copy.deepcopy(state)
+            full = np.zeros((16, 5))
+            full[rows] = grad
+            stepped.step(init_xavier(6, 10, 5, seed=3), full, lr=1e-3)
+            # a step leaves the divisor it divided by in its scratch buffer
+            assert np.array_equal(diag, 1.0 / stepped._tmp[rows])
+        assert state.step_count == 3
 
     def test_state_not_mutated(self):
         model = hand_model()

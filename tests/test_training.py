@@ -21,6 +21,7 @@ from driftrec.positives import build_pss, filtrate, train_positives
 from driftrec.samplers import NegativeSampler
 import driftrec.training as training
 from driftrec.training import (
+    SGD,
     AdamState,
     TrainingDiverged,
     batch_gradients,
@@ -640,7 +641,7 @@ class TestTrainEpoch:
         _, grad = batch_gradients(probe, users, pos, negs, config.l2)
         gu, gi = grad[:2], grad[2:]
 
-        train_epoch(model, pss, config, None, split, np.random.default_rng(9),
+        train_epoch(model, pss, config, SGD(), split, np.random.default_rng(9),
                     NegativeSampler(config.sampler_spec(), split.train))
         assert np.array_equal(model.user_emb, before_u + (-config.lr * gu))
         assert np.array_equal(model.item_emb, before_i + (-config.lr * gi))
@@ -744,7 +745,8 @@ class TestTrainEpoch:
         split = forced_negative_split()
         config = ExperimentConfig(lr=1e200, batch_size=3, epochs=5, d=4, seeds=(0,),
                                   optimizer="sgd", eval_every=1)
-        assert training.init_training(split, config)[1] is None
+        optimizer = training.init_training(split, config)[1]
+        assert isinstance(optimizer, SGD) and vars(optimizer) == {}  # no moment arrays
         with pytest.raises(TrainingDiverged) as exc:
             fit(split, config)
         assert str(exc.value) == "non-finite parameters after SGD batch 2 of the epoch"

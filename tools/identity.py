@@ -18,6 +18,8 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - for mf and lightgcn: ``eval --part validation --csv-out`` of the
   rns/layered checkpoint;
 - for mf and lightgcn: ``run`` and ``train`` with ``--optimizer sgd``;
+- ``train`` with ``--optimizer sgd`` and with ``adam`` at ``--lr 1e200``,
+  which overflows, so both end in the ``TrainingDiverged`` error record;
 - one ``run`` with ``--epoch-mode pi_sample``;
 - ``probe`` with the identity and the adam preconditioner, and with the
   adam preconditioner under a config file that trains with sgd;
@@ -30,8 +32,11 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 
 Every output file, and each command's exit code, stdout and stderr, is
 compared byte for byte; only the values of ``out_dir`` and ``wall_ms`` keys
-are masked. Prints one JSON summary (files compared, files that differ and
-the first differing line of each) and exits 1 if any file differs.
+are masked. Python warnings are kept out of stderr, because each names a
+file of its tree: a command that warns writes its distinct
+``Category: message`` lines, sorted, to a ``warnings`` file. Prints one
+JSON summary (files compared, files that differ and the first differing
+line of each) and exits 1 if any file differs.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -99,6 +105,10 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
             (f"train-{name}", ["train", *flags, "--checkpoint-out", f"train-{name}/model.ckpt",
                                "--metrics-out", f"train-{name}/metrics.jsonl"]),
         ]
+    for optimizer in ("sgd", "adam"):
+        cells.append((f"train-diverge-{optimizer}", [
+            "train", *train, "--optimizer", optimizer, "--lr", "1e200",
+        ]))
     cells.append(("run-pi_sample", ["run", *train, "--epoch-mode", "pi_sample",
                                     "--out-dir", "run-pi_sample/out"]))
     for optimizer in ("identity", "adam"):
@@ -144,11 +154,16 @@ def worker(src: str, *shape: str) -> None:
     for name, argv in matrix(users, items, events, epochs):
         os.makedirs(name, exist_ok=True)
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse printed help or rejected the command line
                 code = exc.code
+        if caught:
+            Path(name, "warnings").write_text(
+                "".join(sorted({f"{w.category.__name__}: {w.message}\n" for w in caught})))
         for stream, text in (("exit_code", f"{code}\n"), ("stdout", out.getvalue()),
                              ("stderr", err.getvalue())):
             Path(name, stream).write_text(text)
