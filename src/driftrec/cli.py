@@ -16,7 +16,6 @@ import sys
 from dataclasses import fields, replace
 
 import numpy as np
-import yaml
 
 from .data import write_split_manifest
 from .decay import KINDS as DECAY_KINDS
@@ -26,6 +25,7 @@ from .experiment import (
     build_positives,
     load_config,
     load_split,
+    read_yaml,
     run,
     sweep,
     train_and_test,
@@ -152,11 +152,12 @@ def cmd_split(args) -> None:
 def cmd_build_pss(args) -> None:
     config = _config_from_args(args)
     pss, _ = build_positives(load_split(config), config)
-    records = pss.audit_records()
+    distinct = 0
     with _output(args.out) as stream:
-        for record in records:
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-    _report({"pss_size": len(pss), "distinct_pairs": len(records)})
+        for records in pss.audit_chunks():
+            stream.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+            distinct += len(records)
+    _report({"pss_size": len(pss), "distinct_pairs": distinct})
 
 
 def cmd_train(args) -> None:
@@ -199,7 +200,7 @@ def cmd_sweep(args) -> None:
         name, _, values = spec.partition("=")
         if not values:
             raise ValueError(f"malformed --param {spec!r}, expected name=v1,v2,...")
-        grid[name.strip()] = [yaml.safe_load(v) for v in values.split(",")]
+        grid[name.strip()] = [read_yaml(v) for v in values.split(",")]
     rows = sweep(config, grid, mode=args.mode)
     with _output(args.out) as stream:
         write_sweep_csv(rows, list(grid), config.ks, stream)

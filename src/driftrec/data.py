@@ -37,6 +37,7 @@ __all__ = [
     "build_log",
     "latest_per_pair",
     "timestamp_split",
+    "check_split_fractions",
     "write_split_manifest",
 ]
 
@@ -336,6 +337,14 @@ def _check_disjoint_pairs(train: InteractionLog, holdout: InteractionLog) -> Non
         )
 
 
+def check_split_fractions(train_fraction: float, val_fraction_of_holdout: float) -> None:
+    """Raise ValueError unless :func:`timestamp_split` accepts the two fractions."""
+    if not (0.0 < train_fraction < 1.0):
+        raise ValueError("train_fraction must be in (0, 1)")
+    if not (0.0 <= val_fraction_of_holdout <= 1.0):
+        raise ValueError("val_fraction_of_holdout must be in [0, 1]")
+
+
 def timestamp_split(
     log: InteractionLog,
     train_fraction: float = 0.8,
@@ -353,10 +362,7 @@ def timestamp_split(
     log with a pair on both sides of the cut raises ``ValueError`` naming
     it, so positive sets built from train need no leakage filter.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must be in (0, 1)")
-    if not (0.0 <= val_fraction_of_holdout <= 1.0):
-        raise ValueError("val_fraction_of_holdout must be in [0, 1]")
+    check_split_fractions(train_fraction, val_fraction_of_holdout)
     if len(log) == 0:
         raise ValueError("empty log")
 

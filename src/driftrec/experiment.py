@@ -19,18 +19,28 @@ import itertools
 import json
 import numbers
 import os
+import re
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
 
-from .data import InteractionLog, SplitDataset, build_log, parse_log, timestamp_split
+from .data import (
+    InteractionLog,
+    SplitDataset,
+    build_log,
+    check_split_fractions,
+    parse_log,
+    timestamp_split,
+)
 from .decay import DecaySpec, build_weighted_graph
 from .metrics import evaluate
 from .models import save_checkpoint
 from .positives import (
     PositiveSampleSet,
     build_pss,
+    check_filtration,
+    check_recent_k,
     filtrate,
     recent_k_positives,
     train_positives,
@@ -66,8 +76,9 @@ class ExperimentConfig:
     """Flat key/value configuration; every key is a YAML and CLI name.
 
     The one config type from YAML to training. Every value is checked
-    against its key's annotation when it is built; the training, decay,
-    sampler and cutoff keys are also checked then, used or not.
+    against its key's annotation when it is built; every key the pipeline
+    reads is also checked then, used or not, with the message of the
+    library function that reads it.
     """
 
     data_path: str = ""
@@ -115,12 +126,14 @@ class ExperimentConfig:
             )
         for name in ("ks", "seeds"):
             value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, tuple(int(v) for v in value))
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a list of integers, got {value!r}") from None
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in value))
         if not self.seeds:
             raise ValueError("need at least one seed")
+        check_split_fractions(self.train_fraction, self.val_fraction_of_holdout)
+        check_filtration(self.layers, self.range_mode)
+        check_recent_k(self.recent_k)
         self.decay_spec()
         self.sampler_spec()
         if self.optimizer not in OPTIMIZERS:
@@ -158,6 +171,23 @@ class ExperimentConfig:
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 
 
+class _YamlLoader(yaml.SafeLoader):
+    """The safe loader with YAML 1.2 floats: PyYAML follows YAML 1.1, where
+    an exponent needs a dot and a signed power, so ``1e-3`` is a string."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def read_yaml(stream):
+    """The YAML document in `stream` (a string or a file), with YAML 1.2 floats."""
+    return yaml.load(stream, Loader=_YamlLoader)
+
+
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a configuration from an optional flat YAML file plus overrides.
 
@@ -167,7 +197,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     merged: dict = {}
     if path:
         with open(path) as f:
-            loaded = yaml.safe_load(f) or {}
+            loaded = read_yaml(f) or {}
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a flat mapping")
         merged.update(loaded)

@@ -33,6 +33,8 @@ BACKBONES = ("mf", "lightgcn")
 
 CHECKPOINT_FORMAT = "driftrec-checkpoint"
 CHECKPOINT_VERSION = 1
+# gathered candidate rows per block of users in a 2-D pair_scores call
+SCORE_BLOCK_BYTES = 2**19
 
 
 def build_norm_adjacency(
@@ -68,7 +70,8 @@ def propagate_matrix(adj: sp.csr_matrix, x: np.ndarray, num_layers: int) -> np.n
     for _ in range(num_layers):
         cur = adj @ cur
         acc += cur
-    return acc / (num_layers + 1)
+    acc /= num_layers + 1
+    return acc
 
 
 class EmbeddingModel:
@@ -184,11 +187,23 @@ class EmbeddingModel:
 
     def pair_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Scores of the pairs (users[j], items[j]); with 2-D ``items`` of shape
-        (b, w), the (b, w) scores of users[j] against each of items[j]."""
+        (b, w), the (b, w) scores of users[j] against each of items[j].
+
+        The 2-D case scores blocks of users, each gathering at most
+        ``SCORE_BLOCK_BYTES`` of candidate rows (at least one user), so its
+        transient memory is bounded rather than b * w * d * 8 bytes. Every
+        score is the same d-term reduction whatever the block size.
+        """
         ue, ie = self.scoring_embeddings()
-        if np.ndim(items) == 2:
-            return np.einsum("bd,bwd->bw", ue[users], ie[items])
-        return np.einsum("ij,ij->i", ue[users], ie[items])
+        if np.ndim(items) != 2:
+            return np.einsum("ij,ij->i", ue[users], ie[items])
+        b, w = items.shape
+        out = np.empty((b, w))
+        rows = max(1, SCORE_BLOCK_BYTES // max(1, 8 * w * self.dim))
+        for a in range(0, b, rows):
+            block = slice(a, a + rows)
+            np.einsum("bd,bwd->bw", ue[users[block]], ie[items[block]], out=out[block])
+        return out
 
 
 def init_xavier(

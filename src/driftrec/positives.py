@@ -12,6 +12,7 @@ guarantees that no train pair is also a validation or test pair.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,12 @@ __all__ = [
     "build_pss",
     "train_positives",
     "recent_k_positives",
+    "check_filtration",
+    "check_recent_k",
 ]
 
 RANGE_MODES = ("unit_interval", "data_range")
+AUDIT_CHUNK = 2**16  # audit records built at once
 
 
 @dataclass(frozen=True)
@@ -96,21 +100,42 @@ class PositiveSampleSet:
         total = len(self)
         return {pair: m / total for pair, m in self.multiplicity().items()}
 
-    def audit_records(self) -> list[dict]:
-        """One record per distinct pair, (user, item) ascending, for dumps."""
+    def audit_chunks(self) -> Iterator[list[dict]]:
+        """One record per distinct pair, (user, item) ascending, in lists of
+        at most ``AUDIT_CHUNK`` records, so a dump holds one list at a time."""
         first, counts = self._distinct()
-        weights = self.weights[first]
-        columns = zip(
-            self.users[first].tolist(),
-            self.items[first].tolist(),
-            counts.tolist(),
-            self.layers[first].tolist(),
-            np.where(np.isfinite(weights), weights, None).tolist(),
-        )
-        return [
-            {"user_index": u, "item_index": i, "multiplicity": m, "layer": layer, "weight": w}
-            for u, i, m, layer, w in columns
-        ]
+        for start in range(0, first.size, AUDIT_CHUNK):
+            rows = first[start : start + AUDIT_CHUNK]
+            weights = self.weights[rows]
+            columns = zip(
+                self.users[rows].tolist(),
+                self.items[rows].tolist(),
+                counts[start : start + AUDIT_CHUNK].tolist(),
+                self.layers[rows].tolist(),
+                np.where(np.isfinite(weights), weights, None).tolist(),
+            )
+            yield [
+                {"user_index": u, "item_index": i, "multiplicity": m, "layer": layer, "weight": w}
+                for u, i, m, layer, w in columns
+            ]
+
+    def audit_records(self) -> list[dict]:
+        """Every record of :meth:`audit_chunks` in one list."""
+        return [record for chunk in self.audit_chunks() for record in chunk]
+
+
+def check_filtration(n: int, range_mode: str) -> None:
+    """Raise ValueError unless :func:`filtrate` accepts `n` and `range_mode`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if range_mode not in RANGE_MODES:
+        raise ValueError(f"unknown range_mode {range_mode!r}, expected one of {RANGE_MODES}")
+
+
+def check_recent_k(k: int) -> None:
+    """Raise ValueError unless :func:`recent_k_positives` accepts `k`."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
 
 def filtrate(
@@ -124,10 +149,7 @@ def filtrate(
     the layer whose half-open interval contains it; the top interval is
     closed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if range_mode not in RANGE_MODES:
-        raise ValueError(f"unknown range_mode {range_mode!r}, expected one of {RANGE_MODES}")
+    check_filtration(n, range_mode)
     w = graph.weights
     if range_mode == "unit_interval":
         lo, hi = 0.0, 1.0
@@ -201,8 +223,7 @@ def recent_k_positives(train: InteractionLog, k: int) -> PositiveSampleSet:
     Users with fewer than k interactions keep all of them. Timestamp ties
     prefer the smaller item index, so the selection is deterministic.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_recent_k(k)
     # sort by (user asc, time desc, item asc) and take the first k rows per user
     order = np.lexsort((train.items, -train.times, train.users))
     u = train.users[order]

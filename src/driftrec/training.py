@@ -252,12 +252,16 @@ def batch_gradients(
             n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered[: 3 * b],
             _csc_indptr(3 * b),
         )
-        # the scoring rows are done with; free them before the next buffer
+        # each buffer is freed before the next is allocated: the scoring rows
+        # before propagation, the loss gradient before the stacked buffer
         del gathered, diff, ue, ue2, pe, ne
+        propagated = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
+        del g_stack
         # [propagated gradient; regularizer rows], scattered with the
         # propagated block as an identity so the regularizer adds after it
         stacked = np.empty((n + 3 * b, model.dim))
-        stacked[:n] = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
+        stacked[:n] = propagated
+        del propagated
         np.take(model.params, loss_rows, axis=0, out=stacked[n:], mode="clip")
         reg_rows_u, reg_rows_p, reg_rows_n = np.split(stacked[n:], 3)
         grad = _scatter_rows(

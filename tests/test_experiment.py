@@ -70,6 +70,13 @@ class TestLoadConfig:
         config = load_config(str(path), {"rate": None})
         assert config.rate == 0.05
 
+    def test_exponent_float_in_yaml_is_a_number(self, tmp_path):
+        """YAML 1.2 floats: PyYAML's YAML 1.1 resolver reads 1e-3 as a string."""
+        path = tmp_path / "conf.yaml"
+        path.write_text("lr: 1e-3\nl2: 5.0e-5\nrate: 2E+1\n")
+        config = load_config(str(path))
+        assert (config.lr, config.l2, config.rate) == (0.001, 5e-5, 20.0)
+
     def test_unknown_yaml_key_errors(self, tmp_path):
         path = tmp_path / "conf.yaml"
         path.write_text(yaml.safe_dump({"learning_rate": 0.1}))
@@ -103,6 +110,11 @@ class TestLoadConfig:
         ("ks", (), "cutoffs must be positive"),
         ("ks", (0,), "cutoffs must be positive"),
         ("ks", (5, -1), "cutoffs must be positive"),
+        ("layers", 0, "n must be >= 1"),
+        ("range_mode", "quantile", "unknown range_mode 'quantile'"),
+        ("recent_k", 0, "k must be >= 1"),
+        ("train_fraction", 1.5, r"train_fraction must be in \(0, 1\)"),
+        ("val_fraction_of_holdout", -0.5, r"val_fraction_of_holdout must be in \[0, 1\]"),
     ])
     def test_every_checked_key_is_checked_when_built(self, key, value, message):
         """Training, sampler, decay and cutoff keys fail at load, even where
@@ -380,6 +392,18 @@ class TestCli:
         assert [row["layers"] for row in rows] == ["1", "2"]
         assert all(row["error"] == "" for row in rows)
 
+    def test_sweep_exponent_floats(self, tiny_tsv, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+        rc = self.run_cli(
+            "sweep", "--data", tiny_tsv, "--epochs", "2", "--eval-every", "2",
+            "--d", "8", "--batch-size", "256", "--ks", "5",
+            "--param", "lr=1e-3,1e-2", "--out", out,
+        )
+        assert rc == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [row["lr"] for row in rows] == ["0.001", "0.01"]
+        assert all(row["error"] == "" for row in rows)
+
     def test_probe_csv(self, tiny_tsv, tmp_path, capsys):
         out = str(tmp_path / "probes.csv")
         rc = self.run_cli(
@@ -605,13 +629,34 @@ class TestCli:
     @pytest.mark.parametrize("config,message", [
         ("ks: 20\n", "ks must be a list, got 20"),
         ('lr: "0.01"\n', "lr must be a number, got '0.01'"),
-    ], ids=["ks", "lr"])
+        ("ks: [20.5]\n", "ks must be a list of integers, got [20.5]"),
+        ('seeds: ["3"]\n', "seeds must be a list of integers, got ['3']"),
+    ], ids=["ks", "lr", "ks-element", "seeds-element"])
     def test_wrong_typed_config_value_names_its_key(self, tiny_tsv, tmp_path, capsys,
                                                     config, message):
         path, out = tmp_path / "config.yaml", tmp_path / "manifest.jsonl"
         path.write_text(config)
         rc = self.run_cli("split", "--data", tiny_tsv, "--config", str(path), "--out", str(out))
         assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("config,message", [
+        ("layers: 0\n", "n must be >= 1"),
+        ("range_mode: quantile\n",
+         "unknown range_mode 'quantile', expected one of ('unit_interval', 'data_range')"),
+        ("recent_k: 0\n", "k must be >= 1"),
+        ("train_fraction: 1.5\n", "train_fraction must be in (0, 1)"),
+        ("val_fraction_of_holdout: 2\n", "val_fraction_of_holdout must be in [0, 1]"),
+    ], ids=["layers", "range_mode", "recent_k", "train_fraction", "val_fraction_of_holdout"])
+    def test_bad_data_or_graph_key_fails_before_any_data_is_read(self, tmp_path, capsys,
+                                                                config, message):
+        """The data path does not exist: the key is rejected when the config is built."""
+        path = tmp_path / "config.yaml"
+        path.write_text(f"data_path: {tmp_path / 'nonexistent.tsv'}\nvariant: baseline\n{config}")
+        rc = self.run_cli("run", "--config", str(path))
+        assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ValueError", "message": message}

@@ -1,10 +1,12 @@
 """Negative sampler tests: validity, distributions, hardness ordering."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftrec import models
 from driftrec.data import InteractionLog
 from driftrec.models import EmbeddingModel, init_xavier
 from driftrec.samplers import KINDS, NegativeSampler, SamplerSpec
@@ -270,6 +272,62 @@ class TestDynamic:
             p = expected[j]
             sigma = np.sqrt(p * (1 - p) / draws)
             assert abs(counts[j] / draws - p) <= 4.5 * sigma, f"item {j}"
+
+
+class TestBlockedScoring:
+    """dns and dns-mn score their candidates in blocks of users (models.SCORE_BLOCK_BYTES)."""
+
+    def tied_setup(self, d=16):
+        """30 items whose embeddings repeat three base rows, so every user's
+        scores tie exactly within each residue class of the item index."""
+        rng = np.random.default_rng(31)
+        rows = [(f"u{u}", f"i{(5 * u + j) % 30}", u * 10 + j) for u in range(12) for j in range(4)]
+        log = make_log(rows)
+        base = rng.normal(size=(3, d))
+        order = sorted(log.item_vocab, key=log.item_vocab.get)
+        ie = base[[int(key[1:]) % 3 for key in order]]
+        return log, EmbeddingModel(rng.normal(size=(log.num_users, d)), ie)
+
+    @pytest.mark.parametrize("spec", [SamplerSpec(kind="dns", pool=8),
+                                      SamplerSpec(kind="dns_mn", m=2, n=8)], ids=["dns", "dns_mn"])
+    def test_ties_across_block_boundaries_pick_as_unblocked(self, monkeypatch, spec):
+        log, model = self.tied_setup()
+        sampler = NegativeSampler(spec, log)
+        width = spec.pool if spec.kind == "dns" else spec.n
+        users = np.random.default_rng(32).integers(0, log.num_users, size=40)
+        # 3 users per block: boundaries after rows 2, 5, 8, ...
+        monkeypatch.setattr(models, "SCORE_BLOCK_BYTES", 3 * width * model.dim * 8)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            cands = sampler._draw_uniform_valid(np.repeat(users, width), rng).reshape(-1, width)
+            scores = model.pair_scores(users, cands)
+            top = scores == scores.max(axis=1, keepdims=True)
+            tied = np.array([np.unique(c[t]).size > 1 for c, t in zip(cands, top)])
+            # exact ties in the last row of one block and the first of the next
+            assert np.any(tied[2::3][: tied[3::3].size] & tied[3::3])
+            got = sampler.sample_batch(users, model, np.random.default_rng(seed))
+            want = oracle_sample_batch(sampler, users, model, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    def test_dns_peak_memory_is_below_a_full_batch_gather(self):
+        """b=2048 users x 50 candidates x d=64 would gather 52 MB of candidate
+        rows in one take; blocked scoring stays far below that."""
+        b, pool, d = 2048, 50, 64
+        rows = [(f"u{u}", f"i{(7 * u + j) % 1000}", u * 10 + j)
+                for u in range(200) for j in range(5)]
+        log = make_log(rows)
+        model = init_xavier(log.num_users, log.num_items, d, seed=3)
+        sampler = NegativeSampler(SamplerSpec(kind="dns", pool=pool), log)
+        users = np.random.default_rng(33).integers(0, log.num_users, size=b)
+        rng = np.random.default_rng(34)
+        tracemalloc.start()
+        try:
+            negs = sampler.sample_batch(users, model, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert negs.shape == (b,)
+        assert peak < b * pool * d * 8 / 4
 
 
 class TestRedrawOnlyRejection:

@@ -18,6 +18,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - for mf and lightgcn: ``eval --part validation --csv-out`` of the
   rns/layered checkpoint;
 - for mf and lightgcn: ``run`` and ``train`` with ``--optimizer sgd``;
+- ``train`` of lightgcn with dns and of mf with dns-mn at ``--batch-size
+  2048`` with 50 candidates per pair (``--pool 50 --n 50``), so each batch
+  is scored in several blocks of ``models.SCORE_BLOCK_BYTES``;
 - ``train`` with ``--optimizer sgd`` and with ``adam`` at ``--lr 1e200``,
   which overflows, so both end in the ``TrainingDiverged`` error record;
 - one ``run`` with ``--epoch-mode pi_sample``;
@@ -105,6 +108,15 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
             (f"train-{name}", ["train", *flags, "--checkpoint-out", f"train-{name}/model.ckpt",
                                "--metrics-out", f"train-{name}/metrics.jsonl"]),
         ]
+    # batches of 2048 with 50 candidates each span several pair_scores blocks
+    for backbone, sampler in (("lightgcn", "dns"), ("mf", "dns-mn")):
+        name = f"{backbone}-{sampler}-blocks"
+        cells.append((f"train-{name}", [
+            "train", *train, "--backbone", backbone, "--sampler", sampler,
+            "--batch-size", "2048", "--pool", "50", "--n", "50",
+            "--checkpoint-out", f"train-{name}/model.ckpt",
+            "--metrics-out", f"train-{name}/metrics.jsonl",
+        ]))
     for optimizer in ("sgd", "adam"):
         cells.append((f"train-diverge-{optimizer}", [
             "train", *train, "--optimizer", optimizer, "--lr", "1e200",
