@@ -111,8 +111,12 @@ def _add_config_flags(p: argparse.ArgumentParser, names, described: bool = True)
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {name: getattr(args, _flag(name)[1], None) for name in _DEFAULTS}
     for name in ("ks", "seeds"):
-        if overrides[name] is not None:
-            overrides[name] = tuple(int(v) for v in str(overrides[name]).split(","))
+        text = overrides[name]
+        if text is not None:
+            try:
+                overrides[name] = tuple(int(v) for v in text.split(","))
+            except ValueError:
+                raise ValueError(f"{name} must be a list of integers, got {text!r}") from None
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
     return load_config(getattr(args, "config", None), overrides)

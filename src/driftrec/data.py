@@ -2,8 +2,11 @@
 
 Raw logs are (user, item, timestamp) records with opaque string keys and
 integer epoch-second timestamps. Parsing reads the log in one ``csv.reader``
-pass into three columns (user keys, item keys, int64 timestamps) and checks
-whole columns at once; no per-record object is built. Ingestion then
+pass into three columns (user keys, item keys, int64 timestamps); no
+per-record object is built. Each key column holds one shared ``str`` per
+distinct stripped key, and timestamps are converted and checked every
+``PARSE_CHUNK`` records, so at most one chunk of raw field strings is held
+at a time. Ingestion then
 assigns dense indices in first-seen order, collapses duplicate (user, item)
 pairs keeping the latest timestamp, and sorts chronologically, all on NumPy
 arrays. Splitting cuts the sorted log at a global timestamp so the model is
@@ -56,7 +59,9 @@ class RawEvents(Sequence):
     """Read-only sequence of parsed records, held as three columns.
 
     ``user_keys`` and ``item_keys`` are lists of stripped keys and
-    ``timestamps`` is a read-only int64 array, all in record order.
+    ``timestamps`` is a read-only int64 array, all in record order. In the
+    columns :func:`parse_log` builds, the records of one stripped key share
+    one ``str`` object.
     Length, iteration and indexing yield :class:`RawEvent`; a slice yields
     :class:`RawEvents`.
     """
@@ -156,23 +161,51 @@ def _open_text(source):
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+PARSE_CHUNK = 4096  # records whose raw fields parse_log holds before mapping and converting them
+
+
+class _StrippedKeys(dict):
+    """Raw key -> stripped key, with one ``str`` object per distinct stripped key."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str) -> str:
+        stripped = raw.strip()
+        key = self[raw] = self.setdefault(stripped, stripped)
+        return key
+
+
+def _timestamp_block(stamps: list[str]) -> np.ndarray | None:
+    """int64 values of raw timestamp strings, or None unless each is an integer in [0, 2**63)."""
+    try:
+        block = np.fromiter(map(int, map(str.strip, stamps)), dtype=np.int64, count=len(stamps))
+    except (ValueError, OverflowError):
+        return None
+    return None if (block < 0).any() else block
 
 
 def _raise_first_bad_record(user_keys, item_keys, stamps, skipped) -> None:
     """Re-check the read records one by one and raise the first one's ParseError.
 
+    ``user_keys`` and ``item_keys`` are the stripped keys of every record
+    read; ``stamps`` holds the raw timestamps of the last ``len(stamps)``
+    records, those of the records before them having passed their checks.
     ``skipped`` holds the record numbers that carry no event (the header
     and blank records), so column position maps back to the 1-based
     record number the reader saw.
     """
+    first = len(user_keys) - len(stamps)
     skip = set(skipped)
     lineno = 0
-    for raw_user, raw_item, raw_time in zip(user_keys, item_keys, stamps):
+    for k, (user, item) in enumerate(zip(user_keys, item_keys)):
         lineno += 1
         while lineno in skip:
             lineno += 1
-        if not raw_user.strip() or not raw_item.strip():
+        if not user or not item:
             raise ParseError(f"line {lineno}: empty user or item key")
+        if k < first:
+            continue
+        raw_time = stamps[k - first]
         try:
             timestamp = int(raw_time.strip())
         except ValueError:
@@ -189,27 +222,52 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
     Each record needs at least three fields: user key, item key, integer
     timestamp. Extra fields are ignored, keys and timestamps are stripped
     of surrounding whitespace, and blank records are skipped. One
-    ``csv.reader`` pass appends the first three fields of each record to
-    three columns; the checks (non-empty keys, integer timestamps in
-    [0, 2**63)) then run on whole columns. Only when one fails are the
-    records re-checked one by one, so a malformed record raises
-    :class:`ParseError` naming its 1-based record number, and the first
-    malformed record in file order is the one reported.
+    ``csv.reader`` pass collects the first three fields of each record;
+    every ``PARSE_CHUNK`` records the keys are mapped through their
+    column's table of stripped keys, and the timestamps converted to int64
+    and checked (integers in [0, 2**63)) together. Once a chunk fails,
+    conversion stops; keys are checked non-empty over the distinct keys at
+    the end. Only when a check fails are the records re-checked one by one,
+    so a malformed record raises :class:`ParseError` naming its 1-based
+    record number, and the first malformed record in file order is the one
+    reported.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
     delimiter = "\t" if format == "tsv" else ","
 
+    users, items = _StrippedKeys(), _StrippedKeys()
     user_keys: list[str] = []
     item_keys: list[str] = []
+    blocks: list[np.ndarray] = []  # converted timestamps, one chunk each
+    # raw fields of the records after the last flush; after a failed chunk,
+    # stamps keeps the raw timestamps of that chunk and every later one
+    raw_users: list[str] = []
+    raw_items: list[str] = []
     stamps: list[str] = []
+    converting = True
+
+    def flush() -> None:
+        nonlocal converting
+        user_keys.extend(map(users.__getitem__, raw_users))
+        item_keys.extend(map(items.__getitem__, raw_items))
+        raw_users.clear()
+        raw_items.clear()
+        if converting:
+            block = _timestamp_block(stamps)
+            converting = block is not None
+            if converting:
+                blocks.append(block)
+                stamps.clear()
+
+    chunk = PARSE_CHUNK
     skipped: list[int] = []
     # an error met while reading waits until the records before it are checked
     pending: Exception | None = None
     stream, close = _open_text(source)
     try:
         reader = csv.reader(stream, delimiter=delimiter)
-        add_user, add_item, add_stamp = user_keys.append, item_keys.append, stamps.append
+        add_user, add_item, add_stamp = raw_users.append, raw_items.append, stamps.append
         try:
             if skip_header and next(reader, None) is not None:
                 skipped.append(1)
@@ -218,10 +276,12 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
                     add_user(row[0])
                     add_item(row[1])
                     add_stamp(row[2])
+                    if len(raw_users) == chunk:
+                        flush()
                 elif not row or (len(row) == 1 and row[0].strip() == ""):
-                    skipped.append(len(stamps) + len(skipped) + 1)  # blank line
+                    skipped.append(len(user_keys) + len(raw_users) + len(skipped) + 1)  # blank
                 else:
-                    lineno = len(stamps) + len(skipped) + 1
+                    lineno = len(user_keys) + len(raw_users) + len(skipped) + 1
                     pending = ParseError(f"line {lineno}: expected >=3 fields, got {len(row)}")
                     break
         except (csv.Error, ValueError) as exc:  # ValueError covers bad UTF-8
@@ -230,16 +290,11 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
         if close:
             stream.close()
 
-    users = list(map(str.strip, user_keys))
-    items = list(map(str.strip, item_keys))
-    try:
-        times = np.fromiter(map(int, map(str.strip, stamps)), dtype=np.int64, count=len(stamps))
-    except (ValueError, OverflowError):
-        times = None
-    if pending is not None or times is None or not (all(users) and all(items)) or (times < 0).any():
+    flush()
+    if pending is not None or not converting or not (all(users.values()) and all(items.values())):
         _raise_first_bad_record(user_keys, item_keys, stamps, skipped)
         raise pending
-    return RawEvents(users, items, times)
+    return RawEvents(user_keys, item_keys, np.concatenate(blocks))
 
 
 def _columns(events: Iterable[RawEvent]) -> RawEvents:

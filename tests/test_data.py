@@ -5,10 +5,12 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftrec import data
 from driftrec.data import (
     InteractionLog,
     ParseError,
@@ -242,6 +244,78 @@ class TestIngestEquivalence:
                 with pytest.raises(ParseError) as got:
                     parse_log(source(), format=fmt, skip_header=skip_header)
                 assert str(got.value) == str(want.value), (trial, name)
+
+
+class TestIngestAcrossChunks(TestIngestEquivalence):
+    """The equivalence checks with three records per timestamp chunk, so that
+    most logs span many chunks, and malformed records placed around chunk edges."""
+
+    @pytest.fixture(autouse=True)
+    def three_record_chunks(self, monkeypatch):
+        monkeypatch.setattr(data, "PARSE_CHUNK", 3)
+
+    @pytest.mark.parametrize("lines, message", [
+        # empty key in chunk 1, bad timestamp in chunk 3
+        (["u1\ti1\t5", " \ti1\t6", "u2\ti2\t7", "u3\ti3\t8", "u1\ti2\t9", "u2\ti3\t10",
+          "u1\ti1\tx"], "line 2: empty user or item key"),
+        # bad timestamp as the last record of chunk 1, then more chunks
+        (["u1\ti1\t5", "u2\ti2\t6", "u3\ti3\t-1", "u1\ti2\t7", "\ti1\t8", "u2\ti1\tz"],
+         "line 3: negative timestamp -1"),
+        # bad timestamp as the last record of chunk 2, blank lines shifting numbers
+        (["u1\ti1\t5", "", "u2\ti2\t6", "u3\ti3\t7", "u1\ti2\t8", "   ", "u2\ti1\t9.5",
+          "u1\ti1\t10"], "line 7: non-integer timestamp '9.5'"),
+        # empty key in the chunk after a failed one is not the first bad record
+        (["u1\ti1\t5", "u2\ti2\t6", "u3\ti3\t" + str(2**63), "u1\t\t7"],
+         f"line 3: timestamp out of range {2**63}"),
+        # short record after two converted chunks
+        (["u1\ti1\t5", "u2\ti2\t6", "u3\ti3\t7", "u1\ti2\t8", "u2\ti1\t9", "u3\ti1\t10",
+          "u1\ti3"], "line 7: expected >=3 fields, got 2"),
+    ])
+    def test_first_bad_record_around_chunk_edges(self, lines, message):
+        text = "".join(line + "\n" for line in lines).encode()
+        for parse in (reference_parse_log, parse_log):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == message
+
+    def test_reader_error_after_converted_chunk(self):
+        old_limit = csv.field_size_limit(10)
+        try:
+            good = b"u1\ti1\t5\nu2\ti2\t6\nu3\ti3\t7\nu1\ti2\t8\n"
+            text = good + b"u" * 20 + b"\ti3\t9\n"
+            for parse in (reference_parse_log, parse_log):
+                with pytest.raises(csv.Error, match="field limit"):
+                    parse(text)
+            text = b"u1\ti1\t5\nu2\ti2\t6\nu3\ti3\tx\n" + text
+            for parse in (reference_parse_log, parse_log):
+                with pytest.raises(ParseError, match="^line 3: non-integer timestamp 'x'$"):
+                    parse(text)
+        finally:
+            csv.field_size_limit(old_limit)
+
+
+class TestParseMemory:
+    def test_bytes_per_record(self, tmp_path):
+        rng = np.random.default_rng(23)
+        n = 60_000
+        users, items = rng.integers(600, size=n), rng.integers(1200, size=n)
+        times = rng.integers(10**9, 10**9 + 10**7, size=n)
+        path = tmp_path / "log.tsv"
+        path.write_text("".join(f"user{u}\titem{i}\t{t}\n" for u, i, t in zip(
+            users.tolist(), items.tolist(), times.tolist())))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            events = parse_log(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(events) == n
+        assert np.array_equal(events.timestamps, times)
+        # one list entry per key column, one int64, and the distinct keys
+        assert (held - before) / n < 40
+        # plus one chunk of raw fields and the timestamp chunks before they are joined
+        assert (peak - before) / n < 80
 
 
 class TestBuildLog:

@@ -361,6 +361,19 @@ class TestCli:
         user_rows = [json.loads(line) for line in open(per_user)]
         assert "recall@5" in user_rows[0]
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--ks", "20,x"),
+        ("train", "--ks", "20,,30"),
+        ("run", "--seeds", "1.5"),
+    ])
+    def test_malformed_list_flag_names_its_key(self, command, flag, value, capsys):
+        assert self.run_cli(command, "--data", "/nonexistent", flag, value) == 1
+        key = flag[2:]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{key} must be a list of integers, got {value!r}",
+        }
+
     def test_train_metrics_stream_is_rewritten_per_run(self, tiny_tsv, tmp_path):
         metrics = tmp_path / "epochs.jsonl"
         for _ in range(2):

@@ -31,6 +31,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
   and its outputs: a config file with data, graph, training, sampler
   (dns-mn) and cutoff keys;
 - one ``sweep``, including a setting that fails;
+- ``split`` and ``build-pss --variant layered`` of a hand-made log with
+  padded keys, duplicate pairs, blank lines, CRLF line ends and quoted
+  fields, so the key stripping and pair dedup of ingestion are compared too;
 - ``--help`` of the top level and of each subcommand.
 
 Every output file, and each command's exit code, stdout and stderr, is
@@ -64,6 +67,17 @@ MASKED = re.compile(rb'("(?:out_dir|wall_ms)": )("(?:[^"\\]|\\.)*"|[^,}\s]+)')
 # trains with sgd, and one with keys from every group of the pipeline
 SGD_CONFIG = "probe-adam-sgd-config/sgd.yaml"
 PIPELINE_CONFIG = "probe-adam-sgd-config/pipeline.yaml"
+# the hand-made log, also written by the worker: " u1", "u1 " and "u1" are
+# one user, "i\t4" is a quoted item key holding the delimiter, and (u1, i1),
+# (u2, i3), (u2, i1), (u1, i2) and (u3, i2) each recur with a later timestamp
+HAND_LOG = "hand-log-split/events.tsv"
+HAND_LOG_LINES = (
+    "u1\ti1\t100", " u1\ti2\t110", "u1 \ti1\t120", "", 'u2\t"i3"\t130',
+    '"u2"\ti1\t140', "u3\t i2 \t150", "   ", 'u3\t"i\t4"\t160', "u1\ti3\t170\textra",
+    "u2\ti2\t180", "u2\ti3\t 190 ", "u3\ti1\t200", 'u1\t"i\t4"\t210', "u4\ti1\t220",
+    "u2\ti1\t230", "", "u3\ti3\t240", " u1 \ti2\t250", "u3\ti2\t260", 'u2\t"i\t4"\t270',
+    "u1\ti5\t280", "u3\ti5\t290", "u4\ti2\t300", "u2\ti5\t310",
+)
 
 
 def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, list[str]]]:
@@ -142,6 +156,11 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
     ]
     cells.append(("sweep", ["sweep", *train, "--param", "layers=1,3", "--param", "rate=-1,0.05",
                             "--out", "sweep/sweep.csv"]))
+    cells += [
+        ("hand-log-split", ["split", "--data", HAND_LOG, "--out", "hand-log-split/manifest.jsonl"]),
+        ("hand-log-build-pss", ["build-pss", "--data", HAND_LOG, "--variant", "layered",
+                                "--layers", "2", "--out", "hand-log-build-pss/pss.jsonl"]),
+    ]
     cells.append(("help", ["--help"]))
     for command in ("split", "build-pss", "train", "eval", "run", "sweep", "probe", "gen-synth"):
         cells.append((f"help-{command}", [command, "--help"]))
@@ -163,6 +182,10 @@ def worker(src: str, *shape: str) -> None:
         f"d: 8\nlr: 0.02\nbatch_size: 256\nepochs: {epochs}\neval_every: 1\n"
         "sampler: dns-mn\nm: 2\nn: 5\nks: [5, 10]\n"
     )
+    Path(HAND_LOG).parent.mkdir(parents=True, exist_ok=True)
+    ends = itertools.cycle(("\r\n", "\n", "\n"))
+    Path(HAND_LOG).write_bytes("".join(line + end for line, end in zip(HAND_LOG_LINES, ends))
+                               .encode("utf-8"))
     for name, argv in matrix(users, items, events, epochs):
         os.makedirs(name, exist_ok=True)
         out, err = io.StringIO(), io.StringIO()
