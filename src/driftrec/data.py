@@ -1,19 +1,20 @@
 """Interaction-log ingestion and timestamp-partitioned splitting.
 
 Raw logs are (user, item, timestamp) records with opaque string keys and
-integer epoch-second timestamps. Parsing reads the log in one ``csv.reader``
-pass into three columns (user keys, item keys, int64 timestamps); no
-per-record object is built. Each key column holds one shared ``str`` per
-distinct stripped key, and timestamps are converted and checked every
-``PARSE_CHUNK`` records, so at most one chunk of raw field strings is held
-at a time. Ingestion then
-assigns dense indices in first-seen order, collapses duplicate (user, item)
-pairs keeping the latest timestamp, and sorts chronologically, all on NumPy
-arrays. Splitting cuts the sorted log at a global timestamp so the model is
-always asked to predict strictly future interactions, and removes
-holdout-only (cold) users. A split holds the invariant that no (user, item)
-pair is in both train and the holdout; it raises on a log that breaks it,
-which only a hand-built one can, since ingestion keeps each pair once.
+integer epoch-second timestamps. Parsing reads the log in one
+``csv.reader`` pass into three columns (user keys, item keys, int64
+timestamps); no per-record object is built. Each key column holds one
+shared ``str`` per distinct stripped key, and timestamps are converted and
+checked every ``PARSE_CHUNK`` records, so at most one chunk of raw field
+strings is held at a time; nothing after the first chunk with a malformed
+record is read. Ingestion then assigns dense indices in first-seen order,
+collapses duplicate (user, item) pairs keeping the latest timestamp, and
+sorts chronologically, all on NumPy arrays. Splitting cuts the sorted log
+at a global timestamp so the model is always asked to predict strictly
+future interactions, and removes holdout-only (cold) users. A split holds
+the invariant that no (user, item) pair is in both train and the holdout;
+it raises on a log that breaks it, which only a hand-built one can, since
+ingestion keeps each pair once.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def _raise_first_bad_record(user_keys, item_keys, stamps, skipped) -> None:
 
     ``user_keys`` and ``item_keys`` are the stripped keys of every record
     read; ``stamps`` holds the raw timestamps of the last ``len(stamps)``
-    records, those of the records before them having passed their checks.
+    records, the records before them having passed their checks.
     ``skipped`` holds the record numbers that carry no event (the header
     and blank records), so column position maps back to the 1-based
     record number the reader saw.
@@ -201,10 +202,10 @@ def _raise_first_bad_record(user_keys, item_keys, stamps, skipped) -> None:
         lineno += 1
         while lineno in skip:
             lineno += 1
-        if not user or not item:
-            raise ParseError(f"line {lineno}: empty user or item key")
         if k < first:
             continue
+        if not user or not item:
+            raise ParseError(f"line {lineno}: empty user or item key")
         raw_time = stamps[k - first]
         try:
             timestamp = int(raw_time.strip())
@@ -225,12 +226,13 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
     ``csv.reader`` pass collects the first three fields of each record;
     every ``PARSE_CHUNK`` records the keys are mapped through their
     column's table of stripped keys, and the timestamps converted to int64
-    and checked (integers in [0, 2**63)) together. Once a chunk fails,
-    conversion stops; keys are checked non-empty over the distinct keys at
-    the end. Only when a check fails are the records re-checked one by one,
-    so a malformed record raises :class:`ParseError` naming its 1-based
-    record number, and the first malformed record in file order is the one
-    reported.
+    and checked (integers in [0, 2**63)) together, as are the keys
+    (non-empty). The first chunk that fails a check stops the parse, and
+    nothing after it is read: its records are re-checked one by one, so a
+    malformed record raises :class:`ParseError` naming its 1-based record
+    number, and the first malformed record in file order is the one
+    reported. A short record or a reader error is raised once the records
+    before it are checked.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
@@ -240,30 +242,25 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
     user_keys: list[str] = []
     item_keys: list[str] = []
     blocks: list[np.ndarray] = []  # converted timestamps, one chunk each
-    # raw fields of the records after the last flush; after a failed chunk,
-    # stamps keeps the raw timestamps of that chunk and every later one
+    # raw fields of the records after the last flush
     raw_users: list[str] = []
     raw_items: list[str] = []
     stamps: list[str] = []
-    converting = True
+    skipped: list[int] = []  # record numbers of the header and blank records
 
     def flush() -> None:
-        nonlocal converting
         user_keys.extend(map(users.__getitem__, raw_users))
         item_keys.extend(map(items.__getitem__, raw_items))
         raw_users.clear()
         raw_items.clear()
-        if converting:
-            block = _timestamp_block(stamps)
-            converting = block is not None
-            if converting:
-                blocks.append(block)
-                stamps.clear()
+        block = _timestamp_block(stamps)
+        # every raw key that strips to nothing is stored under ""
+        if block is None or "" in users or "" in items:
+            _raise_first_bad_record(user_keys, item_keys, stamps, skipped)
+        blocks.append(block)
+        stamps.clear()
 
     chunk = PARSE_CHUNK
-    skipped: list[int] = []
-    # an error met while reading waits until the records before it are checked
-    pending: Exception | None = None
     stream, close = _open_text(source)
     try:
         reader = csv.reader(stream, delimiter=delimiter)
@@ -282,18 +279,18 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
                     skipped.append(len(user_keys) + len(raw_users) + len(skipped) + 1)  # blank
                 else:
                     lineno = len(user_keys) + len(raw_users) + len(skipped) + 1
-                    pending = ParseError(f"line {lineno}: expected >=3 fields, got {len(row)}")
-                    break
-        except (csv.Error, ValueError) as exc:  # ValueError covers bad UTF-8
-            pending = exc
+                    flush()
+                    raise ParseError(f"line {lineno}: expected >=3 fields, got {len(row)}")
+        except ParseError:
+            raise
+        except (csv.Error, ValueError):  # ValueError covers bad UTF-8
+            flush()  # a malformed record before the reader error is reported instead
+            raise
     finally:
         if close:
             stream.close()
 
     flush()
-    if pending is not None or not converting or not (all(users.values()) and all(items.values())):
-        _raise_first_bad_record(user_keys, item_keys, stamps, skipped)
-        raise pending
     return RawEvents(user_keys, item_keys, np.concatenate(blocks))
 
 

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 RANGE_MODES = ("unit_interval", "data_range")
-AUDIT_CHUNK = 2**16  # audit records built at once
+AUDIT_CHUNK = 2**12  # audit records built at once
 
 
 @dataclass(frozen=True)

@@ -391,7 +391,9 @@ def fit(
     one line-delimited record per evaluation; when a checkpoint path is
     given, the file is rewritten on every validation improvement.
     """
-    from .metrics import evaluate  # local import avoids a module cycle
+    # imported per call, not with the module: perfbench's tracer wraps metrics.evaluate
+    # and models.save_checkpoint, and fit's validation and checkpoint calls must reach it
+    from .metrics import evaluate
     from .models import save_checkpoint
 
     if pss is None:

@@ -278,6 +278,20 @@ class TestIngestAcrossChunks(TestIngestEquivalence):
                 parse(text)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("first_chunk, message", [
+        (["u1\ti1\t5", "u2\ti2\tx", "u3\ti3\t7"], "line 2: non-integer timestamp 'x'"),
+        (["u1\ti1\t5", "u2\t \t6", "u3\ti3\t7"], "line 2: empty user or item key"),
+    ])
+    def test_nothing_after_the_failing_chunk_is_read(self, first_chunk, message):
+        def lines():
+            for line in first_chunk:
+                yield line + "\n"
+            raise AssertionError("read past the failing chunk")
+
+        with pytest.raises(ParseError) as exc:
+            parse_log(lines())
+        assert str(exc.value) == message
+
     def test_reader_error_after_converted_chunk(self):
         old_limit = csv.field_size_limit(10)
         try:

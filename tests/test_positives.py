@@ -1,5 +1,7 @@
 """Filtration and positive-sample-set construction tests."""
 
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -221,3 +223,26 @@ class TestRecentK:
         log = make_log([("a", "x", 1)])
         with pytest.raises(ValueError, match="k must be"):
             recent_k_positives(log, k=0)
+
+
+class TestAuditMemory:
+    def test_chunks_peak_below_one_large_chunk(self):
+        n_users, n_items = 400, 300  # 120k distinct pairs
+        users = np.repeat(np.arange(n_users, dtype=np.int64), n_items)
+        items = np.tile(np.arange(n_items, dtype=np.int64), n_users)
+        pss = PositiveSampleSet(
+            users=users, items=items, layers=np.ones(users.size, dtype=np.int64),
+            weights=np.random.default_rng(0).random(users.size),
+            num_users=n_users, num_items=n_items,
+        )
+        # the record dicts alone of one 65,536-record chunk
+        bound = 65_536 * sys.getsizeof(next(pss.audit_chunks())[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = sum(len(chunk) for chunk in pss.audit_chunks())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert records == users.size
+        assert peak < bound

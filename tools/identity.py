@@ -34,6 +34,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - ``split`` and ``build-pss --variant layered`` of a hand-made log with
   padded keys, duplicate pairs, blank lines, CRLF line ends and quoted
   fields, so the key stripping and pair dedup of ingestion are compared too;
+- ``split`` of a hand-made log of more than three ``data.PARSE_CHUNK``s
+  with an empty key in the second chunk and a bad timestamp in the third,
+  so both trees report the same first malformed record;
 - ``--help`` of the top level and of each subcommand.
 
 Every output file, and each command's exit code, stdout and stderr, is
@@ -78,6 +81,11 @@ HAND_LOG_LINES = (
     "u2\ti1\t230", "", "u3\ti3\t240", " u1 \ti2\t250", "u3\ti2\t260", 'u2\t"i\t4"\t270',
     "u1\ti5\t280", "u3\ti5\t290", "u4\ti2\t300", "u2\ti5\t310",
 )
+# a log of four 4096-record parse chunks and 10 more records, also written by
+# the worker: record 4196 (1-based) has an empty user key, record 8292 a bad timestamp
+MALFORMED_LOG = "malformed-log-split/events.tsv"
+MALFORMED_LOG_RECORDS = 4 * 4096 + 10
+EMPTY_KEY_AT, BAD_STAMP_AT = 4096 + 99, 2 * 4096 + 99  # 0-based
 
 
 def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, list[str]]]:
@@ -160,6 +168,8 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
         ("hand-log-split", ["split", "--data", HAND_LOG, "--out", "hand-log-split/manifest.jsonl"]),
         ("hand-log-build-pss", ["build-pss", "--data", HAND_LOG, "--variant", "layered",
                                 "--layers", "2", "--out", "hand-log-build-pss/pss.jsonl"]),
+        ("malformed-log-split", ["split", "--data", MALFORMED_LOG,
+                                 "--out", "malformed-log-split/manifest.jsonl"]),
     ]
     cells.append(("help", ["--help"]))
     for command in ("split", "build-pss", "train", "eval", "run", "sweep", "probe", "gen-synth"):
@@ -186,6 +196,11 @@ def worker(src: str, *shape: str) -> None:
     ends = itertools.cycle(("\r\n", "\n", "\n"))
     Path(HAND_LOG).write_bytes("".join(line + end for line, end in zip(HAND_LOG_LINES, ends))
                                .encode("utf-8"))
+    Path(MALFORMED_LOG).parent.mkdir(parents=True, exist_ok=True)
+    records = [f"u{k % 97}\ti{k % 89}\t{1000 + k}\n" for k in range(MALFORMED_LOG_RECORDS)]
+    records[EMPTY_KEY_AT] = f" \ti1\t{1000 + EMPTY_KEY_AT}\n"
+    records[BAD_STAMP_AT] = f"u1\ti1\t{1000 + BAD_STAMP_AT}.5\n"
+    Path(MALFORMED_LOG).write_text("".join(records))
     for name, argv in matrix(users, items, events, epochs):
         os.makedirs(name, exist_ok=True)
         out, err = io.StringIO(), io.StringIO()
