@@ -153,13 +153,22 @@ def cmd_split(args) -> None:
     })
 
 
+# json.dumps(record, sort_keys=True) of an audit record, whose values are ints
+# and a finite float weight (float.__repr__) or None (null), and a line end
+_AUDIT_LINE = '{"item_index": %d, "layer": %d, "multiplicity": %d, "user_index": %d, "weight": %s}\n'
+
+
 def cmd_build_pss(args) -> None:
     config = _config_from_args(args)
     pss, _ = build_positives(load_split(config), config)
     distinct = 0
     with _output(args.out) as stream:
         for records in pss.audit_chunks():
-            stream.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+            stream.write("".join(
+                _AUDIT_LINE % (r["item_index"], r["layer"], r["multiplicity"], r["user_index"],
+                              "null" if r["weight"] is None else repr(r["weight"]))
+                for r in records
+            ))
             distinct += len(records)
     _report({"pss_size": len(pss), "distinct_pairs": distinct})
 

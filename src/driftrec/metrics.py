@@ -19,9 +19,11 @@ orders) and doubled for safety. When the row's ``max(ks) + 1`` best scores
 of the product are finite and each lies more than the tolerance above the
 next, the matrix-vector product ranks the same items first in the same
 order, with no ties; ``np.argpartition`` and a sort of that head give the
-row's ranking. Any other row (near-ties, too few rankable items, non-finite
-or overflowing values) is ranked by :func:`rank_items` itself, so it is
-exact by construction.
+row's ranking. The selection takes the rows of one small matrix product
+(``GEMM_MACS / d`` scores, at least one row) at a time, so its index
+scratch does not grow with the block. Any other row (near-ties, too few
+rankable items, non-finite or overflowing values) is ranked by
+:func:`rank_items` itself, so it is exact by construction.
 Recall and NDCG are then computed for all users at once with the float
 operations of the per-user helpers (:func:`rank_items`,
 :func:`recall_at_k`, :func:`ndcg_at_k`) in the same order, so the results
@@ -138,11 +140,16 @@ def _certified_head(
     n, num_items = neg.shape
     if num_items <= kmax:
         return np.empty((n, kmax), dtype=np.int64), np.zeros(n, dtype=bool)
-    idx = np.argpartition(neg, kmax, axis=1)[:, : kmax + 1]
+    d = user_emb.shape[1]
+    # argpartition's index is as large as its input, so it selects the rows of
+    # one matrix product (GEMM_MACS / d scores, at least one row) at a time
+    sub = max(1, GEMM_MACS // (num_items * d))
+    idx = np.empty((n, kmax + 1), dtype=np.intp)
+    for a in range(0, n, sub):
+        idx[a : a + sub] = np.argpartition(neg[a : a + sub], kmax, axis=1)[:, : kmax + 1]
     head = np.take_along_axis(neg, idx, axis=1)
     order = np.argsort(head, axis=1)
     head = np.take_along_axis(head, order, axis=1)
-    d = user_emb.shape[1]
     gamma = d * UNIT_ROUNDOFF / (1 - d * UNIT_ROUNDOFF)
     # bound >= sum_k |u_k i_k| for every item, with no squares to underflow;
     # see the module docstring for the tolerance. An overflowing bound is

@@ -121,8 +121,9 @@ def count_updates(
     keys, pair_of_row = np.unique(pss.pair_keys(), return_inverse=True)
     counts = np.zeros(keys.size, dtype=np.int64)
     for _ in range(epochs):
+        # popping the epoch's order frees it before the next epoch draws its own
         stats = train_epoch(model, pss, config, optimizer, split, rng, sampler, loss=False)
-        counts += np.bincount(pair_of_row[stats["rows"]], minlength=keys.size)
+        counts += np.bincount(pair_of_row[stats.pop("rows")], minlength=keys.size)
     trained = np.flatnonzero(counts)
     users, items = np.divmod(keys[trained], np.int64(pss.num_items))
     return dict(zip(zip(users.tolist(), items.tolist()), counts[trained].tolist()))

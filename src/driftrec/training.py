@@ -63,7 +63,9 @@ class SGD:
     probe_label = "identity"
 
     def step(self, model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
-        model.add_to_params(-lr * grad)
+        """Add -lr * grad to the parameters; consumes `grad`, which holds the update after."""
+        grad *= -lr
+        model.add_to_params(grad)
 
     def step_name(self, batch: int) -> str:
         return f"SGD batch {batch} of the epoch"
@@ -75,8 +77,10 @@ class SGD:
 class AdamState:
     """First/second moment accumulators shaped like the stacked parameters.
 
-    Every step updates all rows in place; two scratch buffers hold the
-    intermediate terms, so a step allocates no full-size arrays.
+    Every step updates all rows in place. One scratch buffer holds the
+    intermediate terms and then the step's divisor, and the update is built
+    in the gradient's own buffer, so a step allocates no full-size arrays
+    and the state holds three (num_rows, d) arrays.
     """
 
     probe_label = "adam_diag"
@@ -86,7 +90,7 @@ class AdamState:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m, self.v = np.zeros((num_rows, d)), np.zeros((num_rows, d))
-        self._delta, self._tmp = np.empty((num_rows, d)), np.empty((num_rows, d))
+        self._tmp = np.empty((num_rows, d))
 
     def _divisor(self, v: np.ndarray, grad: np.ndarray, t: int, out: np.ndarray) -> np.ndarray:
         """v = b2*v + (1-b2)*g^2 in place; `out` = sqrt(v / (1 - b2^t)) + eps, step t's divisor."""
@@ -97,15 +101,20 @@ class AdamState:
         return np.add(out, self.eps, out=out)
 
     def step(self, model: EmbeddingModel, grad: np.ndarray, lr: float) -> None:
+        """One Adam step; consumes `grad`, which holds the update after.
+
+        The step's divisor stays in ``_tmp`` until the next step.
+        """
         self.step_count += 1
-        m, delta, tmp = self.m, self._delta, self._tmp
-        # m = b1*m + (1-b1)*g;  delta = -lr * (m / bc1) / divisor
+        m, tmp = self.m, self._tmp
+        # m = b1*m + (1-b1)*g;  v and the divisor, both read g;  g = -lr * (m / bc1) / divisor
         m *= self.beta1
         m += np.multiply(grad, 1.0 - self.beta1, out=tmp)
-        np.divide(m, 1.0 - self.beta1 ** self.step_count, out=delta)
-        delta *= -lr
-        delta /= self._divisor(self.v, grad, self.step_count, tmp)
-        model.add_to_params(delta)
+        divisor = self._divisor(self.v, grad, self.step_count, tmp)
+        np.divide(m, 1.0 - self.beta1 ** self.step_count, out=grad)
+        grad *= -lr
+        grad /= divisor
+        model.add_to_params(grad)
 
     def step_name(self, batch: int) -> str:
         return f"Adam step {self.step_count}"
@@ -188,24 +197,34 @@ def batch_gradients(
     checked once up front, so the gathers need no buffered bound check.
 
     One int32 row array [users; users; U + pos; U + neg] (U = num_users)
-    gathers [e_u; e_u; e_p; e_n] from the stacked scoring rows in one take,
-    below e_p - e_n; its last 3b entries are the scatter rows of the loss
-    terms. Both backbones scatter into the stacked rows
-    (:func:`_scatter_rows`), reading the gathered rows [e_p - e_n; e_u;
-    e_u; e_p; e_n] scaled by coeff, -coeff or l2/b. Column order is
-    the order each output row adds its terms, starting from zero: a user
-    row adds its loss terms (e_p - e_n) in batch order, then its
-    regularization terms (e_u); an item row adds its positive loss terms
-    (first e_u), then its negative ones (second e_u), then its positive
-    and negative regularization terms (e_p, e_n). That is the float order
-    of separate user and item scatters, so the result is bit-identical to
-    them. For MF this is one scatter of 6b entries over the 5b columns;
-    the first e_u column carries two entries, the user's regularization
-    term and the positive item's loss term, which land on different rows.
-    For the propagation backbone the loss scatter reads [:3b], and the
-    regularization is added after propagation by a second scatter whose
-    first block is the propagated gradient itself with unit scale; its
-    regularizer rows are one take of the base parameters.
+    indexes the stacked scoring rows; its last 3b entries are the scatter
+    rows of the loss terms. Both backbones scatter into the stacked rows
+    (:func:`_scatter_rows`), and column order is the order each output row
+    adds its terms, starting from zero.
+
+    For MF one take gathers [e_u; e_u; e_p; e_n], below e_p - e_n, and one
+    scatter of 6b entries reads the 5b gathered rows [e_p - e_n; e_u; e_u;
+    e_p; e_n] scaled by coeff, -coeff or l2/b: a user row adds its loss
+    terms (e_p - e_n) in batch order, then its regularization terms (e_u);
+    an item row adds its positive loss terms (first e_u), then its negative
+    ones (second e_u), then its positive and negative regularization terms
+    (e_p, e_n). That is the float order of separate user and item scatters,
+    so the result is bit-identical to them. The first e_u column carries two
+    entries, the user's regularization term and the positive item's loss
+    term, which land on different rows.
+
+    The propagation backbone gathers only the 3b rows its loss scatter
+    reads, [e_p - e_n; e_u; e_u] (e_p and e_n are taken into the first and
+    third blocks and subtracted in place). The regularization is added
+    after propagation by a second scatter whose first n columns are the
+    propagated gradient itself with unit scale. The regularizer columns
+    that follow hold the base rows of the batch's distinct loss rows, once
+    each, and column j carries one l2/b entry per occurrence of its row in
+    the batch, all landing on that row. Every occurrence's term is the same
+    product of the same two floats, so each row adds, after its propagated
+    value, the same terms in the same number as a scatter of one base row
+    per occurrence would, and the float result is the same; the reported
+    loss reads each occurrence's squared norm from its distinct row.
     """
     num_users, num_items = model.num_users, model.num_items
     _check_index("users", users, num_users)
@@ -220,11 +239,21 @@ def batch_gradients(
     np.add(pos_items, num_users, out=gather_rows[2 * b : 3 * b], casting="unsafe")
     np.add(neg_items, num_users, out=gather_rows[3 * b :], casting="unsafe")
     loss_rows = gather_rows[b:]
-    # gathered rows, laid out in scatter column order: [e_p - e_n; e_u; e_u; e_p; e_n]
-    gathered = np.empty((5 * b, model.dim))
-    diff, ue, ue2, pe, ne = np.split(gathered, 5)
-    np.take(model.scoring_params(), gather_rows, axis=0, out=gathered[b:], mode="clip")
-    np.subtract(pe, ne, out=diff)
+    scoring = model.scoring_params()
+    if model.backbone == "mf":
+        # gathered rows, laid out in scatter column order: [e_p - e_n; e_u; e_u; e_p; e_n]
+        gathered = np.empty((5 * b, model.dim))
+        diff, ue, ue2, pe, ne = np.split(gathered, 5)
+        np.take(scoring, gather_rows, axis=0, out=gathered[b:], mode="clip")
+        np.subtract(pe, ne, out=diff)
+    else:
+        # [e_p - e_n; e_u; e_u], the loss scatter's columns
+        gathered = np.empty((3 * b, model.dim))
+        diff, ue, ue2 = np.split(gathered, 3)
+        np.take(scoring, gather_rows[2 * b : 3 * b], axis=0, out=diff, mode="clip")
+        np.take(scoring, gather_rows[3 * b :], axis=0, out=ue2, mode="clip")
+        diff -= ue2
+        np.take(scoring, gather_rows[: 2 * b], axis=0, out=gathered[b:], mode="clip")
     margin = np.einsum("ij,ij->i", ue, diff)
     # d bpr / d margin, the expression bpr_loss uses
     dmargin = -expit(-margin)
@@ -235,8 +264,6 @@ def batch_gradients(
 
     n = num_users + num_items
     if model.backbone == "mf":
-        # scoring rows are the base rows, so they double as regularizer rows
-        reg_rows_u, reg_rows_p, reg_rows_n = ue, pe, ne
         # 6b entries over the 5b columns, column block by column block
         u_rows, p_rows, n_rows = np.split(loss_rows, 3)
         rows = np.empty(6 * b, dtype=np.int32)
@@ -247,39 +274,43 @@ def batch_gradients(
         rows[3 * b : 4 * b], scales[3 * b : 4 * b] = n_rows, -coeff  # e_u: negative loss
         rows[4 * b :], scales[4 * b :] = loss_rows[b:], reg_scale  # e_p, e_n: item reg
         grad = _scatter_rows(n, rows, scales, gathered, _csc_indptr(5 * b, b, 2 * b))
+        if loss:
+            # scoring rows are the base rows, so they double as regularizer rows
+            sq_norms = np.einsum("ij,ij->i", gathered[2 * b :], gathered[2 * b :])
     else:
         g_stack = _scatter_rows(
-            n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered[: 3 * b],
-            _csc_indptr(3 * b),
+            n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered, _csc_indptr(3 * b),
         )
         # each buffer is freed before the next is allocated: the scoring rows
         # before propagation, the loss gradient before the stacked buffer
-        del gathered, diff, ue, ue2, pe, ne
+        del gathered, diff, ue, ue2
         propagated = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
         del g_stack
-        # [propagated gradient; regularizer rows], scattered with the
-        # propagated block as an identity so the regularizer adds after it
-        stacked = np.empty((n + 3 * b, model.dim))
+        distinct, occurrence, counts = np.unique(loss_rows, return_inverse=True,
+                                                 return_counts=True)
+        # [propagated gradient; base rows of the distinct loss rows], scattered
+        # with the propagated block as an identity so the regularizer adds after it
+        stacked = np.empty((n + distinct.size, model.dim))
         stacked[:n] = propagated
         del propagated
-        np.take(model.params, loss_rows, axis=0, out=stacked[n:], mode="clip")
-        reg_rows_u, reg_rows_p, reg_rows_n = np.split(stacked[n:], 3)
+        np.take(model.params, distinct, axis=0, out=stacked[n:], mode="clip")
+        indptr = np.concatenate([np.arange(n + 1, dtype=np.int32),
+                                 np.cumsum(counts, dtype=np.int32) + n])
         grad = _scatter_rows(
-            n, np.concatenate([np.arange(n, dtype=np.int32), loss_rows]),
-            np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked,
-            _csc_indptr(n + 3 * b),
+            n, np.concatenate([np.arange(n, dtype=np.int32), np.repeat(distinct, counts)]),
+            np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked, indptr,
         )
+        if loss:
+            sq_norms = np.einsum("ij,ij->i", stacked[n:], stacked[n:])[occurrence]
     if not loss:
         return None, grad
 
     loss_vec, _ = bpr_loss(margin)
     if pair_weights is not None:
         loss_vec = loss_vec * pair_weights
-    reg = 0.5 * l2 * (
-        np.einsum("ij,ij->i", reg_rows_u, reg_rows_u)
-        + np.einsum("ij,ij->i", reg_rows_p, reg_rows_p)
-        + np.einsum("ij,ij->i", reg_rows_n, reg_rows_n)
-    )
+    # squared norms of the regularizer rows of each pair's user, positive and negative
+    sq_u, sq_p, sq_n = np.split(sq_norms, 3)
+    reg = 0.5 * l2 * (sq_u + sq_p + sq_n)
     return float(np.mean(loss_vec + reg)), grad
 
 
@@ -412,6 +443,8 @@ def fit(
                 model, pss, config, optimizer, split, rng, sampler,
                 pair_weights=pair_weights, loss=reporting,
             )
+            # a multiset-sized order: free it before the next epoch draws its own
+            del stats["rows"]
             if not reporting:
                 continue
             record = {"epoch": epoch, "loss": stats["loss"]}

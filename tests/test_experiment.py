@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import driftrec.cli as cli
 from driftrec.cli import main
 from driftrec.data import timestamp_split
 from driftrec.decay import DecaySpec, build_weighted_graph
@@ -21,7 +22,7 @@ from driftrec.experiment import (
     sweep,
     write_sweep_csv,
 )
-from driftrec.positives import build_pss, filtrate
+from driftrec.positives import AUDIT_CHUNK, PositiveSampleSet, build_pss, filtrate
 from driftrec.synthetic import SyntheticSpec, generate, write_tsv
 from conftest import pair_weight_lookup
 
@@ -328,6 +329,23 @@ class TestCli:
         assert {r["layer"] for r in recs} <= {1, 2}
         stats = json.loads(capsys.readouterr().err)
         assert stats["pss_size"] == sum(r["multiplicity"] for r in recs)
+
+    def test_build_pss_dump_is_json_of_each_record(self, tiny_tsv, tmp_path, monkeypatch):
+        """Each audit line is json.dumps(record, sort_keys=True), for weights
+        of every float form and missing ones, across several audit chunks."""
+        rng = np.random.default_rng(12)
+        keys = np.sort(rng.choice(10**6, size=3 * AUDIT_CHUNK, replace=False))
+        weights = rng.random(keys.size) * 10.0 ** rng.integers(-320, 300, size=keys.size)
+        weights[:6] = [np.nan, 0.1, 1 / 3, 5e-324, 1e16, 1e-05]
+        weights[::5] = np.nan
+        pss = PositiveSampleSet(users=keys // 1000, items=keys % 1000,
+                                layers=rng.integers(0, 4, size=keys.size), weights=weights,
+                                num_users=1000, num_items=1000)
+        monkeypatch.setattr(cli, "build_positives", lambda split, config: (pss, None))
+        out = tmp_path / "pss.jsonl"
+        assert self.run_cli("build-pss", "--data", tiny_tsv, "--out", str(out)) == 0
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in pss.audit_records())
+        assert out.read_text() == want
 
     def test_train_eval_round_trip(self, tiny_tsv, tmp_path, capsys):
         ckpt = str(tmp_path / "model.ckpt")

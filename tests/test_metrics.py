@@ -622,6 +622,38 @@ def test_block_cap_bounds_evaluation_memory():
     assert peak < 4 * 2**20
 
 
+def test_selection_scratch_is_below_a_block_sized_index(monkeypatch):
+    """argpartition's int64 index is as large as the scores it selects from;
+    selecting a 32 x 4000 block a few rows at a time keeps the selection's
+    traced peak under half of a block-sized index."""
+    rng = np.random.default_rng(75)
+    num_users, num_items = 300, 4000
+    rows = metrics.BLOCK_SCORES // num_items
+    model = init_xavier(num_users, num_items, 8, seed=6)
+    users = np.repeat(np.arange(num_users), 10)
+    items = rng.integers(0, num_items, size=users.size)
+    split = split_of(zip(users[::2].tolist(), items[::2].tolist()),
+                     zip(users[1::2].tolist(), items[1::2].tolist()), num_users, num_items)
+    inner, peaks = metrics._certified_head, []
+
+    def traced(neg, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = inner(neg, *args)
+        peaks.append((neg.shape[0], tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(metrics, "_certified_head", traced)
+    tracemalloc.start()
+    try:
+        report = evaluate(model, split, ks=(20, 30))
+    finally:
+        tracemalloc.stop()
+    assert report.users_evaluated == num_users
+    assert peaks[0][0] == rows
+    assert max(peak for _, peak in peaks) < rows * num_items * 8 / 2
+
+
 class TestMarginSurrogate:
     def test_equal_scores_two_items(self):
         model = model_with_scores([[0.3, 0.3]])

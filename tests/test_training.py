@@ -7,6 +7,7 @@ and the analytic gradients against central finite differences of that loss.
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import mpmath
@@ -324,6 +325,31 @@ class TestBatchGradientsBitIdentity:
             adam.step(model, grad, lr=0.01)
 
 
+class TestBatchGradientsMemory:
+    def test_lightgcn_gathers_three_rows_per_pair(self, drift_split):
+        """A 2048-pair LightGCN batch gathers [e_p - e_n; e_u; e_u], 3b rows of
+        d floats, and its regularizer rows are the distinct loss rows; its
+        traced peak stays under 4b rows, which a 5b-row gather exceeds."""
+        b, d = 2048, 32
+        train = drift_split.train
+        model = init_xavier(drift_split.num_users, drift_split.num_items, d, seed=7,
+                            backbone="lightgcn", num_prop_layers=3,
+                            adjacency=training.train_adjacency(drift_split))
+        model.scoring_params()  # the propagation cache is the model's, not the step's
+        rng = np.random.default_rng(8)
+        idx = rng.integers(0, len(train), size=b)
+        negs = rng.integers(0, drift_split.num_items, size=b)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss, grad = batch_gradients(model, train.users[idx], train.items[idx], negs, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss) and grad.shape == (model.num_users + model.num_items, d)
+        assert peak < 4 * b * d * 8
+
+
 class TestScatterSignsAndBounds:
     """Underflowed loss coefficients and zero rows keep the oracle's signs."""
 
@@ -598,6 +624,52 @@ class TestAdamState:
         assert np.array_equal(model.item_emb, ref_i)
         assert np.array_equal(adam.m[4:], moments[2])
         assert np.array_equal(adam.v[:4], moments[1])
+
+    def test_sgd_in_place_step_matches_reference_bitwise(self):
+        """500 SGD steps equal params += -lr * g evaluated with a temporary."""
+        model = init_xavier(4, 6, 3, seed=43)
+        ref = model.params.copy()
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            g = rng.standard_normal((10, 3))
+            SGD().step(model, g.copy(), 0.05)
+            ref += -0.05 * g
+        assert np.array_equal(model.params, ref)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_step_consumes_grad(self, optimizer):
+        """A step leaves its update in the gradient's buffer and adds exactly that."""
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        model = init_xavier(4, 6, 3, seed=45)
+        state = SGD() if optimizer == "sgd" else AdamState(4 + 6, 3)
+        m, v = np.zeros((10, 3)), np.zeros((10, 3))
+        rng = np.random.default_rng(46)
+        for t in range(1, 4):
+            g = rng.standard_normal((10, 3))
+            if optimizer == "sgd":
+                want = -lr * g
+            else:
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * np.square(g)
+                want = -lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            before = model.params.copy()
+            grad = g.copy()
+            state.step(model, grad, lr)
+            assert np.array_equal(grad, want)
+            assert np.array_equal(model.params, before + grad)
+
+    def test_state_is_three_arrays(self):
+        """m, v and one scratch array: AdamState(n, d) allocates three (n, d)
+        float64 arrays, and a fourth would cross the bound."""
+        n, d = 4096, 32
+        tracemalloc.start()
+        try:
+            state = AdamState(n, d)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 3 * n * d * 8 <= held < 4 * n * d * 8
+        assert state.m.shape == state.v.shape == (n, d)
 
     def test_first_step_matches_manual_formula(self):
         model = init_xavier(2, 3, 4, seed=8)
