@@ -17,10 +17,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .data import write_split_manifest
+from .data import DATA_FORMATS, write_split_manifest
 from .decay import KINDS as DECAY_KINDS
 from .experiment import (
     EXPERIMENT_VARIANTS,
+    SWEEP_MODES,
     ExperimentConfig,
     build_positives,
     load_config,
@@ -59,7 +60,7 @@ _ALIASES = {
     "val_fraction_of_holdout": ("--val-fraction", "val_fraction_of_holdout"),
 }
 _CHOICES = {
-    "data_format": ("tsv", "csv"),
+    "data_format": DATA_FORMATS,
     "variant": EXPERIMENT_VARIANTS,
     "decay": DECAY_KINDS,
     "range_mode": RANGE_MODES,
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "sweep", "metric grid across parameter settings", _PIPELINE, cmd_sweep)
     p.add_argument("--param", action="append", required=True, help="name=v1,v2,...")
-    p.add_argument("--mode", choices=("one_at_a_time", "grid"), default="one_at_a_time")
+    p.add_argument("--mode", choices=SWEEP_MODES, default="one_at_a_time")
     p.add_argument("--out")
 
     p = _subcommand(sub, "probe", "one-step margin probes on sampled pairs",

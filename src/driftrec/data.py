@@ -2,19 +2,18 @@
 
 Raw logs are (user, item, timestamp) records with opaque string keys and
 integer epoch-second timestamps. Parsing reads the log in one
-``csv.reader`` pass into three columns (user keys, item keys, int64
-timestamps); no per-record object is built. Each key column holds one
-shared ``str`` per distinct stripped key, and timestamps are converted and
-checked every ``PARSE_CHUNK`` records, so at most one chunk of raw field
-strings is held at a time; nothing after the first chunk with a malformed
-record is read. Ingestion then assigns dense indices in first-seen order,
-collapses duplicate (user, item) pairs keeping the latest timestamp, and
-sorts chronologically, all on NumPy arrays. Splitting cuts the sorted log
-at a global timestamp so the model is always asked to predict strictly
-future interactions, and removes holdout-only (cold) users. A split holds
-the invariant that no (user, item) pair is in both train and the holdout;
-it raises on a log that breaks it, which only a hand-built one can, since
-ingestion keeps each pair once.
+``csv.reader`` pass into three int64 columns: each key column is mapped,
+through one table per column, straight to dense indices numbered in
+first-seen order of the stripped keys, and timestamps are converted and
+checked. Both happen every ``PARSE_CHUNK`` records, so at most one chunk of
+raw field strings is held at a time; nothing after the first chunk with a
+malformed record is read. Ingestion then collapses duplicate (user, item)
+pairs keeping the latest timestamp, and sorts chronologically, all on NumPy
+arrays. Splitting cuts the sorted log at a global timestamp so the model is
+always asked to predict strictly future interactions, and removes
+holdout-only (cold) users. A split holds the invariant that no (user, item)
+pair is in both train and the holdout; it raises on a log that breaks it,
+which only a hand-built one can, since ingestion keeps each pair once.
 """
 
 from __future__ import annotations
@@ -24,19 +23,17 @@ import io
 import itertools
 import math
 import os
-from collections import defaultdict
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "RawEvent",
     "RawEvents",
     "InteractionLog",
     "SplitDataset",
     "ParseError",
+    "DATA_FORMATS",
+    "check_format",
     "parse_log",
     "build_log",
     "latest_per_pair",
@@ -45,52 +42,36 @@ __all__ = [
     "write_split_manifest",
 ]
 
+DATA_FORMATS = ("tsv", "csv")
+
 
 class ParseError(ValueError):
     """Malformed record in a raw interaction file."""
 
 
-class RawEvent(NamedTuple):
-    user_key: str
-    item_key: str
-    timestamp: int
+@dataclass(frozen=True)
+class RawEvents:
+    """Parsed records as three read-only int64 columns, in record order.
 
-
-class RawEvents(Sequence):
-    """Read-only sequence of parsed records, held as three columns.
-
-    ``user_keys`` and ``item_keys`` are lists of stripped keys and
-    ``timestamps`` is a read-only int64 array, all in record order. In the
-    columns :func:`parse_log` builds, the records of one stripped key share
-    one ``str`` object.
-    Length, iteration and indexing yield :class:`RawEvent`; a slice yields
-    :class:`RawEvents`.
+    ``users`` and ``items`` hold each record's dense key index and
+    ``timestamps`` its timestamp. The vocabularies map each stripped key to
+    its index, numbered in first-seen order.
     """
 
-    __slots__ = ("user_keys", "item_keys", "timestamps")
+    users: np.ndarray
+    items: np.ndarray
+    timestamps: np.ndarray
+    user_vocab: dict[str, int] = field(repr=False)
+    item_vocab: dict[str, int] = field(repr=False)
 
-    def __init__(self, user_keys: list[str], item_keys: list[str], timestamps: np.ndarray):
-        if not len(user_keys) == len(item_keys) == timestamps.shape[0]:
+    def __post_init__(self):
+        if not self.users.shape == self.items.shape == self.timestamps.shape:
             raise ValueError("columns differ in length")
-        timestamps.flags.writeable = False
-        self.user_keys = user_keys
-        self.item_keys = item_keys
-        self.timestamps = timestamps
+        for column in (self.users, self.items, self.timestamps):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.user_keys)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RawEvents(
-                self.user_keys[index], self.item_keys[index], self.timestamps[index]
-            )
-        return RawEvent(
-            self.user_keys[index], self.item_keys[index], int(self.timestamps[index])
-        )
-
-    def __iter__(self):
-        return map(RawEvent, self.user_keys, self.item_keys, self.timestamps.tolist())
+        return int(self.timestamps.shape[0])
 
 
 @dataclass(frozen=True)
@@ -165,15 +146,23 @@ _INT64_MAX = np.iinfo(np.int64).max
 PARSE_CHUNK = 4096  # records whose raw fields parse_log holds before mapping and converting them
 
 
-class _StrippedKeys(dict):
-    """Raw key -> stripped key, with one ``str`` object per distinct stripped key."""
+class _KeyIndex(dict):
+    """Raw key -> dense index of the key it strips to; ``vocab`` numbers the
+    stripped keys in first-seen order."""
 
-    __slots__ = ()
+    __slots__ = ("vocab",)
 
-    def __missing__(self, raw: str) -> str:
-        stripped = raw.strip()
-        key = self[raw] = self.setdefault(stripped, stripped)
-        return key
+    def __init__(self):
+        super().__init__()
+        self.vocab: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        index = self[raw] = self.vocab.setdefault(raw.strip(), len(self.vocab))
+        return index
+
+    def column(self, raw_keys: list[str]) -> np.ndarray:
+        """The int64 indices of ``raw_keys``, new stripped keys numbered as they come."""
+        return np.fromiter(map(self.__getitem__, raw_keys), dtype=np.int64, count=len(raw_keys))
 
 
 def _timestamp_block(stamps: list[str]) -> np.ndarray | None:
@@ -185,28 +174,21 @@ def _timestamp_block(stamps: list[str]) -> np.ndarray | None:
     return None if (block < 0).any() else block
 
 
-def _raise_first_bad_record(user_keys, item_keys, stamps, skipped) -> None:
-    """Re-check the read records one by one and raise the first one's ParseError.
+def _raise_first_bad_record(first, users, items, stamps, skipped, empty) -> None:
+    """Re-check one chunk's records one by one and raise the first one's ParseError.
 
-    ``user_keys`` and ``item_keys`` are the stripped keys of every record
-    read; ``stamps`` holds the raw timestamps of the last ``len(stamps)``
-    records, the records before them having passed their checks.
-    ``skipped`` holds the record numbers that carry no event (the header
-    and blank records), so column position maps back to the 1-based
-    record number the reader saw.
+    ``users``, ``items`` and ``stamps`` are the key indices and raw
+    timestamps of the chunk's records, which follow ``first`` records that
+    passed their checks; ``empty`` is the (user, item) index of the empty
+    key, -1 in a column without one. ``skipped`` holds the record numbers
+    that carry no event (the header and blank records), so column position
+    maps back to the 1-based record number the reader saw.
     """
-    first = len(user_keys) - len(stamps)
     skip = set(skipped)
-    lineno = 0
-    for k, (user, item) in enumerate(zip(user_keys, item_keys)):
-        lineno += 1
-        while lineno in skip:
-            lineno += 1
-        if k < first:
-            continue
-        if not user or not item:
+    linenos = itertools.islice((n for n in itertools.count(1) if n not in skip), first, None)
+    for lineno, user, item, raw_time in zip(linenos, users.tolist(), items.tolist(), stamps):
+        if user == empty[0] or item == empty[1]:
             raise ParseError(f"line {lineno}: empty user or item key")
-        raw_time = stamps[k - first]
         try:
             timestamp = int(raw_time.strip())
         except ValueError:
@@ -217,6 +199,12 @@ def _raise_first_bad_record(user_keys, item_keys, stamps, skipped) -> None:
             raise ParseError(f"line {lineno}: timestamp out of range {timestamp}")
 
 
+def check_format(format: str) -> None:
+    """Raise ValueError unless :func:`parse_log` reads ``format``."""
+    if format not in DATA_FORMATS:
+        raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
+
+
 def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEvents:
     """Read raw events from a TSV/CSV byte or text stream, or a str/PathLike path.
 
@@ -224,24 +212,24 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
     timestamp. Extra fields are ignored, keys and timestamps are stripped
     of surrounding whitespace, and blank records are skipped. One
     ``csv.reader`` pass collects the first three fields of each record;
-    every ``PARSE_CHUNK`` records the keys are mapped through their
-    column's table of stripped keys, and the timestamps converted to int64
-    and checked (integers in [0, 2**63)) together, as are the keys
-    (non-empty). The first chunk that fails a check stops the parse, and
-    nothing after it is read: its records are re-checked one by one, so a
-    malformed record raises :class:`ParseError` naming its 1-based record
-    number, and the first malformed record in file order is the one
-    reported. A short record or a reader error is raised once the records
-    before it are checked.
+    every ``PARSE_CHUNK`` records each key is mapped through its column's
+    table to the dense index of its stripped form, a new stripped key
+    taking the next index, and the timestamps are converted to int64 and
+    checked (integers in [0, 2**63)) together, as are the keys (non-empty).
+    The first chunk that fails a check stops the parse, and nothing after
+    it is read: its records are re-checked one by one, so a malformed
+    record raises :class:`ParseError` naming its 1-based record number, and
+    the first malformed record in file order is the one reported. A short
+    record or a reader error is raised once the records before it are
+    checked.
     """
-    if format not in ("tsv", "csv"):
-        raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
+    check_format(format)
     delimiter = "\t" if format == "tsv" else ","
 
-    users, items = _StrippedKeys(), _StrippedKeys()
-    user_keys: list[str] = []
-    item_keys: list[str] = []
-    blocks: list[np.ndarray] = []  # converted timestamps, one chunk each
+    users, items = _KeyIndex(), _KeyIndex()
+    # the (users, items, timestamps) columns of each flushed chunk
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    flushed = 0  # records in blocks
     # raw fields of the records after the last flush
     raw_users: list[str] = []
     raw_items: list[str] = []
@@ -249,15 +237,17 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
     skipped: list[int] = []  # record numbers of the header and blank records
 
     def flush() -> None:
-        user_keys.extend(map(users.__getitem__, raw_users))
-        item_keys.extend(map(items.__getitem__, raw_items))
+        nonlocal flushed
+        user_block, item_block = users.column(raw_users), items.column(raw_items)
         raw_users.clear()
         raw_items.clear()
-        block = _timestamp_block(stamps)
-        # every raw key that strips to nothing is stored under ""
-        if block is None or "" in users or "" in items:
-            _raise_first_bad_record(user_keys, item_keys, stamps, skipped)
-        blocks.append(block)
+        time_block = _timestamp_block(stamps)
+        # every raw key that strips to nothing has the index of ""
+        if time_block is None or "" in users.vocab or "" in items.vocab:
+            empty = (users.vocab.get("", -1), items.vocab.get("", -1))
+            _raise_first_bad_record(flushed, user_block, item_block, stamps, skipped, empty)
+        blocks.append((user_block, item_block, time_block))
+        flushed += len(stamps)
         stamps.clear()
 
     chunk = PARSE_CHUNK
@@ -276,9 +266,9 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
                     if len(raw_users) == chunk:
                         flush()
                 elif not row or (len(row) == 1 and row[0].strip() == ""):
-                    skipped.append(len(user_keys) + len(raw_users) + len(skipped) + 1)  # blank
+                    skipped.append(flushed + len(raw_users) + len(skipped) + 1)  # blank
                 else:
-                    lineno = len(user_keys) + len(raw_users) + len(skipped) + 1
+                    lineno = flushed + len(raw_users) + len(skipped) + 1
                     flush()
                     raise ParseError(f"line {lineno}: expected >=3 fields, got {len(row)}")
         except ParseError:
@@ -291,26 +281,8 @@ def parse_log(source, format: str = "tsv", skip_header: bool = False) -> RawEven
             stream.close()
 
     flush()
-    return RawEvents(user_keys, item_keys, np.concatenate(blocks))
-
-
-def _columns(events: Iterable[RawEvent]) -> RawEvents:
-    """Columns of any iterable of raw events, ``int()`` applied to each timestamp."""
-    user_keys: list[str] = []
-    item_keys: list[str] = []
-    stamps: list[int] = []
-    for ev in events:
-        user_keys.append(ev.user_key)
-        item_keys.append(ev.item_key)
-        stamps.append(int(ev.timestamp))
-    return RawEvents(user_keys, item_keys, np.array(stamps, dtype=np.int64))
-
-
-def _codes(keys: list[str]) -> tuple[dict[str, int], np.ndarray]:
-    """First-seen vocabulary of ``keys`` and each key's dense index, in one pass."""
-    vocab = defaultdict(itertools.count().__next__)  # a new key takes the next index
-    codes = np.fromiter(map(vocab.__getitem__, keys), dtype=np.int64, count=len(keys))
-    return dict(vocab), codes
+    columns = (np.concatenate(column) for column in zip(*blocks))
+    return RawEvents(*columns, users.vocab, items.vocab)
 
 
 def latest_per_pair(keys: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -329,26 +301,20 @@ def latest_per_pair(keys: np.ndarray, times: np.ndarray) -> np.ndarray:
     return latest[np.argsort(times[latest], kind="stable")]
 
 
-def build_log(events: Iterable[RawEvent]) -> InteractionLog:
-    """Assemble an :class:`InteractionLog` from raw events.
+def build_log(events: RawEvents) -> InteractionLog:
+    """Deduplicate the columns :func:`parse_log` returns into an :class:`InteractionLog`.
 
-    Takes the :class:`RawEvents` columns :func:`parse_log` returns, or any
-    iterable of :class:`RawEvent` (turned into columns once). Vocabularies
-    are assigned in first-seen order. Duplicate (user, item) pairs collapse
-    to a single interaction carrying the latest timestamp, since recency is
-    what downstream weighting cares about (:func:`latest_per_pair`).
+    Indices and vocabularies are the parsed ones. Duplicate (user, item)
+    pairs collapse to a single interaction carrying the latest timestamp,
+    since recency is what downstream weighting cares about
+    (:func:`latest_per_pair`).
     """
-    if not isinstance(events, RawEvents):
-        events = _columns(events)
     if len(events) == 0:
         raise ValueError("empty event list")
-    user_vocab, users = _codes(events.user_keys)
-    item_vocab, items = _codes(events.item_keys)
-    times = events.timestamps
-
-    latest = latest_per_pair(users * np.int64(len(item_vocab)) + items, times)
-    users, items, times = users[latest], items[latest], times[latest]
-    return InteractionLog(users, items, times, user_vocab, item_vocab)
+    users, items, times = events.users, events.items, events.timestamps
+    latest = latest_per_pair(users * np.int64(len(events.item_vocab)) + items, times)
+    return InteractionLog(users[latest], items[latest], times[latest],
+                          events.user_vocab, events.item_vocab)
 
 
 def _cutting_timestamp(times_sorted: np.ndarray, train_fraction: float) -> int:
@@ -422,17 +388,14 @@ def timestamp_split(
     train_mask = log.times < cut
     train = log._replace_arrays(train_mask)
     holdout = log._replace_arrays(~train_mask)
-    if len(train) == 0 or len(holdout) == 0:
-        raise ValueError("degenerate split: empty train or holdout")
     _check_disjoint_pairs(train, holdout)
 
-    dropped_cold_user = 0
-    dropped_cold_item = 0
     train_users = np.zeros(log.num_users, dtype=bool)
     train_users[train.users] = True
     keep = train_users[holdout.users]
     dropped_cold_user = int((~keep).sum())
     holdout = holdout._replace_arrays(keep)
+    dropped_cold_item = 0
     if drop_cold_items:
         train_items = np.zeros(log.num_items, dtype=bool)
         train_items[train.items] = True

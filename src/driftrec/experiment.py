@@ -29,13 +29,14 @@ from .data import (
     InteractionLog,
     SplitDataset,
     build_log,
+    check_format,
     check_split_fractions,
     parse_log,
     timestamp_split,
 )
 from .decay import DecaySpec, build_weighted_graph
 from .metrics import evaluate
-from .models import save_checkpoint
+from .models import check_backbone, save_checkpoint
 from .positives import (
     PositiveSampleSet,
     build_pss,
@@ -61,7 +62,7 @@ __all__ = [
 
 EXPERIMENT_VARIANTS = ("layered", "baseline", "weighted_bpr", "recent_k")
 # (accepted types, their name in messages) per field annotation; an int is
-# accepted for a float and a list for a tuple
+# accepted for a float and a list for a tuple, a bool only for a bool
 _ANNOTATION_TYPES = {
     "str": (str, "a string"),
     "bool": (bool, "true or false"),
@@ -118,7 +119,7 @@ class ExperimentConfig:
         for f in fields(self):
             types, description = _ANNOTATION_TYPES[f.type]
             value = getattr(self, f.name)
-            if not isinstance(value, types):
+            if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
                 raise ValueError(f"{f.name} must be {description}, got {value!r}")
         if self.variant not in EXPERIMENT_VARIANTS:
             raise ValueError(
@@ -131,6 +132,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(int(v) for v in value))
         if not self.seeds:
             raise ValueError("need at least one seed")
+        check_format(self.data_format)
+        check_backbone(self.backbone)
         check_split_fractions(self.train_fraction, self.val_fraction_of_holdout)
         check_filtration(self.layers, self.range_mode)
         check_recent_k(self.recent_k)

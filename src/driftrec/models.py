@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "EmbeddingModel",
+    "check_backbone",
     "init_xavier",
     "build_norm_adjacency",
     "propagate_matrix",
@@ -35,6 +36,12 @@ CHECKPOINT_FORMAT = "driftrec-checkpoint"
 CHECKPOINT_VERSION = 1
 # gathered candidate rows per block of users in a 2-D pair_scores call
 SCORE_BLOCK_BYTES = 2**19
+
+
+def check_backbone(backbone: str) -> None:
+    """Raise ValueError unless ``backbone`` is one of :data:`BACKBONES`."""
+    if backbone not in BACKBONES:
+        raise ValueError(f"unknown backbone {backbone!r}, expected one of {BACKBONES}")
 
 
 def build_norm_adjacency(
@@ -92,8 +99,7 @@ class EmbeddingModel:
         adjacency: sp.csr_matrix | None = None,
         seed: int | None = None,
     ):
-        if backbone not in BACKBONES:
-            raise ValueError(f"unknown backbone {backbone!r}, expected one of {BACKBONES}")
+        check_backbone(backbone)
         if user_emb.ndim != 2 or item_emb.ndim != 2 or user_emb.shape[1] != item_emb.shape[1]:
             raise ValueError("embedding matrices must be 2-D with a shared dimension")
         if backbone == "lightgcn" and adjacency is None:
@@ -111,8 +117,6 @@ class EmbeddingModel:
         self.seed = seed
         # epoch of the validation-selected parameters, set by training.fit
         self.best_epoch: int | None = None
-        self._version = 0
-        self._cache_version = -1
         self._propagated: np.ndarray | None = None
 
     # --- shape metadata -------------------------------------------------
@@ -142,21 +146,20 @@ class EmbeddingModel:
 
     def add_to_params(self, delta: np.ndarray) -> None:
         self._params += delta
-        self._version += 1
+        self._propagated = None
 
     def set_params(self, params: np.ndarray) -> None:
         self._params = np.array(params, dtype=np.float64)
-        self._version += 1
+        self._propagated = None
 
     # --- propagation ------------------------------------------------------
     def propagate(self) -> tuple[np.ndarray, np.ndarray]:
         """Propagated (user, item) embeddings: row views of the stacked
-        result, which is cached until parameters change."""
+        result, which is cached until a parameter update drops it."""
         if self.backbone != "lightgcn":
             raise ValueError("propagate() is only defined for the lightgcn backbone")
-        if self._cache_version != self._version:
+        if self._propagated is None:
             self._propagated = propagate_matrix(self.adjacency, self._params, self.num_prop_layers)
-            self._cache_version = self._version
         return self._propagated[: self.num_users], self._propagated[self.num_users :]
 
     def scoring_params(self) -> np.ndarray:

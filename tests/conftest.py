@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from driftrec.data import InteractionLog, RawEvent, build_log, timestamp_split
+from driftrec.data import InteractionLog, build_log, parse_log, timestamp_split
 from driftrec.decay import DecaySpec, WeightedBipartiteGraph
 from driftrec.metrics import ndcg_at_k, rank_items, recall_at_k
 from driftrec.models import propagate_matrix
@@ -26,8 +26,8 @@ from driftrec.training import bpr_loss
 
 
 def make_log(rows):
-    """InteractionLog from (user_key, item_key, timestamp) tuples."""
-    return build_log([RawEvent(str(u), str(i), int(t)) for u, i, t in rows])
+    """InteractionLog from (user_key, item_key, timestamp) tuples, written as TSV and parsed."""
+    return build_log(parse_log("".join(f"{u}\t{i}\t{int(t)}\n" for u, i, t in rows).encode()))
 
 
 def log_triples(log):

@@ -10,15 +10,22 @@ from __future__ import annotations
 import csv
 import io
 import os
+from typing import NamedTuple
 
 import numpy as np
 
-from driftrec.data import InteractionLog, ParseError, RawEvent
+from driftrec.data import InteractionLog, ParseError
 
 INT64_MAX = 2**63 - 1
 
 
-def reference_parse_log(source, format: str = "tsv", skip_header: bool = False) -> list[RawEvent]:
+class Record(NamedTuple):
+    user_key: str
+    item_key: str
+    timestamp: int
+
+
+def reference_parse_log(source, format: str = "tsv", skip_header: bool = False) -> list[Record]:
     if format not in ("tsv", "csv"):
         raise ValueError(f"unknown format {format!r}, expected 'tsv' or 'csv'")
     delimiter = "\t" if format == "tsv" else ","
@@ -36,7 +43,7 @@ def reference_parse_log(source, format: str = "tsv", skip_header: bool = False) 
         stream = source
         close = False
 
-    events: list[RawEvent] = []
+    events: list[Record] = []
     try:
         reader = csv.reader(stream, delimiter=delimiter)
         for lineno, row in enumerate(reader, start=1):
@@ -59,7 +66,7 @@ def reference_parse_log(source, format: str = "tsv", skip_header: bool = False) 
                 raise ParseError(f"line {lineno}: negative timestamp {timestamp}")
             if timestamp > INT64_MAX:
                 raise ParseError(f"line {lineno}: timestamp out of range {timestamp}")
-            events.append(RawEvent(user_key, item_key, timestamp))
+            events.append(Record(user_key, item_key, timestamp))
     finally:
         if close:
             stream.close()

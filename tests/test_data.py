@@ -14,8 +14,6 @@ from driftrec import data
 from driftrec.data import (
     InteractionLog,
     ParseError,
-    RawEvent,
-    RawEvents,
     build_log,
     parse_log,
     timestamp_split,
@@ -26,13 +24,20 @@ from conftest import log_triples, make_log
 from ingest_oracle import reference_build_log, reference_parse_log
 
 
+def records(events):
+    """(user key, item key, timestamp) of each parsed record, keys read back
+    through the vocabularies."""
+    users, items = list(events.user_vocab), list(events.item_vocab)
+    return [(users[u], items[i], t) for u, i, t in zip(
+        events.users.tolist(), events.items.tolist(), events.timestamps.tolist())]
+
+
 class TestParseLog:
     def test_single_tsv_record(self):
-        events = list(parse_log(b"u1\ti9\t100\n"))
-        assert events == [RawEvent("u1", "i9", 100)]
+        assert records(parse_log(b"u1\ti9\t100\n")) == [("u1", "i9", 100)]
 
     def test_empty_stream(self):
-        assert list(parse_log(b"")) == []
+        assert records(parse_log(b"")) == []
 
     def test_csv_error_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -51,12 +56,12 @@ class TestParseLog:
             parse_log(b"\ti9\t100\n")
 
     def test_extra_fields_ignored(self):
-        events = list(parse_log(b"u1\ti9\t100\textra\tstuff\n"))
-        assert events == [RawEvent("u1", "i9", 100)]
+        events = parse_log(b"u1\ti9\t100\textra\tstuff\n")
+        assert records(events) == [("u1", "i9", 100)]
 
     def test_skip_header(self):
-        events = list(parse_log(b"user\titem\tts\nu1\ti9\t100\n", skip_header=True))
-        assert events == [RawEvent("u1", "i9", 100)]
+        events = parse_log(b"user\titem\tts\nu1\ti9\t100\n", skip_header=True)
+        assert records(events) == [("u1", "i9", 100)]
 
     def test_blank_lines_skipped(self):
         events = parse_log(b"u1\ti9\t100\n\nu2\ti3\t200\n")
@@ -65,17 +70,17 @@ class TestParseLog:
     def test_path_source(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_text("u1\ti9\t100\n")
-        assert list(parse_log(str(p))) == [RawEvent("u1", "i9", 100)]
+        assert records(parse_log(str(p))) == [("u1", "i9", 100)]
 
     def test_pathlike_source(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_text("u1\ti9\t100\nu2\ti9\t101\n")
-        assert list(parse_log(p)) == list(parse_log(str(p))) == [
-            RawEvent("u1", "i9", 100), RawEvent("u2", "i9", 101)
+        assert records(parse_log(p)) == records(parse_log(str(p))) == [
+            ("u1", "i9", 100), ("u2", "i9", 101)
         ]
 
     def test_text_stream_source(self):
-        assert list(parse_log(io.StringIO("u1\ti9\t100\n"))) == [RawEvent("u1", "i9", 100)]
+        assert records(parse_log(io.StringIO("u1\ti9\t100\n"))) == [("u1", "i9", 100)]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
@@ -88,28 +93,16 @@ class TestParseLog:
 
 
 class TestRawEvents:
-    def test_len_iteration_and_indexing(self):
-        events = parse_log(b"a\tx\t5\n\nb\ty\t3\nc\tz\t1\n")
-        expected = [RawEvent("a", "x", 5), RawEvent("b", "y", 3), RawEvent("c", "z", 1)]
-        assert len(events) == 3
-        assert list(events) == expected
-        assert [events[j] for j in range(3)] == expected
-        assert events[-1] == expected[-1]
-        assert type(events[0].timestamp) is int
-        assert list(events[1:]) == expected[1:]
-        assert isinstance(events[1:], RawEvents)
-        with pytest.raises(IndexError):
-            events[3]
-
     def test_columns_and_read_only(self):
-        events = parse_log(b" a \tx\t 5\n")
-        assert events.user_keys == ["a"] and events.item_keys == ["x"]
-        assert events.timestamps.dtype == np.int64
-        assert events.timestamps.tolist() == [5]
-        with pytest.raises(ValueError):
-            events.timestamps[0] = 7
-        with pytest.raises(TypeError):
-            events[0] = RawEvent("b", "y", 1)
+        events = parse_log(b" a \tx\t 5\n\nb\ty\t3\na\t x\t1\n")
+        assert len(events) == 3
+        assert events.user_vocab == {"a": 0, "b": 1} and events.item_vocab == {"x": 0, "y": 1}
+        assert events.users.tolist() == [0, 1, 0] and events.items.tolist() == [0, 1, 0]
+        assert events.timestamps.tolist() == [5, 3, 1]
+        for column in (events.users, events.items, events.timestamps):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 7
 
 
 def _render_log(rng, delimiter, n_records, skip_header):
@@ -205,22 +198,20 @@ class TestIngestEquivalence:
             for name, source in _sources(text, tmp_path).items():
                 want = reference_parse_log(source(), format=fmt, skip_header=skip_header)
                 got = parse_log(source(), format=fmt, skip_header=skip_header)
-                assert list(got) == want, (trial, name)
+                assert records(got) == want, (trial, name)
             if not want:
                 with pytest.raises(ValueError, match="empty"):
                     build_log(got)
                 continue
-            reference = reference_build_log(want)
-            _assert_same_log(build_log(got), reference)
-            _assert_same_log(build_log(want), reference)  # any iterable of RawEvent
+            _assert_same_log(build_log(got), reference_build_log(want))
 
     def test_duplicates_keep_latest_timestamp(self):
         rng = np.random.default_rng(22)
-        events = [
-            RawEvent(f"u{rng.integers(40)}", f"i{rng.integers(60)}", int(rng.integers(0, 50)))
+        text = "".join(
+            f"u{rng.integers(40)}\ti{rng.integers(60)}\t{rng.integers(0, 50)}\n"
             for _ in range(20_000)
-        ]
-        _assert_same_log(build_log(events), reference_build_log(events))
+        ).encode()
+        _assert_same_log(build_log(parse_log(text)), reference_build_log(reference_parse_log(text)))
 
     @pytest.mark.parametrize("fmt", ["tsv", "csv"])
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
@@ -326,39 +317,37 @@ class TestParseMemory:
             tracemalloc.stop()
         assert len(events) == n
         assert np.array_equal(events.timestamps, times)
-        # one list entry per key column, one int64, and the distinct keys
+        # three int64 columns and the key tables
         assert (held - before) / n < 40
-        # plus one chunk of raw fields and the timestamp chunks before they are joined
+        # plus one chunk of raw fields and the chunk columns before they are joined
         assert (peak - before) / n < 80
 
 
 class TestBuildLog:
     def test_duplicate_keeps_latest(self):
-        log = build_log([RawEvent("a", "x", 5), RawEvent("a", "x", 9)])
+        log = make_log([("a", "x", 5), ("a", "x", 9)])
         assert log_triples(log) == [(0, 0, 9)]
 
     def test_sorted_by_timestamp(self):
-        log = build_log([RawEvent("a", "x", 5), RawEvent("b", "y", 3)])
+        log = make_log([("a", "x", 5), ("b", "y", 3)])
         assert log.user_vocab == {"a": 0, "b": 1}
         assert log_triples(log) == [(1, 1, 3), (0, 0, 5)]
 
     def test_single_event(self):
-        log = build_log([RawEvent("a", "x", 5)])
+        log = make_log([("a", "x", 5)])
         assert (log.num_users, log.num_items) == (1, 1)
         assert len(log) == 1
 
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
-            build_log([])
+            build_log(parse_log(b""))
 
     def test_duplicate_out_of_order_keeps_latest(self):
-        log = build_log([RawEvent("a", "x", 9), RawEvent("a", "x", 5)])
+        log = make_log([("a", "x", 9), ("a", "x", 5)])
         assert log_triples(log) == [(0, 0, 9)]
 
     def test_tie_sort_by_user_then_item(self):
-        log = build_log(
-            [RawEvent("b", "y", 7), RawEvent("a", "z", 7), RawEvent("a", "w", 7)]
-        )
+        log = make_log([("b", "y", 7), ("a", "z", 7), ("a", "w", 7)])
         # first-seen vocab: b->0, a->1; y->0, z->1, w->2
         # all at t=7: ordered by (user_index, item_index)
         assert log_triples(log) == [(0, 0, 7), (1, 1, 7), (1, 2, 7)]
@@ -419,7 +408,7 @@ class TestTimestampSplit:
                 )
                 for _ in range(n_rows)
             ]
-            log = build_log(rows_to_events(rows))
+            log = make_log(rows)
             try:
                 split = timestamp_split(log, 0.8, 0.5)
             except ValueError:
@@ -523,10 +512,6 @@ class TestCuttingTimestamp:
     def test_ties_at_the_need_th_entry(self):
         # need = 4: the 4th entry is a 5, so the cut skips every 5
         assert _cutting_timestamp(np.array([1, 2, 5, 5, 5, 5, 8, 9]), 0.5) == 8
-
-
-def rows_to_events(rows):
-    return [RawEvent(u, i, t) for u, i, t in rows]
 
 
 class TestManifest:

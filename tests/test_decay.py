@@ -8,7 +8,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from driftrec.data import RawEvent, build_log
 from driftrec.decay import (
     SECONDS_PER_DAY,
     DecaySpec,
@@ -128,7 +127,7 @@ class TestBuildWeightedGraph:
             (f"u{rng.integers(6)}", f"i{rng.integers(30)}", int(rng.integers(0, 10**6)))
             for _ in range(120)
         ]
-        log = build_log([RawEvent(u, i, t) for u, i, t in rows])
+        log = make_log(rows)
         graph = build_weighted_graph(log, DecaySpec(rate=0.05))
         assert np.all(graph.weights > 0) and np.all(graph.weights <= 1.0)
         for u in np.unique(graph.users):
@@ -140,7 +139,7 @@ class TestBuildWeightedGraph:
             (f"u{rng.integers(5)}", f"i{rng.integers(40)}", int(rng.integers(0, 10**7)))
             for _ in range(200)
         ]
-        log = build_log([RawEvent(u, i, t) for u, i, t in rows])
+        log = make_log(rows)
         spec = DecaySpec(rate=0.02, time_unit=3600)
         graph = build_weighted_graph(log, spec)
         last = {}

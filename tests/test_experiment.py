@@ -116,6 +116,8 @@ class TestLoadConfig:
         ("recent_k", 0, "k must be >= 1"),
         ("train_fraction", 1.5, r"train_fraction must be in \(0, 1\)"),
         ("val_fraction_of_holdout", -0.5, r"val_fraction_of_holdout must be in \[0, 1\]"),
+        ("backbone", "gcn", r"unknown backbone 'gcn', expected one of \('mf', 'lightgcn'\)"),
+        ("data_format", "xml", "unknown format 'xml', expected 'tsv' or 'csv'"),
     ])
     def test_every_checked_key_is_checked_when_built(self, key, value, message):
         """Training, sampler, decay and cutoff keys fail at load, even where
@@ -662,7 +664,10 @@ class TestCli:
         ('lr: "0.01"\n', "lr must be a number, got '0.01'"),
         ("ks: [20.5]\n", "ks must be a list of integers, got [20.5]"),
         ('seeds: ["3"]\n', "seeds must be a list of integers, got ['3']"),
-    ], ids=["ks", "lr", "ks-element", "seeds-element"])
+        ("d: true\n", "d must be an integer, got True"),
+        ("lr: true\n", "lr must be a number, got True"),
+        ("layers: yes\n", "layers must be an integer, got True"),
+    ], ids=["ks", "lr", "ks-element", "seeds-element", "d-bool", "lr-bool", "layers-yes"])
     def test_wrong_typed_config_value_names_its_key(self, tiny_tsv, tmp_path, capsys,
                                                     config, message):
         path, out = tmp_path / "config.yaml", tmp_path / "manifest.jsonl"
@@ -680,7 +685,10 @@ class TestCli:
         ("recent_k: 0\n", "k must be >= 1"),
         ("train_fraction: 1.5\n", "train_fraction must be in (0, 1)"),
         ("val_fraction_of_holdout: 2\n", "val_fraction_of_holdout must be in [0, 1]"),
-    ], ids=["layers", "range_mode", "recent_k", "train_fraction", "val_fraction_of_holdout"])
+        ("backbone: gcn\n", "unknown backbone 'gcn', expected one of ('mf', 'lightgcn')"),
+        ("data_format: xml\n", "unknown format 'xml', expected 'tsv' or 'csv'"),
+    ], ids=["layers", "range_mode", "recent_k", "train_fraction", "val_fraction_of_holdout",
+            "backbone", "data_format"])
     def test_bad_data_or_graph_key_fails_before_any_data_is_read(self, tmp_path, capsys,
                                                                 config, message):
         """The data path does not exist: the key is rejected when the config is built."""

@@ -1,6 +1,7 @@
 """Embedding model, graph propagation, and checkpoint tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ class TestPropagation:
         _ = m.score(0, 0)
         m.set_params(np.zeros((2 + 2, 3)))
         assert m.score(0, 0) == 0.0
+
+    def test_update_releases_the_propagated_rows(self):
+        """No stale propagation is held while the next one is computed."""
+        rng = np.random.default_rng(14)
+        adjacency = build_norm_adjacency(rng.integers(200, size=2000),
+                                         rng.integers(300, size=2000), 200, 300)
+        m = init_xavier(200, 300, 16, seed=2, backbone="lightgcn", num_prop_layers=2,
+                        adjacency=adjacency)
+        delta = np.full(m.params.shape, 1e-3)
+        tracemalloc.start()
+        try:
+            m.scoring_params()
+            held = tracemalloc.get_traced_memory()[0]
+            m.add_to_params(delta)
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert released >= m.params.nbytes
 
 
 class TestCheckpoint:

@@ -34,6 +34,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - ``split`` and ``build-pss --variant layered`` of a hand-made log with
   padded keys, duplicate pairs, blank lines, CRLF line ends and quoted
   fields, so the key stripping and pair dedup of ingestion are compared too;
+- the same two commands with ``--format csv --skip-header`` on a CSV copy of
+  that log behind a header line, so the key table is compared under both
+  delimiters;
 - ``split`` of a hand-made log of more than three ``data.PARSE_CHUNK``s
   with an empty key in the second chunk and a bad timestamp in the third,
   so both trees report the same first malformed record;
@@ -81,6 +84,9 @@ HAND_LOG_LINES = (
     "u2\ti1\t230", "", "u3\ti3\t240", " u1 \ti2\t250", "u3\ti2\t260", 'u2\t"i\t4"\t270',
     "u1\ti5\t280", "u3\ti5\t290", "u4\ti2\t300", "u2\ti5\t310",
 )
+# its CSV copy behind a header line, also written by the worker: each tab
+# becomes a comma, so "i,4" is the quoted item key holding the delimiter
+HAND_CSV = "hand-csv-split/events.csv"
 # a log of four 4096-record parse chunks and 10 more records, also written by
 # the worker: record 4196 (1-based) has an empty user key, record 8292 a bad timestamp
 MALFORMED_LOG = "malformed-log-split/events.tsv"
@@ -168,6 +174,11 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
         ("hand-log-split", ["split", "--data", HAND_LOG, "--out", "hand-log-split/manifest.jsonl"]),
         ("hand-log-build-pss", ["build-pss", "--data", HAND_LOG, "--variant", "layered",
                                 "--layers", "2", "--out", "hand-log-build-pss/pss.jsonl"]),
+        ("hand-csv-split", ["split", "--data", HAND_CSV, "--format", "csv", "--skip-header",
+                            "--out", "hand-csv-split/manifest.jsonl"]),
+        ("hand-csv-build-pss", ["build-pss", "--data", HAND_CSV, "--format", "csv",
+                                "--skip-header", "--variant", "layered", "--layers", "2",
+                                "--out", "hand-csv-build-pss/pss.jsonl"]),
         ("malformed-log-split", ["split", "--data", MALFORMED_LOG,
                                  "--out", "malformed-log-split/manifest.jsonl"]),
     ]
@@ -192,10 +203,12 @@ def worker(src: str, *shape: str) -> None:
         f"d: 8\nlr: 0.02\nbatch_size: 256\nepochs: {epochs}\neval_every: 1\n"
         "sampler: dns-mn\nm: 2\nn: 5\nks: [5, 10]\n"
     )
-    Path(HAND_LOG).parent.mkdir(parents=True, exist_ok=True)
-    ends = itertools.cycle(("\r\n", "\n", "\n"))
-    Path(HAND_LOG).write_bytes("".join(line + end for line, end in zip(HAND_LOG_LINES, ends))
-                               .encode("utf-8"))
+    csv_lines = ("user,item,timestamp", *(line.replace("\t", ",") for line in HAND_LOG_LINES))
+    for path, lines in ((HAND_LOG, HAND_LOG_LINES), (HAND_CSV, csv_lines)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        ends = itertools.cycle(("\r\n", "\n", "\n"))
+        Path(path).write_bytes("".join(line + end for line, end in zip(lines, ends))
+                          .encode("utf-8"))
     Path(MALFORMED_LOG).parent.mkdir(parents=True, exist_ok=True)
     records = [f"u{k % 97}\ti{k % 89}\t{1000 + k}\n" for k in range(MALFORMED_LOG_RECORDS)]
     records[EMPTY_KEY_AT] = f" \ti1\t{1000 + EMPTY_KEY_AT}\n"
