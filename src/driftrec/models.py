@@ -72,9 +72,12 @@ def propagate_matrix(adj: sp.csr_matrix, x: np.ndarray, num_layers: int) -> np.n
     The operator is linear and (for our symmetric adjacency) self-adjoint,
     so the same function maps gradients back to the base embeddings.
     """
-    acc = x.copy()
-    cur = x
-    for _ in range(num_layers):
+    if num_layers == 0:
+        return x.copy()
+    # x + adj @ x is the float sum a copy of x and += would give, without the copy pass
+    cur = adj @ x
+    acc = x + cur
+    for _ in range(num_layers - 1):
         cur = adj @ cur
         acc += cur
     acc /= num_layers + 1

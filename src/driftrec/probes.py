@@ -15,6 +15,8 @@ sampler and optimizer the config names, exactly as ``fit`` would.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import ItemsView, Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "MarginProbe",
     "SeparationResult",
     "probe_one_step",
+    "UpdateCounts",
     "count_updates",
     "cumulative_separation",
     "expected_margin",
@@ -109,14 +112,60 @@ def probe_one_step(
     )
 
 
+class UpdateCounts(Mapping):
+    """Read-only {(user, item): updates} over the pairs an epoch trained.
+
+    Backed by two int64 arrays rather than a dict of tuples: the ascending
+    pair keys ``user * num_items + item`` and their update counts, 16 bytes
+    per pair. Iteration runs over (user, item) in ascending key order; a
+    lookup binary-searches the keys and raises KeyError for an untrained
+    pair. Keys, values and items are Python ints, so the mapping compares
+    equal to the dict it stands for.
+    """
+
+    def __init__(self, pair_keys: np.ndarray, updates: np.ndarray, num_items: int):
+        self.pair_keys, self.updates, self.num_items = pair_keys, updates, num_items
+        pair_keys.flags.writeable = updates.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.pair_keys.size
+
+    def __iter__(self):
+        users, items = np.divmod(self.pair_keys, np.int64(self.num_items))
+        return zip(users.tolist(), items.tolist())
+
+    def __getitem__(self, pair) -> int:
+        try:
+            user, item = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise KeyError(pair) from None
+        key = user * self.num_items + item
+        at = int(np.searchsorted(self.pair_keys, key))
+        if not (user >= 0 and 0 <= item < self.num_items and at < len(self)
+                and self.pair_keys[at] == key):
+            raise KeyError(pair)
+        return int(self.updates[at])
+
+    def items(self) -> ItemsView:
+        return _UpdateItems(self)
+
+
+class _UpdateItems(ItemsView):
+    """Items of an :class:`UpdateCounts`, read from its arrays in one pass."""
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.updates.tolist())
+
+
 def count_updates(
     split: SplitDataset,
     pss: PositiveSampleSet,
     config: ExperimentConfig,
     epochs: int = 1,
-) -> dict:
+) -> UpdateCounts:
     """Exact per-pair update counts: the multiset rows each epoch trained,
-    counted per distinct pair. Pairs enter the dict in ascending order."""
+    counted per distinct pair, as an :class:`UpdateCounts` of the pairs
+    trained at least once, in ascending order."""
     model, optimizer, sampler, rng = init_training(split, config)
     keys, pair_of_row = np.unique(pss.pair_keys(), return_inverse=True)
     counts = np.zeros(keys.size, dtype=np.int64)
@@ -125,8 +174,7 @@ def count_updates(
         stats = train_epoch(model, pss, config, optimizer, split, rng, sampler, loss=False)
         counts += np.bincount(pair_of_row[stats.pop("rows")], minlength=keys.size)
     trained = np.flatnonzero(counts)
-    users, items = np.divmod(keys[trained], np.int64(pss.num_items))
-    return dict(zip(zip(users.tolist(), items.tolist()), counts[trained].tolist()))
+    return UpdateCounts(keys[trained], counts[trained], pss.num_items)
 
 
 def expected_margin(

@@ -169,10 +169,16 @@ class NegativeSampler:
         cands = self._draw_uniform_valid(np.repeat(users, width), rng).reshape(b, width)
         scores = model.pair_scores(users, cands)
         if kind == "dns":
-            best = scores.max(axis=1, keepdims=True)
-            # among score ties prefer the smallest item index
-            tied = np.where(scores == best, cands, self.num_items)
-            return tied.min(axis=1)
+            # the row max, then the smallest item index among its ties, one
+            # candidate column at a time (a row with a NaN score ties nothing
+            # and picks num_items, as a whole-matrix max, where and min do)
+            best = scores[:, 0].copy()
+            for j in range(1, width):
+                np.maximum(best, scores[:, j], out=best)
+            pick = np.full(b, self.num_items, dtype=cands.dtype)
+            for j in range(width):
+                np.minimum(pick, cands[:, j], out=pick, where=scores[:, j] == best)
+            return pick
         # dns_mn: order by score descending (item index breaks ties), then
         # pick a rank uniformly from the M..N window
         order = np.lexsort((cands, -scores), axis=-1)

@@ -9,8 +9,8 @@ starts from :func:`init_training`, the one constructor of training state,
 and reads the experiment's own ``ExperimentConfig``, already checked.
 
 Parameters, gradients and Adam moments share the model's stacked
-[users | items] row space: a batch gathers its rows in one take, returns
-one stacked gradient, and Adam updates one moment pair.
+[users | items] row space: a batch gathers its rows from it, returns one
+stacked gradient, and Adam updates one moment pair.
 
 The loss value is only a report: `fit` computes it on the epochs that
 evaluate and record it (every `eval_every`-th), and the gradient step is
@@ -173,6 +173,37 @@ def _check_index(name: str, index: np.ndarray, size: int) -> None:
         raise IndexError(f"{name} index out of range [0, {size})")
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending int32 distinct values of the row indices `rows` and how
+    often each occurs, as ``np.unique(rows, return_counts=True)`` gives
+    them, from one bincount instead of a sort."""
+    counts = np.bincount(rows)
+    distinct = np.flatnonzero(counts).astype(np.int32)
+    return distinct, counts[distinct]
+
+
+def _block_indptr(head: np.ndarray, counts: np.ndarray, num_cols: int) -> np.ndarray:
+    """int32 CSC indptr of `num_cols` columns: the columns of the indptr
+    `head`, then one column per entry of `counts` holding that many
+    entries, then empty columns."""
+    indptr = np.empty(num_cols + 1, dtype=np.int32)
+    end = head.size + counts.size
+    indptr[: head.size] = head
+    np.cumsum(counts, out=indptr[head.size : end])
+    indptr[head.size : end] += head[-1]
+    indptr[end:] = indptr[end - 1]
+    return indptr
+
+
+def _occurrence_sq_norms(block: np.ndarray, distinct: np.ndarray, rows: np.ndarray,
+                         num_rows: int) -> np.ndarray:
+    """Squared norm of each entry of `rows`, read from `block`, whose row j
+    holds stacked row distinct[j]."""
+    position = np.empty(num_rows, dtype=np.intp)
+    position[distinct] = np.arange(distinct.size)
+    return np.einsum("ij,ij->i", block, block)[position[rows]]
+
+
 def batch_gradients(
     model: EmbeddingModel,
     users: np.ndarray,
@@ -200,31 +231,37 @@ def batch_gradients(
     indexes the stacked scoring rows; its last 3b entries are the scatter
     rows of the loss terms. Both backbones scatter into the stacked rows
     (:func:`_scatter_rows`), and column order is the order each output row
-    adds its terms, starting from zero.
+    adds its terms, starting from zero. Both gather the 3b rows the loss
+    terms read, [e_p - e_n; e_u; e_u] (e_p and e_n are taken into the first
+    and third blocks and subtracted in place).
 
-    For MF one take gathers [e_u; e_u; e_p; e_n], below e_p - e_n, and one
-    scatter of 6b entries reads the 5b gathered rows [e_p - e_n; e_u; e_u;
-    e_p; e_n] scaled by coeff, -coeff or l2/b: a user row adds its loss
-    terms (e_p - e_n) in batch order, then its regularization terms (e_u);
-    an item row adds its positive loss terms (first e_u), then its negative
-    ones (second e_u), then its positive and negative regularization terms
-    (e_p, e_n). That is the float order of separate user and item scatters,
-    so the result is bit-identical to them. The first e_u column carries two
-    entries, the user's regularization term and the positive item's loss
-    term, which land on different rows.
+    MF's one scatter reads those rows and, behind them, a block holding the
+    base rows of the batch's distinct items, once each. Its 6b entries are
+    scaled by coeff, -coeff or l2/b: a user row adds its loss terms (e_p -
+    e_n) in batch order, then its regularization terms (the first e_u); an
+    item row adds its positive loss terms (first e_u), then its negative
+    ones (second e_u), then its regularization terms, one l2/b entry per
+    occurrence of the item in the batch on its distinct column. That is the
+    float order of separate user and item scatters, and every regularization
+    term of a row is the same product of the same two floats, so the result
+    is bit-identical to one base row per occurrence. The first e_u column
+    carries two entries, the user's regularization term and the positive
+    item's loss term, which land on different rows. The block has
+    min(2b, num_items) rows whatever the batch's distinct count, and its
+    unused tail columns hold no entries: one buffer size per batch size
+    lets each step reuse the heap the last one freed instead of faulting
+    in fresh pages.
 
-    The propagation backbone gathers only the 3b rows its loss scatter
-    reads, [e_p - e_n; e_u; e_u] (e_p and e_n are taken into the first and
-    third blocks and subtracted in place). The regularization is added
-    after propagation by a second scatter whose first n columns are the
-    propagated gradient itself with unit scale. The regularizer columns
-    that follow hold the base rows of the batch's distinct loss rows, once
-    each, and column j carries one l2/b entry per occurrence of its row in
-    the batch, all landing on that row. Every occurrence's term is the same
-    product of the same two floats, so each row adds, after its propagated
-    value, the same terms in the same number as a scatter of one base row
-    per occurrence would, and the float result is the same; the reported
-    loss reads each occurrence's squared norm from its distinct row.
+    The propagation backbone adds the regularization after propagation by a
+    second scatter whose first n columns are the propagated gradient itself
+    with unit scale. The regularizer columns that follow hold the base rows
+    of the batch's distinct loss rows, once each, and column j carries one
+    l2/b entry per occurrence of its row in the batch, all landing on that
+    row, so each row adds, after its propagated value, the same terms in the
+    same number as a scatter of one base row per occurrence would.
+
+    The reported loss reads each occurrence's squared norm from its
+    distinct row.
     """
     num_users, num_items = model.num_users, model.num_items
     _check_index("users", users, num_users)
@@ -240,20 +277,14 @@ def batch_gradients(
     np.add(neg_items, num_users, out=gather_rows[3 * b :], casting="unsafe")
     loss_rows = gather_rows[b:]
     scoring = model.scoring_params()
-    if model.backbone == "mf":
-        # gathered rows, laid out in scatter column order: [e_p - e_n; e_u; e_u; e_p; e_n]
-        gathered = np.empty((5 * b, model.dim))
-        diff, ue, ue2, pe, ne = np.split(gathered, 5)
-        np.take(scoring, gather_rows, axis=0, out=gathered[b:], mode="clip")
-        np.subtract(pe, ne, out=diff)
-    else:
-        # [e_p - e_n; e_u; e_u], the loss scatter's columns
-        gathered = np.empty((3 * b, model.dim))
-        diff, ue, ue2 = np.split(gathered, 3)
-        np.take(scoring, gather_rows[2 * b : 3 * b], axis=0, out=diff, mode="clip")
-        np.take(scoring, gather_rows[3 * b :], axis=0, out=ue2, mode="clip")
-        diff -= ue2
-        np.take(scoring, gather_rows[: 2 * b], axis=0, out=gathered[b:], mode="clip")
+    # [e_p - e_n; e_u; e_u], the loss scatter's columns, then MF's regularizer block
+    block = min(2 * b, num_items) if model.backbone == "mf" else 0
+    gathered = np.empty((3 * b + block, model.dim))
+    diff, ue, ue2 = gathered[:b], gathered[b : 2 * b], gathered[2 * b : 3 * b]
+    np.take(scoring, gather_rows[2 * b : 3 * b], axis=0, out=diff, mode="clip")
+    np.take(scoring, gather_rows[3 * b :], axis=0, out=ue2, mode="clip")
+    diff -= ue2
+    np.take(scoring, gather_rows[: 2 * b], axis=0, out=gathered[b : 3 * b], mode="clip")
     margin = np.einsum("ij,ij->i", ue, diff)
     # d bpr / d margin, the expression bpr_loss uses
     dmargin = -expit(-margin)
@@ -264,19 +295,25 @@ def batch_gradients(
 
     n = num_users + num_items
     if model.backbone == "mf":
-        # 6b entries over the 5b columns, column block by column block
         u_rows, p_rows, n_rows = np.split(loss_rows, 3)
+        item_rows = loss_rows[b:]
+        distinct, counts = _distinct_rows(item_rows)
+        reg_rows = gathered[3 * b : 3 * b + distinct.size]
+        np.take(model.params, distinct, axis=0, out=reg_rows, mode="clip")
+        # 6b entries over the 3b + block columns, column block by column block
         rows = np.empty(6 * b, dtype=np.int32)
         scales = np.empty(6 * b)
         rows[:b], scales[:b] = u_rows, coeff  # e_p - e_n: user loss
         rows[b : 3 * b : 2], scales[b : 3 * b : 2] = u_rows, reg_scale  # e_u: user reg
         rows[b + 1 : 3 * b : 2], scales[b + 1 : 3 * b : 2] = p_rows, coeff  # and positive loss
         rows[3 * b : 4 * b], scales[3 * b : 4 * b] = n_rows, -coeff  # e_u: negative loss
-        rows[4 * b :], scales[4 * b :] = loss_rows[b:], reg_scale  # e_p, e_n: item reg
-        grad = _scatter_rows(n, rows, scales, gathered, _csc_indptr(5 * b, b, 2 * b))
+        rows[4 * b :], scales[4 * b :] = np.repeat(distinct, counts), reg_scale  # item reg
+        indptr = _block_indptr(_csc_indptr(3 * b, b, 2 * b), counts, 3 * b + block)
+        grad = _scatter_rows(n, rows, scales, gathered, indptr)
         if loss:
-            # scoring rows are the base rows, so they double as regularizer rows
-            sq_norms = np.einsum("ij,ij->i", gathered[2 * b :], gathered[2 * b :])
+            # scoring rows are the base rows, so the user rows double as regularizer rows
+            sq_norms = np.concatenate([np.einsum("ij,ij->i", ue, ue),
+                                       _occurrence_sq_norms(reg_rows, distinct, item_rows, n)])
     else:
         g_stack = _scatter_rows(
             n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered, _csc_indptr(3 * b),
@@ -286,22 +323,20 @@ def batch_gradients(
         del gathered, diff, ue, ue2
         propagated = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
         del g_stack
-        distinct, occurrence, counts = np.unique(loss_rows, return_inverse=True,
-                                                 return_counts=True)
+        distinct, counts = _distinct_rows(loss_rows)
         # [propagated gradient; base rows of the distinct loss rows], scattered
         # with the propagated block as an identity so the regularizer adds after it
         stacked = np.empty((n + distinct.size, model.dim))
         stacked[:n] = propagated
         del propagated
         np.take(model.params, distinct, axis=0, out=stacked[n:], mode="clip")
-        indptr = np.concatenate([np.arange(n + 1, dtype=np.int32),
-                                 np.cumsum(counts, dtype=np.int32) + n])
         grad = _scatter_rows(
             n, np.concatenate([np.arange(n, dtype=np.int32), np.repeat(distinct, counts)]),
-            np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked, indptr,
+            np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked,
+            _block_indptr(_csc_indptr(n), counts, n + distinct.size),
         )
         if loss:
-            sq_norms = np.einsum("ij,ij->i", stacked[n:], stacked[n:])[occurrence]
+            sq_norms = _occurrence_sq_norms(stacked[n:], distinct, loss_rows, n)
     if not loss:
         return None, grad
 

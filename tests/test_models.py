@@ -214,7 +214,7 @@ class TestPropagation:
     def test_zero_layers_identity(self):
         x = np.random.default_rng(0).standard_normal((4, 3))
         out = propagate_matrix(tiny_adjacency(), x, 0)
-        assert np.array_equal(out, x)
+        assert np.array_equal(out, x) and out is not x
 
     def test_single_edge_two_node_average(self):
         # one user, one item, one edge: Â is the swap matrix, so the

@@ -10,13 +10,14 @@ so gain, bound, and residual are all checkable against exact algebra.
 
 import copy
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from driftrec.data import SplitDataset, InteractionLog
+from driftrec.data import SplitDataset, InteractionLog, timestamp_split
 from driftrec.decay import DecaySpec, build_weighted_graph
 from driftrec.experiment import ExperimentConfig, build_positives
 from driftrec.models import EmbeddingModel, build_norm_adjacency, init_xavier
@@ -30,6 +31,7 @@ from driftrec.probes import (
     probe_one_step,
 )
 from driftrec.samplers import NegativeSampler
+from driftrec.synthetic import SyntheticSpec, generate
 from driftrec.training import AdamState, init_training, train_epoch
 from conftest import make_log
 
@@ -322,6 +324,46 @@ class TestCountUpdates:
         mult = pss.multiplicity()
         assert counts == {pair: 2 * m for pair, m in mult.items()}
 
+    def test_counts_are_a_read_only_mapping(self):
+        split = forced_negative_split()
+        pss = train_positives(split)
+        keep = ~((pss.users == 0) & (pss.items == 1))
+        filtered = type(pss)(
+            users=pss.users[keep], items=pss.items[keep], layers=pss.layers[keep],
+            weights=pss.weights[keep], num_users=2, num_items=3,
+        )
+        config = ExperimentConfig(lr=0.01, batch_size=2, epochs=1, d=4, seeds=(0,))
+        counts = count_updates(split, filtered, config, epochs=2)
+        want = {(0, 0): 2, (1, 0): 2, (1, 2): 2}
+        assert counts == want and want == counts and counts != {**want, (0, 1): 2}
+        assert dict(counts) == want
+        assert list(counts) == sorted(want) and list(counts.items()) == sorted(want.items())
+        assert all(type(v) is int for pair, n in counts.items() for v in (*pair, n))
+        assert counts[(1, 2)] == 2 and counts.get((0, 1)) is None
+        # (0, 3) and (-1, 3) share pair keys with (1, 0) and (0, 0)
+        for absent in ((0, 1), (2, 0), (0, 3), (-1, 3), (0, -1), (0,), "ab", 7):
+            assert absent not in counts
+            with pytest.raises(KeyError):
+                counts[absent]
+        with pytest.raises(ValueError):
+            counts.updates[0] = 5
+
+    def test_counts_hold_two_int64_per_pair(self):
+        """On drift-S-sized data the counts hold 16 bytes per trained pair
+        (its key and its count); a dict of (user, item) tuples held ~150."""
+        split = timestamp_split(generate(SyntheticSpec(num_users=500, num_items=1000,
+                                                       num_events=40_000, seed=0)))
+        config = ExperimentConfig(layers=2, rate=0.01, d=8, batch_size=2048, seeds=(0,))
+        pss, _ = build_positives(split, config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = count_updates(split, pss, config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(counts) > 20_000
+        assert held < 2 * 8 * len(counts) + 64 * 1024
 
     def test_pi_sample_counts_the_rows_trained(self, drift_split):
         """Under pi_sample a row can be drawn twice or not at all; the counts

@@ -326,19 +326,19 @@ class TestBatchGradientsBitIdentity:
 
 
 class TestBatchGradientsMemory:
-    def test_lightgcn_gathers_three_rows_per_pair(self, drift_split):
-        """A 2048-pair LightGCN batch gathers [e_p - e_n; e_u; e_u], 3b rows of
-        d floats, and its regularizer rows are the distinct loss rows; its
-        traced peak stays under 4b rows, which a 5b-row gather exceeds."""
-        b, d = 2048, 32
-        train = drift_split.train
-        model = init_xavier(drift_split.num_users, drift_split.num_items, d, seed=7,
-                            backbone="lightgcn", num_prop_layers=3,
-                            adjacency=training.train_adjacency(drift_split))
+    """A 2048-pair batch gathers [e_p - e_n; e_u; e_u], 3b rows of d floats,
+    and regularizer rows of its distinct rows only (MF: a block of
+    min(2b, num_items) rows); its traced peak stays under 4b rows, which a
+    5b-row gather exceeds."""
+
+    @staticmethod
+    def traced_peak(model, split):
+        b = 2048
+        train = split.train
         model.scoring_params()  # the propagation cache is the model's, not the step's
         rng = np.random.default_rng(8)
         idx = rng.integers(0, len(train), size=b)
-        negs = rng.integers(0, drift_split.num_items, size=b)
+        negs = rng.integers(0, split.num_items, size=b)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -346,8 +346,18 @@ class TestBatchGradientsMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert np.isfinite(loss) and grad.shape == (model.num_users + model.num_items, d)
-        assert peak < 4 * b * d * 8
+        assert np.isfinite(loss) and grad.shape == (model.num_users + model.num_items, model.dim)
+        return peak
+
+    def test_lightgcn_gathers_three_rows_per_pair(self, drift_split):
+        model = init_xavier(drift_split.num_users, drift_split.num_items, 32, seed=7,
+                            backbone="lightgcn", num_prop_layers=3,
+                            adjacency=training.train_adjacency(drift_split))
+        assert self.traced_peak(model, drift_split) < 4 * 2048 * 32 * 8
+
+    def test_mf_gathers_three_rows_per_pair(self, drift_split):
+        model = init_xavier(drift_split.num_users, drift_split.num_items, 32, seed=7)
+        assert self.traced_peak(model, drift_split) < 4 * 2048 * 32 * 8
 
 
 class TestScatterSignsAndBounds:

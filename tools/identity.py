@@ -21,6 +21,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - ``train`` of lightgcn with dns and of mf with dns-mn at ``--batch-size
   2048`` with 50 candidates per pair (``--pool 50 --n 50``), so each batch
   is scored in several blocks of ``models.SCORE_BLOCK_BYTES``;
+- ``train`` of mf at ``--batch-size 64``, so 2b is below the number of
+  items and MF's regularizer block has 2b rows (the other mf cells'
+  batches give it ``num_items`` rows at the default shape);
 - ``train`` with ``--optimizer sgd`` and with ``adam`` at ``--lr 1e200``,
   which overflows, so both end in the ``TrainingDiverged`` error record;
 - one ``run`` with ``--epoch-mode pi_sample``;
@@ -145,6 +148,11 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
             "--checkpoint-out", f"train-{name}/model.ckpt",
             "--metrics-out", f"train-{name}/metrics.jsonl",
         ]))
+    # 2b = 128 rows below the default 240 items
+    cells.append(("train-mf-batch-64", [
+        "train", *train, "--batch-size", "64", "--checkpoint-out", "train-mf-batch-64/model.ckpt",
+        "--metrics-out", "train-mf-batch-64/metrics.jsonl",
+    ]))
     for optimizer in ("sgd", "adam"):
         cells.append((f"train-diverge-{optimizer}", [
             "train", *train, "--optimizer", optimizer, "--lr", "1e200",
