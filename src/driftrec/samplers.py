@@ -152,7 +152,9 @@ class NegativeSampler:
         """One negative per positive pair, using the model's current parameters.
 
         Users outside [0, num_users) raise IndexError; a negative index
-        would otherwise wrap in the bitset and degree lookups.
+        would otherwise wrap in the bitset and degree lookups. dns gives
+        ``num_items``, one past the last item, for a pair with a NaN
+        candidate score.
         """
         users = np.asarray(users, dtype=np.int64)
         if users.size and (users.min() < 0 or users.max() >= self.num_users):

@@ -54,7 +54,7 @@ EPOCH_MODES = ("full_pass", "pi_sample")
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite parameters detected during training."""
+    """Non-finite parameters or candidate scores detected during training."""
 
 
 class SGD:
@@ -138,14 +138,10 @@ def bpr_loss(margin):
 
 
 @lru_cache(maxsize=16)
-def _csc_indptr(num_cols: int, pairs_from: int = 0, pairs_to: int = 0) -> np.ndarray:
-    """Read-only int32 CSC indptr: one entry per column, two entries for
-    each column in [pairs_from, pairs_to). Cached, since an epoch asks for
-    the same few batch sizes over and over."""
-    counts = np.ones(num_cols + 1, dtype=np.int32)
-    counts[0] = 0
-    counts[1 + pairs_from : 1 + pairs_to] = 2
-    indptr = np.cumsum(counts, dtype=np.int32)
+def _csc_indptr(num_cols: int) -> np.ndarray:
+    """Read-only int32 CSC indptr of `num_cols` columns, one entry each.
+    Cached, since an epoch asks for the same few batch sizes over and over."""
+    indptr = np.arange(num_cols + 1, dtype=np.int32)
     indptr.flags.writeable = False
     return indptr
 
@@ -227,38 +223,27 @@ def batch_gradients(
     Indices outside [0, num_users) or [0, num_items) raise IndexError,
     checked once up front, so the gathers need no buffered bound check.
 
-    One int32 row array [users; users; U + pos; U + neg] (U = num_users)
-    indexes the stacked scoring rows; its last 3b entries are the scatter
-    rows of the loss terms. Both backbones scatter into the stacked rows
+    One int32 array [users; U + pos; U + neg] (U = num_users) holds the 3b
+    stacked loss rows. The loss terms read the 3b gathered rows [e_p - e_n;
+    e_u; e_u] (e_p and e_n are taken into the first and third blocks and
+    subtracted in place), scaled by coeff, coeff and -coeff.
+
+    The gradient is one scatter into the n = U + num_items stacked rows
     (:func:`_scatter_rows`), and column order is the order each output row
-    adds its terms, starting from zero. Both gather the 3b rows the loss
-    terms read, [e_p - e_n; e_u; e_u] (e_p and e_n are taken into the first
-    and third blocks and subtracted in place).
-
-    MF's one scatter reads those rows and, behind them, a block holding the
-    base rows of the batch's distinct items, once each. Its 6b entries are
-    scaled by coeff, -coeff or l2/b: a user row adds its loss terms (e_p -
-    e_n) in batch order, then its regularization terms (the first e_u); an
-    item row adds its positive loss terms (first e_u), then its negative
-    ones (second e_u), then its regularization terms, one l2/b entry per
-    occurrence of the item in the batch on its distinct column. That is the
-    float order of separate user and item scatters, and every regularization
-    term of a row is the same product of the same two floats, so the result
-    is bit-identical to one base row per occurrence. The first e_u column
-    carries two entries, the user's regularization term and the positive
-    item's loss term, which land on different rows. The block has
-    min(2b, num_items) rows whatever the batch's distinct count, and its
-    unused tail columns hold no entries: one buffer size per batch size
-    lets each step reuse the heap the last one freed instead of faulting
-    in fresh pages.
-
-    The propagation backbone adds the regularization after propagation by a
-    second scatter whose first n columns are the propagated gradient itself
-    with unit scale. The regularizer columns that follow hold the base rows
-    of the batch's distinct loss rows, once each, and column j carries one
-    l2/b entry per occurrence of its row in the batch, all landing on that
-    row, so each row adds, after its propagated value, the same terms in the
-    same number as a scatter of one base row per occurrence would.
+    adds its terms, starting from zero. Its columns are a head, then a block
+    holding the base rows of the batch's distinct loss rows, once each:
+    column j carries one l2/b entry per occurrence of its row in the batch.
+    MF's head is its 3b loss columns. The propagation backbone scatters
+    those columns and propagates the result first, and its head is that
+    propagated gradient as n unit-scale columns; MF is the propagation
+    backbone without the propagation step. Either way each row adds its
+    loss terms in batch order, then one regularization term per occurrence,
+    each the same product of the same two floats, so the result is
+    bit-identical to a scatter of one base row per occurrence. The block
+    has min(3b, n) rows whatever the batch's distinct count, and its unused
+    tail columns hold no entries: one buffer size per batch size lets each
+    step reuse the heap the last one freed instead of faulting in fresh
+    pages.
 
     The reported loss reads each occurrence's squared norm from its
     distinct row.
@@ -268,75 +253,63 @@ def batch_gradients(
     _check_index("pos_items", pos_items, num_items)
     _check_index("neg_items", neg_items, num_items)
     b = users.shape[0]
+    n = num_users + num_items
+    mf = model.backbone == "mf"
 
-    # stacked rows [users; users; U + pos; U + neg]; the last 3b are the loss rows
-    gather_rows = np.empty(4 * b, dtype=np.int32)
-    gather_rows[:b] = users
-    gather_rows[b : 2 * b] = users
-    np.add(pos_items, num_users, out=gather_rows[2 * b : 3 * b], casting="unsafe")
-    np.add(neg_items, num_users, out=gather_rows[3 * b :], casting="unsafe")
-    loss_rows = gather_rows[b:]
+    # the scatter's entries: the head's, then one l2/b entry per loss row
+    head = 3 * b if mf else n
+    rows = np.empty(head + 3 * b, dtype=np.int32)
+    scales = np.empty(head + 3 * b)
+    # stacked loss rows [users; U + pos; U + neg] and their scales, MF's head
+    loss_rows = rows[: 3 * b] if mf else np.empty(3 * b, dtype=np.int32)
+    loss_scales = scales[: 3 * b] if mf else np.empty(3 * b)
+    loss_rows[:b] = users
+    np.add(pos_items, num_users, out=loss_rows[b : 2 * b], casting="unsafe")
+    np.add(neg_items, num_users, out=loss_rows[2 * b :], casting="unsafe")
     scoring = model.scoring_params()
-    # [e_p - e_n; e_u; e_u], the loss scatter's columns, then MF's regularizer block
-    block = min(2 * b, num_items) if model.backbone == "mf" else 0
-    gathered = np.empty((3 * b + block, model.dim))
+    # [e_p - e_n; e_u; e_u], the loss columns, then MF's regularizer block
+    block = min(3 * b, n)
+    gathered = np.empty((3 * b + (block if mf else 0), model.dim))
     diff, ue, ue2 = gathered[:b], gathered[b : 2 * b], gathered[2 * b : 3 * b]
-    np.take(scoring, gather_rows[2 * b : 3 * b], axis=0, out=diff, mode="clip")
-    np.take(scoring, gather_rows[3 * b :], axis=0, out=ue2, mode="clip")
+    np.take(scoring, loss_rows[b : 2 * b], axis=0, out=diff, mode="clip")
+    np.take(scoring, loss_rows[2 * b :], axis=0, out=ue2, mode="clip")
     diff -= ue2
-    np.take(scoring, gather_rows[: 2 * b], axis=0, out=gathered[b : 3 * b], mode="clip")
+    np.take(scoring, loss_rows[:b], axis=0, out=ue, mode="clip")
+    ue2[...] = ue
     margin = np.einsum("ij,ij->i", ue, diff)
     # d bpr / d margin, the expression bpr_loss uses
     dmargin = -expit(-margin)
     if pair_weights is not None:
         dmargin = dmargin * pair_weights
-    coeff = dmargin / b
-    reg_scale = l2 / b
+    coeff = loss_scales[:b]
+    np.divide(dmargin, b, out=coeff)
+    loss_scales[b : 2 * b] = coeff
+    np.negative(coeff, out=loss_scales[2 * b :])
 
-    n = num_users + num_items
-    if model.backbone == "mf":
-        u_rows, p_rows, n_rows = np.split(loss_rows, 3)
-        item_rows = loss_rows[b:]
-        distinct, counts = _distinct_rows(item_rows)
-        reg_rows = gathered[3 * b : 3 * b + distinct.size]
-        np.take(model.params, distinct, axis=0, out=reg_rows, mode="clip")
-        # 6b entries over the 3b + block columns, column block by column block
-        rows = np.empty(6 * b, dtype=np.int32)
-        scales = np.empty(6 * b)
-        rows[:b], scales[:b] = u_rows, coeff  # e_p - e_n: user loss
-        rows[b : 3 * b : 2], scales[b : 3 * b : 2] = u_rows, reg_scale  # e_u: user reg
-        rows[b + 1 : 3 * b : 2], scales[b + 1 : 3 * b : 2] = p_rows, coeff  # and positive loss
-        rows[3 * b : 4 * b], scales[3 * b : 4 * b] = n_rows, -coeff  # e_u: negative loss
-        rows[4 * b :], scales[4 * b :] = np.repeat(distinct, counts), reg_scale  # item reg
-        indptr = _block_indptr(_csc_indptr(3 * b, b, 2 * b), counts, 3 * b + block)
-        grad = _scatter_rows(n, rows, scales, gathered, indptr)
-        if loss:
-            # scoring rows are the base rows, so the user rows double as regularizer rows
-            sq_norms = np.concatenate([np.einsum("ij,ij->i", ue, ue),
-                                       _occurrence_sq_norms(reg_rows, distinct, item_rows, n)])
+    if mf:
+        cols = gathered
     else:
-        g_stack = _scatter_rows(
-            n, loss_rows, np.concatenate([coeff, coeff, -coeff]), gathered, _csc_indptr(3 * b),
-        )
+        g_stack = _scatter_rows(n, loss_rows, loss_scales, gathered, _csc_indptr(3 * b))
         # each buffer is freed before the next is allocated: the scoring rows
         # before propagation, the loss gradient before the stacked buffer
         del gathered, diff, ue, ue2
         propagated = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
         del g_stack
-        distinct, counts = _distinct_rows(loss_rows)
-        # [propagated gradient; base rows of the distinct loss rows], scattered
-        # with the propagated block as an identity so the regularizer adds after it
-        stacked = np.empty((n + distinct.size, model.dim))
-        stacked[:n] = propagated
+        # [propagated gradient; regularizer block], the propagated rows
+        # scattered as an identity so the regularizer adds after them
+        cols = np.empty((n + block, model.dim))
+        cols[:n] = propagated
         del propagated
-        np.take(model.params, distinct, axis=0, out=stacked[n:], mode="clip")
-        grad = _scatter_rows(
-            n, np.concatenate([np.arange(n, dtype=np.int32), np.repeat(distinct, counts)]),
-            np.concatenate([np.ones(n), np.full(3 * b, reg_scale)]), stacked,
-            _block_indptr(_csc_indptr(n), counts, n + distinct.size),
-        )
-        if loss:
-            sq_norms = _occurrence_sq_norms(stacked[n:], distinct, loss_rows, n)
+        rows[:n] = np.arange(n)
+        scales[:n] = 1.0
+    distinct, counts = _distinct_rows(loss_rows)
+    reg_rows = cols[head : head + distinct.size]
+    np.take(model.params, distinct, axis=0, out=reg_rows, mode="clip")
+    rows[head:] = np.repeat(distinct, counts)
+    scales[head:] = l2 / b
+    grad = _scatter_rows(
+        n, rows, scales, cols, _block_indptr(_csc_indptr(head), counts, head + block)
+    )
     if not loss:
         return None, grad
 
@@ -344,7 +317,7 @@ def batch_gradients(
     if pair_weights is not None:
         loss_vec = loss_vec * pair_weights
     # squared norms of the regularizer rows of each pair's user, positive and negative
-    sq_u, sq_p, sq_n = np.split(sq_norms, 3)
+    sq_u, sq_p, sq_n = np.split(_occurrence_sq_norms(reg_rows, distinct, loss_rows, n), 3)
     reg = 0.5 * l2 * (sq_u + sq_p + sq_n)
     return float(np.mean(loss_vec + reg)), grad
 
@@ -394,7 +367,10 @@ def train_epoch(
     """One pass over the positive multiset in shuffled mini-batches.
 
     Raises :class:`TrainingDiverged` at the first optimizer step that
-    leaves a non-finite parameter, named by the optimizer; no batch trains after it.
+    leaves a non-finite parameter, named by the optimizer, or at the first
+    batch whose dns candidate scores are NaN (finite parameters whose
+    scores overflow; the sampler then picks ``num_items``); no batch trains
+    after it.
 
     The record holds the epoch's mean loss, the number of pairs trained,
     the multiset rows trained in order ("rows"; a row drawn twice appears
@@ -419,6 +395,8 @@ def train_epoch(
         users = pss.users[idx]
         pos = pss.items[idx]
         negs = sampler.sample_batch(users, model, rng)
+        if negs.max() >= model.num_items:
+            raise TrainingDiverged(f"non-finite candidate scores in batch {batch} of the epoch")
         w = pair_weights[idx] if pair_weights is not None else None
         batch_loss, grad = batch_gradients(model, users, pos, negs, config.l2, w, loss=loss)
         optimizer.step(model, grad, config.lr)

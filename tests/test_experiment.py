@@ -394,6 +394,20 @@ class TestCli:
             "message": f"{key} must be a list of integers, got {value!r}",
         }
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dns_score_overflow_is_the_diverged_record(self, tiny_tsv, capsys):
+        """At lr=1e200 the first Adam step leaves finite parameters whose dns
+        candidate scores overflow to NaN; the run ends in the divergence
+        record, not an index error."""
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "2", "--d", "8",
+                          "--lr", "1e200", "--batch-size", "256", "--sampler", "dns",
+                          "--pool", "5")
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "TrainingDiverged",
+            "message": "non-finite candidate scores in batch 2 of the epoch",
+        }
+
     def test_train_metrics_stream_is_rewritten_per_run(self, tiny_tsv, tmp_path):
         metrics = tmp_path / "epochs.jsonl"
         for _ in range(2):

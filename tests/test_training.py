@@ -324,12 +324,35 @@ class TestBatchGradientsBitIdentity:
             _, grad = batch_gradients(model, users, pos, negs, 1e-4)
             adam.step(model, grad, lr=0.01)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_mf_is_lightgcn_without_propagation(self, weighted, l2):
+        """With zero propagation layers the propagation backbone's loss and
+        gradient equal MF's bit for bit: both scatter one head of loss
+        columns and one regularizer block, and only the propagation differs.
+        At 40 users and 300 items the block has 3b rows for b <= 64 and all
+        n = 340 rows for b = 2048."""
+        num_users, num_items = 40, 300
+        rng = np.random.default_rng(67)
+        adj = build_norm_adjacency(rng.integers(0, num_users, size=600),
+                                   rng.integers(0, num_items, size=600), num_users, num_items)
+        mf = init_xavier(num_users, num_items, 8, seed=68)
+        flat = init_xavier(num_users, num_items, 8, seed=68, backbone="lightgcn",
+                           num_prop_layers=0, adjacency=adj)
+        for size in (1, 5, 64, 2048):
+            users, pos, negs = random_batch(rng, num_users, num_items, size)
+            negs[::4] = pos[::4]
+            weights = rng.uniform(0.1, 2.0, size=size) if weighted else None
+            want_loss, want = batch_gradients(mf, users, pos, negs, l2, weights)
+            got_loss, got = batch_gradients(flat, users, pos, negs, l2, weights)
+            assert got_loss == want_loss
+            assert np.array_equal(got, want)
+
 
 class TestBatchGradientsMemory:
     """A 2048-pair batch gathers [e_p - e_n; e_u; e_u], 3b rows of d floats,
-    and regularizer rows of its distinct rows only (MF: a block of
-    min(2b, num_items) rows); its traced peak stays under 4b rows, which a
-    5b-row gather exceeds."""
+    and a regularizer block of min(3b, n) rows holding its distinct rows;
+    its traced peak stays under 4b rows, which a 5b-row gather exceeds."""
 
     @staticmethod
     def traced_peak(model, split):
@@ -866,6 +889,28 @@ class TestTrainEpoch:
         with pytest.raises(TrainingDiverged) as exc:
             train_epoch(model, pss, config, adam, split, rng, sampler)
         assert str(exc.value) == "non-finite parameters after Adam step 3"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the scores
+    def test_dns_scores_overflowing_to_nan_diverge(self):
+        """Finite parameters whose dns candidate scores overflow to NaN end
+        the epoch with TrainingDiverged before the batch trains; the sampler
+        picks num_items for such a pair, which no gradient can index."""
+        train = make_log([("a", "i0", 1), ("a", "i1", 2), ("b", "i2", 3), ("b", "i3", 4)])
+        split = SplitDataset(train=train, validation=empty_log(), test=empty_log(),
+                             cutting_timestamp=5, num_users=2, num_items=4)
+        config = ExperimentConfig(lr=0.1, batch_size=4, epochs=1, d=4, seeds=(0,),
+                                  sampler="dns")
+        model, adam, sampler, rng = training.init_training(split, config)
+        # every user entry +1e200 and item entries of alternating sign: each
+        # score is inf + -inf, although every parameter is finite
+        huge = np.full((6, 4), 1e200)
+        huge[2:, 1::2] = -1e200
+        model.set_params(huge)
+        assert np.isfinite(model.params).all()
+        with pytest.raises(TrainingDiverged) as exc:
+            train_epoch(model, train_positives(split), config, adam, split, rng, sampler)
+        assert str(exc.value) == "non-finite candidate scores in batch 1 of the epoch"
+        assert np.array_equal(model.params, huge) and adam.step_count == 0
 
     def test_empty_pss_raises(self):
         split = forced_negative_split()
