@@ -46,27 +46,32 @@ def check_backbone(backbone: str) -> None:
 
 def build_norm_adjacency(
     users: np.ndarray, items: np.ndarray, num_users: int, num_items: int
-) -> sp.csr_matrix:
-    """Symmetrically normalized bipartite adjacency over user+item nodes.
+) -> sp.csc_matrix:
+    """Symmetrically normalized bipartite adjacency over user+item nodes, in CSC.
 
     Nodes 0..num_users-1 are users, the rest items. Normalization is
     D^(-1/2) A D^(-1/2) with the convention that zero-degree nodes get a
-    zero scaling factor instead of a division error.
+    zero scaling factor instead of a division error. A repeated edge is one
+    entry holding its count c, scaled in place as (D^(-1/2)[row] * c) *
+    D^(-1/2)[col], the product order of D @ A @ D. The CSC product with a
+    dense matrix walks columns in order, so each output row adds its terms
+    in ascending column order, as the CSR product does.
     """
     n = num_users + num_items
     rows = np.concatenate([users, items + num_users])
     cols = np.concatenate([items + num_users, users])
-    vals = np.ones(rows.shape[0], dtype=np.float64)
-    adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
+    # duplicates summed and indices sorted by the COO -> CSC conversion
+    adj = sp.csc_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    deg = np.bincount(rows, minlength=n).astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    d = sp.diags(inv_sqrt)
-    return (d @ adj @ d).tocsr()
+    adj.data *= inv_sqrt[adj.indices]
+    adj.data *= np.repeat(inv_sqrt, np.diff(adj.indptr))
+    return adj
 
 
-def propagate_matrix(adj: sp.csr_matrix, x: np.ndarray, num_layers: int) -> np.ndarray:
+def propagate_matrix(adj: sp.spmatrix, x: np.ndarray, num_layers: int) -> np.ndarray:
     """Mean of adj^l @ x over l = 0..num_layers.
 
     The operator is linear and (for our symmetric adjacency) self-adjoint,
@@ -99,7 +104,7 @@ class EmbeddingModel:
         item_emb: np.ndarray,
         backbone: str = "mf",
         num_prop_layers: int = 0,
-        adjacency: sp.csr_matrix | None = None,
+        adjacency: sp.spmatrix | None = None,
         seed: int | None = None,
     ):
         check_backbone(backbone)
@@ -219,7 +224,7 @@ def init_xavier(
     seed: int,
     backbone: str = "mf",
     num_prop_layers: int = 0,
-    adjacency: sp.csr_matrix | None = None,
+    adjacency: sp.spmatrix | None = None,
 ) -> EmbeddingModel:
     """Xavier-uniform initialization: rows uniform on [-a, a], a = sqrt(6/(d+d)),
     in one draw of the stacked rows (users first)."""
@@ -308,7 +313,7 @@ def checkpoint_header(path: str) -> dict:
         return _read_header(f, path)
 
 
-def load_checkpoint(path: str, adjacency: sp.csr_matrix | None = None) -> EmbeddingModel:
+def load_checkpoint(path: str, adjacency: sp.spmatrix | None = None) -> EmbeddingModel:
     """Rebuild a model from :func:`save_checkpoint` output.
 
     The adjacency operator is not serialized; pass one when loading a

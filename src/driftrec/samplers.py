@@ -18,8 +18,9 @@ Rejection sampling is capped at REJECTION_ROUNDS. Each round redraws, in
 index order, only the entries still interacted and re-checks only those;
 valid draws are never touched again. Entries still interacted after the cap
 fall back to explicit complement enumeration, so validity never depends on
-luck. Samplers keep no mutable state beyond the caller's rng, so seeded runs
-are reproducible.
+luck. An empty complement is the infeasible case: that user interacted with
+every item, and sampling raises ValueError naming them. Samplers keep no
+mutable state beyond the caller's rng, so seeded runs are reproducible.
 """
 
 from __future__ import annotations
@@ -71,9 +72,7 @@ class NegativeSampler:
         # CSR-style per-user item lists for complement fallbacks; no lexsort:
         # a pair key sorts as its (user, item), and int64 lexsort is far slower
         self._items_by_user = np.sort(keys) % self.num_items
-        counts = np.bincount(train.users, minlength=self.num_users)
-        self._indptr = np.r_[0, np.cumsum(counts)]
-        self.degree = counts
+        self._indptr = np.r_[0, np.cumsum(np.bincount(train.users, minlength=self.num_users))]
         if spec.kind == "pns":
             item_deg = np.bincount(train.items, minlength=self.num_items).astype(np.float64)
             weights = np.power(item_deg, spec.alpha)
@@ -89,77 +88,63 @@ class NegativeSampler:
         keys = users * np.int64(self.num_items) + cands
         return (self._bits[keys >> 3] >> (keys & 7).astype(np.uint8) & 1).view(bool)
 
-    def _check_feasible(self, users: np.ndarray) -> None:
-        full = self.degree[users] >= self.num_items
-        if np.any(full):
-            u = int(users[np.argmax(full)])
-            raise ValueError(f"user {u} interacted with every item; no negative exists")
-
     # --- uniform / popularity candidate draws -------------------------------
     def _complement(self, u: int) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.num_items), self.user_items(u), assume_unique=True)
+        comp = np.setdiff1d(np.arange(self.num_items), self.user_items(u), assume_unique=True)
+        if not comp.size:
+            raise ValueError(f"user {u} interacted with every item; no negative exists")
+        return comp
 
-    def _redraw_interacted(self, users: np.ndarray, out: np.ndarray, draw) -> np.ndarray:
-        """Redraw interacted entries of `out` in place, `draw(n)` giving n fresh items.
+    def _draw_valid(self, users: np.ndarray, draw, pick) -> np.ndarray:
+        """One uninteracted item per entry of `users` (entries may repeat).
 
-        Each round redraws the entries still interacted, in index order, and
-        re-checks only those; entries already valid are never drawn again.
-        Returns the ascending indices still interacted after the capped rounds.
+        `draw(n)` proposes n items. Each round redraws the entries still
+        interacted, in index order, and re-checks only those; entries already
+        valid are never drawn again. Each entry still interacted after the
+        capped rounds takes `pick(complement of its user)`, in index order.
         """
+        out = draw(users.shape[0])
         idx = np.flatnonzero(self._interacted(users, out))
         rounds = 0
         while idx.size and rounds < REJECTION_ROUNDS:
             out[idx] = draw(idx.size)
             idx = idx[self._interacted(users[idx], out[idx])]
             rounds += 1
-        return idx
-
-    def _draw_uniform_valid(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One uninteracted item per entry of `users` (entries may repeat)."""
-        out = rng.integers(0, self.num_items, size=users.shape[0])
-        left = self._redraw_interacted(
-            users, out, lambda n: rng.integers(0, self.num_items, size=n)
-        )
-        for idx in left:
-            comp = self._complement(int(users[idx]))
-            out[idx] = comp[rng.integers(0, comp.size)]
+        for i in idx:
+            out[i] = pick(self._complement(int(users[i])))
         return out
 
-    def _draw_popularity_valid(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        total = self._pop_cumsum[-1]
-        size = users.shape[0]
-        if total > 0:
-            def draw(n):
-                return np.searchsorted(self._pop_cumsum, rng.random(n) * total, side="right")
+    def _draw_uniform_valid(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self._draw_valid(users, lambda n: rng.integers(0, self.num_items, size=n),
+                                lambda comp: comp[rng.integers(0, comp.size)])
 
-            out = draw(size)
-            left = self._redraw_interacted(users, out, draw)
-        else:
-            out = np.zeros(size, dtype=np.int64)
-            left = np.arange(size)
-        for idx in left:
-            comp = self._complement(int(users[idx]))
+    def _draw_popularity_valid(self, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        def pick(comp):
             w = self._pop_weights[comp]
             tot = w.sum()
             if tot > 0:
-                out[idx] = comp[np.searchsorted(np.cumsum(w), rng.random() * tot, side="right")]
-            else:
-                out[idx] = comp[rng.integers(0, comp.size)]
-        return out
+                return comp[np.searchsorted(np.cumsum(w), rng.random() * tot, side="right")]
+            return comp[rng.integers(0, comp.size)]
+
+        total = self._pop_cumsum[-1]
+        if total == 0:  # empty train: nothing to propose, every entry picks from its complement
+            return np.array([pick(self._complement(u)) for u in users.tolist()], dtype=np.int64)
+        return self._draw_valid(
+            users, lambda n: np.searchsorted(self._pop_cumsum, rng.random(n) * total, side="right"),
+            pick)
 
     # --- public sampling API -------------------------------------------------
     def sample_batch(self, users: np.ndarray, model, rng: np.random.Generator) -> np.ndarray:
         """One negative per positive pair, using the model's current parameters.
 
         Users outside [0, num_users) raise IndexError; a negative index
-        would otherwise wrap in the bitset and degree lookups. dns gives
-        ``num_items``, one past the last item, for a pair with a NaN
-        candidate score.
+        would otherwise wrap in the bitset lookup. A user who interacted with
+        every item raises ValueError. dns gives ``num_items``, one past the
+        last item, for a pair with a NaN candidate score.
         """
         users = np.asarray(users, dtype=np.int64)
         if users.size and (users.min() < 0 or users.max() >= self.num_users):
             raise IndexError(f"user index out of range [0, {self.num_users})")
-        self._check_feasible(users)
         kind = self.spec.kind
         if kind == "rns":
             return self._draw_uniform_valid(users, rng)

@@ -322,7 +322,7 @@ def batch_gradients(
     return float(np.mean(loss_vec + reg)), grad
 
 
-def train_adjacency(split: SplitDataset) -> sp.csr_matrix:
+def train_adjacency(split: SplitDataset) -> sp.csc_matrix:
     """The normalized adjacency of `split`'s train interactions, the
     propagation backbone's graph."""
     return build_norm_adjacency(

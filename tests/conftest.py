@@ -247,7 +247,7 @@ def _oracle_interacted(sampler, users, items):
     """Train membership by searchsorted over sorted pair keys, built from the
     sampler's per-user item lists, independent of its bitset."""
     keys = np.sort(
-        np.repeat(np.arange(sampler.num_users, dtype=np.int64), sampler.degree)
+        np.repeat(np.arange(sampler.num_users, dtype=np.int64), np.diff(sampler._indptr))
         * np.int64(sampler.num_items) + sampler._items_by_user
     )
     query = users * np.int64(sampler.num_items) + items

@@ -210,6 +210,46 @@ class TestAdjacency:
         assert np.linalg.norm(adj @ x) <= 1.0 + 1e-9
 
 
+    @staticmethod
+    def random_graphs():
+        """(users, items, num_users, num_items) with repeated edges, isolated
+        nodes and unaligned shapes."""
+        rng = np.random.default_rng(12)
+        for num_users, num_items, edges in ((1, 1, 1), (3, 3, 1), (7, 13, 40), (13, 7, 40),
+                                            (50, 20, 300), (20, 90, 200)):
+            users = rng.integers(0, num_users, size=edges)
+            items = rng.integers(0, num_items, size=edges)
+            repeat = rng.integers(0, edges, size=edges // 3 + 1)
+            yield np.r_[users, users[repeat]], np.r_[items, items[repeat]], num_users, num_items
+
+    def test_csc_entries_match_diagonal_product(self):
+        for users, items, num_users, num_items in self.random_graphs():
+            adj = build_norm_adjacency(users, items, num_users, num_items)
+            assert adj.format == "csc" and adj.has_canonical_format
+            n = num_users + num_items
+            rows = np.r_[users, items + num_users]
+            cols = np.r_[items + num_users, users]
+            a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+            deg = np.asarray(a.sum(axis=1)).ravel()
+            inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+            d = sp.diags(inv_sqrt)
+            want = (d @ a @ d).tocsr()
+            got = adj.tocsr()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+    def test_propagation_matches_csr_copy_bitwise(self):
+        rng = np.random.default_rng(13)
+        for users, items, num_users, num_items in self.random_graphs():
+            adj = build_norm_adjacency(users, items, num_users, num_items)
+            x = rng.standard_normal((num_users + num_items, 5))
+            for layers in range(4):
+                got = propagate_matrix(adj, x, layers)
+                want = propagate_matrix(adj.tocsr(), x, layers)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), layers
+
+
 class TestPropagation:
     def test_zero_layers_identity(self):
         x = np.random.default_rng(0).standard_normal((4, 3))

@@ -109,6 +109,42 @@ class TestValidity:
         assert negs.shape == (3,)
 
 
+def vocab_log(num_users, num_items, users, items):
+    """InteractionLog over fixed vocabularies holding the given rows as they are."""
+    users, items = (np.asarray(col, dtype=np.int64) for col in (users, items))
+    return InteractionLog(
+        users=users, items=items, times=np.arange(users.size, dtype=np.int64),
+        user_vocab={f"u{k}": k for k in range(num_users)},
+        item_vocab={f"i{k}": k for k in range(num_items)},
+    )
+
+
+class TestInfeasibleUsers:
+    """A user is infeasible exactly when their complement of train items is empty."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeated_pair_leaves_the_free_item(self, kind):
+        # rows (0, x), (0, y), (0, y) on a 3-item log: three rows, but item z is free
+        log = vocab_log(1, 3, [0, 0, 0], [0, 1, 1])
+        model = init_xavier(log.num_users, log.num_items, 4, seed=0)
+        sampler = NegativeSampler(SamplerSpec(kind=kind, pool=3, m=1, n=2), log)
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            assert sampler.sample_batch(np.array([0, 0]), model, rng).tolist() == [2, 2]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_infeasible_user_in_batch_order_is_named(self, kind):
+        # users 0 and 2 hold all 5 items; users 1 and 3 have free items
+        users = [0] * 5 + [1, 1] + [2] * 5 + [3]
+        items = [*range(5), 0, 1, *range(5), 4]
+        log = vocab_log(4, 5, users, items)
+        model = init_xavier(log.num_users, log.num_items, 4, seed=0)
+        sampler = NegativeSampler(SamplerSpec(kind=kind, pool=3, m=1, n=2), log)
+        for batch, first in (([1, 3, 2, 1, 0, 3, 2], 2), ([3, 0, 1, 2], 0)):
+            with pytest.raises(ValueError, match=f"user {first} interacted with every item"):
+                sampler.sample_batch(np.array(batch), model, np.random.default_rng(22))
+
+
 class TestUniformDistribution:
     def test_rns_chi_square(self):
         """4 valid candidates; each should get ~1/4 of 1e6 draws (3 sigma)."""
@@ -170,6 +206,21 @@ class TestPopularity:
         sigma = np.sqrt(draws * p * (1 - p))
         for c in counts[:3]:
             assert abs(c - draws * p) <= 4 * sigma
+
+
+    def test_empty_train_picks_each_entry_from_its_complement(self):
+        """No item has popularity, so each entry takes one uniform rng pick."""
+        log = vocab_log(3, 6, [], [])
+        model = init_xavier(log.num_users, log.num_items, 4, seed=0)
+        sampler = NegativeSampler(SamplerSpec(kind="pns"), log)
+        users = np.random.default_rng(23).integers(0, log.num_users, size=50)
+        got = sampler.sample_batch(users, model, np.random.default_rng(24))
+        rng = np.random.default_rng(24)
+        comp = np.arange(log.num_items)
+        want = [comp[rng.integers(0, comp.size)] for _ in users]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert len(set(want)) > 1
 
 
 class TestDynamic:

@@ -44,6 +44,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - ``split`` of a hand-made log of more than three ``data.PARSE_CHUNK``s
   with an empty key in the second chunk and a bad timestamp in the third,
   so both trees report the same first malformed record;
+- ``train`` with ``--sampler rns`` and with ``--sampler dns`` on a hand-made
+  log in which one train user holds every item, so both trees end in the
+  same "no negative exists" error record;
 - ``--help`` of the top level and of each subcommand.
 
 Every output file, and each command's exit code, stdout and stderr, is
@@ -96,6 +99,13 @@ HAND_CSV = "hand-csv-split/events.csv"
 MALFORMED_LOG = "malformed-log-split/events.tsv"
 MALFORMED_LOG_RECORDS = 4 * 4096 + 10
 EMPTY_KEY_AT, BAD_STAMP_AT = 4096 + 99, 2 * 4096 + 99  # 0-based
+# a log whose first 8 of 10 records are train (the cut falls at timestamp
+# 100), also written by the worker: user "full" trains on all four items
+INFEASIBLE_LOG = "infeasible-user-train-rns/events.tsv"
+INFEASIBLE_LOG_LINES = (
+    "full\ti0\t1", "full\ti1\t2", "full\ti2\t3", "full\ti3\t4", "b\ti0\t5", "b\ti1\t6",
+    "c\ti0\t7", "c\ti2\t8", "b\ti2\t100", "c\ti1\t101",
+)
 
 
 def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, list[str]]]:
@@ -194,6 +204,10 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
         ("malformed-log-split", ["split", "--data", MALFORMED_LOG,
                                  "--out", "malformed-log-split/manifest.jsonl"]),
     ]
+    for sampler in ("rns", "dns"):
+        cells.append((f"infeasible-user-train-{sampler}", [
+            "train", "--data", INFEASIBLE_LOG, "--sampler", sampler, "--epochs", "1", "--d", "8",
+        ]))
     cells.append(("help", ["--help"]))
     for command in ("split", "build-pss", "train", "eval", "run", "sweep", "probe", "gen-synth"):
         cells.append((f"help-{command}", [command, "--help"]))
@@ -226,6 +240,8 @@ def worker(src: str, *shape: str) -> None:
     records[EMPTY_KEY_AT] = f" \ti1\t{1000 + EMPTY_KEY_AT}\n"
     records[BAD_STAMP_AT] = f"u1\ti1\t{1000 + BAD_STAMP_AT}.5\n"
     Path(MALFORMED_LOG).write_text("".join(records))
+    Path(INFEASIBLE_LOG).parent.mkdir(parents=True, exist_ok=True)
+    Path(INFEASIBLE_LOG).write_text("".join(line + "\n" for line in INFEASIBLE_LOG_LINES))
     for name, argv in matrix(users, items, events, epochs):
         os.makedirs(name, exist_ok=True)
         out, err = io.StringIO(), io.StringIO()
