@@ -39,6 +39,8 @@ class DecaySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown decay kind {self.kind!r}, expected one of {KINDS}")
+        if not -np.inf < self.rate < np.inf:
+            raise ValueError(f"decay rate must be a finite number, got {self.rate!r}")
         if self.rate < 0:
             raise ValueError("decay rate must be >= 0")
         if self.time_unit < 1:

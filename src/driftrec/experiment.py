@@ -8,7 +8,8 @@ so a rerun with the same configuration is byte-identical.
 Variants
     layered       recency-weighted graph, filtration layers, duplicated pairs
     baseline      every train edge once
-    weighted_bpr  every train edge once, loss scaled by its recency weight
+    weighted_bpr  one filtration layer: every train edge once, its recency
+                  weight recorded in the set and scaling its loss
     recent_k      each user's k most recent train edges, once
 """
 
@@ -121,6 +122,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
                 raise ValueError(f"{f.name} must be {description}, got {value!r}")
+            # NaN fails both comparisons; an integer of any size passes
+            if f.type == "float" and not -np.inf < value < np.inf:
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.variant not in EXPERIMENT_VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}, expected one of {EXPERIMENT_VARIANTS}"
@@ -129,7 +133,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value):
                 raise ValueError(f"{name} must be a list of integers, got {value!r}")
-            object.__setattr__(self, name, tuple(int(v) for v in value))
+            value = tuple(int(v) for v in value)
+            if len(set(value)) < len(value):
+                raise ValueError(f"{name} must not repeat a value, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.seeds:
             raise ValueError("need at least one seed")
         check_format(self.data_format)
@@ -216,18 +223,16 @@ def build_positives(
     split: SplitDataset, config: ExperimentConfig
 ) -> tuple[PositiveSampleSet, np.ndarray | None]:
     """Positive multiset (and loss weights for the weighted variant)."""
-    if config.variant == "layered":
-        graph = build_weighted_graph(split.train, config.decay_spec())
-        layered = filtrate(graph, config.layers, config.range_mode)
-        return build_pss(layered), None
     if config.variant == "baseline":
         return train_positives(split), None
     if config.variant == "recent_k":
         return recent_k_positives(split.train, config.recent_k), None
-    # weighted_bpr: multiplicity-one pairs, each with its recency weight;
-    # both the graph and the plain set list the train edges in train order
     graph = build_weighted_graph(split.train, config.decay_spec())
-    return train_positives(split), graph.weights
+    if config.variant == "layered":
+        return build_pss(filtrate(graph, config.layers, config.range_mode)), None
+    # weighted_bpr: one layer, every train edge once in train order, so the
+    # loss weights line up with the set's rows
+    return build_pss(filtrate(graph, 1)), graph.weights
 
 
 def load_split(config: ExperimentConfig, log: InteractionLog | None = None) -> SplitDataset:

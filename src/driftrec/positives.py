@@ -64,7 +64,12 @@ class PositiveSampleSet:
 
     ``users``/``items`` carry duplicates; copies of one pair sit next to
     each other, layers in ascending order. ``layers``/``weights`` record
-    per-entry provenance where known (0 / nan otherwise).
+    each entry's provenance, by experiment variant:
+
+    - layered: the edge's filtration layer and its recency weight;
+    - weighted_bpr: layer 1 and the recency weight that scales its loss;
+    - baseline: layer 1 and NaN;
+    - recent_k: layer 0 and NaN.
     """
 
     users: np.ndarray
@@ -168,53 +173,44 @@ def filtrate(
     return LayeredGraph(graph=graph, n=n, thresholds=thresholds, labels=labels, range_mode=range_mode)
 
 
+def _edge_multiset(edges, rows: np.ndarray, layers, weights) -> PositiveSampleSet:
+    """The positive set of `edges` (a graph or a log) at `rows`, a row repeating
+    once per copy; `layers` and `weights` are per-edge arrays taken at `rows`
+    or one scalar for every row. The one place a positive set is filled."""
+    # one block for the four columns: a freed multiset leaves one chunk the next
+    # build reuses, not four the heap may trim and fault back in page by page
+    block = np.empty((4, rows.size), dtype=np.int64)
+    columns = (*block[:3], block[3].view(np.float64))
+    for source, column in zip((edges.users, edges.items, layers, weights), columns):
+        if np.ndim(source):
+            # rows index the edges by construction; "clip" skips the buffered bound check
+            np.take(source, rows, out=column, mode="clip")
+        else:
+            column.fill(source)
+    return PositiveSampleSet(*columns, num_users=edges.num_users, num_items=edges.num_items)
+
+
 def build_pss(layered: LayeredGraph) -> PositiveSampleSet:
     """Layer-enhanced positive multiset: layer-i edges appear i times.
 
     Pairs are emitted layer-major with copies contiguous. With n=1 this
-    degenerates to the plain train edge set. No pair needs filtering out:
-    :func:`~driftrec.data.timestamp_split` guarantees that no train pair
-    is also a validation or test pair.
+    degenerates to the plain train edge set, each edge with its weight. No
+    pair needs filtering out: :func:`~driftrec.data.timestamp_split`
+    guarantees that no train pair is also a validation or test pair.
     """
-    g = layered.graph
     # edge indices layer by layer, original order within a layer, edge e labels[e] times
     order = np.argsort(layered.labels, kind="stable")
     rows = np.repeat(order, layered.labels[order])
-    # one block for the four columns: a freed multiset leaves one chunk the next
-    # build reuses, not four the heap may trim and fault back in page by page
-    block = np.empty((4, rows.size), dtype=np.int64)
-    users, items, layers = block[:3]
-    weights = block[3].view(np.float64)
-    # rows index the edges by construction; "clip" skips the buffered bound check
-    np.take(g.users, rows, out=users, mode="clip")
-    np.take(g.items, rows, out=items, mode="clip")
-    np.take(layered.labels, rows, out=layers, mode="clip")
-    np.take(g.weights, rows, out=weights, mode="clip")
-    return PositiveSampleSet(
-        users=users,
-        items=items,
-        layers=layers,
-        weights=weights,
-        num_users=g.num_users,
-        num_items=g.num_items,
-    )
+    return _edge_multiset(layered.graph, rows, layered.labels, layered.graph.weights)
 
 
 def train_positives(split: SplitDataset) -> PositiveSampleSet:
-    """Plain positive set: every train edge once.
+    """Plain positive set: every train edge once, in train order.
 
     The split guarantees that no train pair is also a holdout pair, so
     nothing is filtered out.
     """
-    train = split.train
-    return PositiveSampleSet(
-        users=train.users.copy(),
-        items=train.items.copy(),
-        layers=np.ones(len(train), dtype=np.int64),
-        weights=np.full(len(train), np.nan),
-        num_users=split.num_users,
-        num_items=split.num_items,
-    )
+    return _edge_multiset(split.train, np.arange(len(split.train)), 1, np.nan)
 
 
 def recent_k_positives(train: InteractionLog, k: int) -> PositiveSampleSet:
@@ -227,18 +223,6 @@ def recent_k_positives(train: InteractionLog, k: int) -> PositiveSampleSet:
     # sort by (user asc, time desc, item asc) and take the first k rows per user
     order = np.lexsort((train.items, -train.times, train.users))
     u = train.users[order]
-    i = train.items[order]
-    t = train.times[order]
-    # rank of each row within its user block
-    starts = np.r_[0, np.nonzero(np.diff(u))[0] + 1]
-    rank = np.arange(u.shape[0]) - np.repeat(starts, np.diff(np.r_[starts, u.shape[0]]))
-    keep = rank < k
-    u, i, t = u[keep], i[keep], t[keep]
-    return PositiveSampleSet(
-        users=u,
-        items=i,
-        layers=np.zeros(u.shape[0], dtype=np.int64),
-        weights=np.full(u.shape[0], np.nan),
-        num_users=train.num_users,
-        num_items=train.num_items,
-    )
+    # rank of each row within its user block: its distance from the block's first row
+    rank = np.arange(u.size) - np.searchsorted(u, u)
+    return _edge_multiset(train, order[rank < k], 0, np.nan)

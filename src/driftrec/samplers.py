@@ -53,6 +53,8 @@ class SamplerSpec:
             raise ValueError("pool must be >= 1")
         if not (1 <= self.m <= self.n):
             raise ValueError("need 1 <= m <= n")
+        if not -np.inf < self.alpha < np.inf:
+            raise ValueError(f"alpha must be a finite number, got {self.alpha!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 

@@ -4,6 +4,8 @@ The exponential closed form is checked against mpmath at 50 decimal digits;
 graph construction is checked against a per-user brute-force pass.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -91,6 +93,12 @@ class TestDecayWeight:
             DecaySpec(rate=-0.1)
         with pytest.raises(ValueError, match="time_unit"):
             DecaySpec(time_unit=0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate(self, rate):
+        """A NaN rate passed the sign check and put every edge in the top layer."""
+        with pytest.raises(ValueError, match=f"^decay rate must be a finite number, got {rate!r}$"):
+            DecaySpec(rate=rate)
 
     def test_monotone_in_gap(self):
         rng = np.random.default_rng(3)

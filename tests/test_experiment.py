@@ -3,7 +3,9 @@
 import csv
 import io
 import json
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -118,11 +120,22 @@ class TestLoadConfig:
         ("val_fraction_of_holdout", -0.5, r"val_fraction_of_holdout must be in \[0, 1\]"),
         ("backbone", "gcn", r"unknown backbone 'gcn', expected one of \('mf', 'lightgcn'\)"),
         ("data_format", "xml", "unknown format 'xml', expected 'tsv' or 'csv'"),
+        # a repeated seed is one run counted twice; a repeated cutoff, its summary rows twice
+        ("ks", (20, 30, 20), r"ks must not repeat a value, got \(20, 30, 20\)$"),
+        ("seeds", [0, 0], r"seeds must not repeat a value, got \(0, 0\)$"),
     ])
     def test_every_checked_key_is_checked_when_built(self, key, value, message):
         """Training, sampler, decay and cutoff keys fail at load, even where
         the variant (baseline) or sampler (rns) would never use them."""
         with pytest.raises(ValueError, match=f"^{message}"):
+            load_config(None, {"variant": "baseline", "sampler": "rns", key: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.type == "float"])
+    def test_non_finite_float_key_is_rejected_when_built(self, key, value):
+        """NaN passes every sign and range check, so each float key is
+        checked for finiteness first."""
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number, got {value!r}$"):
             load_config(None, {"variant": "baseline", "sampler": "rns", key: value})
 
 
@@ -184,6 +197,17 @@ class TestBuildPositives:
         lookup = pair_weight_lookup(build_weighted_graph(split.train, DecaySpec(rate=0.02)))
         for u, p, w in zip(pss.users.tolist(), pss.items.tolist(), weights.tolist()):
             assert w == lookup[(u, p)]
+
+
+    def test_weighted_bpr_set_carries_its_loss_weights(self, split):
+        """The one-layer set records the recency weights that scale its loss,
+        so its audit shows them."""
+        pss, weights = build_positives(split, ExperimentConfig(variant="weighted_bpr", rate=0.02))
+        graph = build_weighted_graph(split.train, DecaySpec(rate=0.02))
+        assert pss.weights.tobytes() == weights.tobytes() == graph.weights.tobytes()
+        assert np.all(pss.layers == 1)
+        assert np.array_equal(pss.users, split.train.users)
+        assert np.array_equal(pss.items, split.train.items)
 
 
 class TestRun:
@@ -740,6 +764,25 @@ class TestCli:
         rc = self.run_cli("build-pss", "--data", tiny_tsv, "--time-unit", "2.0",
                           "--out", str(out))
         assert rc == 0 and out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["build-pss", "--rate", "nan"], "rate must be a finite number, got nan"),
+        (["train", "--rate", "nan"], "rate must be a finite number, got nan"),
+        (["train", "--rate", "inf"], "rate must be a finite number, got inf"),
+        (["train", "--sampler", "pns", "--alpha", "nan"], "alpha must be a finite number, got nan"),
+        (["run", "--seeds", "0,0"], "seeds must not repeat a value, got (0, 0)"),
+        (["run", "--ks", "20,20"], "ks must not repeat a value, got (20, 20)"),
+    ], ids=["build-pss-rate-nan", "train-rate-nan", "train-rate-inf", "train-alpha-nan",
+            "run-seeds", "run-ks"])
+    def test_non_finite_or_repeated_value_is_json_error(self, tiny_tsv, tmp_path, capsys,
+                                                        argv, message):
+        out = tmp_path / "pss.jsonl"
+        extra = ["--out", str(out)] if argv[0] == "build-pss" else ["--epochs", "1"]
+        rc = self.run_cli(*argv, "--data", tiny_tsv, *extra)
+        assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
 
     def test_bad_flag_value_is_json_error(self, tiny_tsv, capsys):
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "2",

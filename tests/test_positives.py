@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from driftrec.data import timestamp_split
 from driftrec.decay import DecaySpec, WeightedBipartiteGraph, build_weighted_graph
 from driftrec.positives import (
     LayeredGraph,
@@ -16,7 +17,7 @@ from driftrec.positives import (
     recent_k_positives,
     train_positives,
 )
-from conftest import make_log, random_graph
+from conftest import log_with_exact_edges, make_log, random_graph
 
 
 def graph_of(weights, users=None, items=None, num_users=None, num_items=None):
@@ -223,6 +224,64 @@ class TestRecentK:
         log = make_log([("a", "x", 1)])
         with pytest.raises(ValueError, match="k must be"):
             recent_k_positives(log, k=0)
+
+
+def tie_heavy_logs(count):
+    """(rng, log) pairs of random logs whose timestamps fall in a few values,
+    down to one, so many of a user's rows tie."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        num_users, num_items = int(rng.integers(1, 12)), int(rng.integers(2, 25))
+        num_edges = int(rng.integers(1, num_users * num_items + 1))
+        t_hi = int(rng.integers(1, 30))
+        yield rng, log_with_exact_edges(num_edges, num_users, num_items, seed, t_hi=t_hi)
+
+
+class TestRowOrder:
+    """Every builder's columns, row by row, against a plain-Python oracle:
+    seeded training reads a set's rows in order, not only its pairs."""
+
+    def test_layered_is_layer_major_with_copies_contiguous(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            g = random_graph(rng)
+            n = int(rng.integers(1, 6))
+            layered = filtrate(g, n)
+            labels = layered.labels.tolist()
+            rows = [e for layer in range(1, n + 1) for e in range(g.num_edges)
+                    if labels[e] == layer for _ in range(layer)]
+            pss = build_pss(layered)
+            for got, edge_column in ((pss.users, g.users), (pss.items, g.items),
+                                     (pss.layers, labels), (pss.weights, g.weights)):
+                assert got.tolist() == [edge_column[e] for e in rows]
+
+    def test_baseline_follows_train_order(self):
+        for seed in range(30):
+            num_edges = int(np.random.default_rng(seed).integers(10, 200))
+            split = timestamp_split(log_with_exact_edges(num_edges, 12, 25, seed))
+            train = split.train
+            pss = train_positives(split)
+            assert pss.users.tolist() == train.users.tolist()
+            assert pss.items.tolist() == train.items.tolist()
+            assert pss.layers.tolist() == [1] * len(train)
+            assert np.isnan(pss.weights).all() and pss.weights.shape == (len(train),)
+            assert (pss.num_users, pss.num_items) == (split.num_users, split.num_items)
+
+    def test_recent_k_is_user_then_time_descending_then_item(self):
+        for rng, log in tie_heavy_logs(60):
+            k = int(rng.integers(1, 6))
+            rows = sorted(zip(log.users.tolist(), log.times.tolist(), log.items.tolist()),
+                          key=lambda row: (row[0], -row[1], row[2]))
+            kept: dict[int, int] = {}
+            want = []
+            for u, _, i in rows:
+                if kept.get(u, 0) < k:
+                    kept[u] = kept.get(u, 0) + 1
+                    want.append((u, i))
+            pss = recent_k_positives(log, k)
+            assert list(zip(pss.users.tolist(), pss.items.tolist())) == want
+            assert pss.layers.tolist() == [0] * len(want)
+            assert np.isnan(pss.weights).all() and pss.weights.shape == (len(want),)
 
 
 class TestAuditMemory:

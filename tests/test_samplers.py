@@ -35,6 +35,12 @@ class TestSamplerSpec:
         with pytest.raises(ValueError, match="alpha"):
             SamplerSpec(alpha=-0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        """A NaN alpha passed the sign check and broke the popularity search."""
+        with pytest.raises(ValueError, match=f"^alpha must be a finite number, got {alpha!r}$"):
+            SamplerSpec(kind="pns", alpha=alpha)
+
 
 class TestForcedOutcome:
     @pytest.mark.parametrize("kind", KINDS)

@@ -28,6 +28,10 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
 - ``train`` with ``--optimizer sgd`` and with ``adam`` at ``--lr 1e200``,
   which overflows, so both end in the ``TrainingDiverged`` error record;
 - one ``run`` with ``--epoch-mode pi_sample``;
+- ``run`` of the baseline and recent_k variants with seeds 0 and 1, and
+  one ``run`` of recent_k with ``--epoch-mode pi_sample``, so the row order
+  of those positive sets, which seeded training reads and the order-free
+  ``build-pss`` audit does not show, is compared too;
 - ``probe`` with the identity and the adam preconditioner, and with the
   adam preconditioner under a config file that trains with sgd;
 - ``split``, ``build-pss``, ``train --checkpoint-out``, ``eval`` of that
@@ -173,6 +177,13 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
         ]))
     cells.append(("run-pi_sample", ["run", *train, "--epoch-mode", "pi_sample",
                                     "--out-dir", "run-pi_sample/out"]))
+    # seeded training reads these sets' rows in order, which build-pss does not show
+    for variant in ("baseline", "recent_k"):
+        cells.append((f"run-{variant}", ["run", *train, "--variant", variant, "--seeds", "0,1",
+                                         "--out-dir", f"run-{variant}/out"]))
+    cells.append(("run-recent_k-pi_sample", ["run", *train, "--variant", "recent_k",
+                                             "--epoch-mode", "pi_sample",
+                                             "--out-dir", "run-recent_k-pi_sample/out"]))
     for optimizer in ("identity", "adam"):
         cells.append((f"probe-{optimizer}", [
             "probe", "--data", data, "--d", "8", "--num-pairs", "20",
