@@ -121,7 +121,7 @@ def ndcg_at_k(ranked: np.ndarray, positives: np.ndarray, k: int) -> float:
 
 def _pair_keys(log, num_items: int) -> np.ndarray:
     """Sorted distinct ``user * num_items + item`` keys of a log."""
-    keys = np.sort(log.users * num_items + log.items)
+    keys = np.sort(log.users * np.int64(num_items) + log.items)
     return keys[np.diff(keys, prepend=-1) != 0]
 
 

@@ -60,7 +60,8 @@ class SamplerSpec:
 
 
 class NegativeSampler:
-    """A sampler spec bound to one training set's per-user item sets."""
+    """A sampler spec bound to one training set's membership bitset, its only
+    per-user state: user u's train items, each once, are the set bits of row u."""
 
     def __init__(self, spec: SamplerSpec, train: InteractionLog):
         self.spec = spec
@@ -71,10 +72,6 @@ class NegativeSampler:
         keys = train.users * np.int64(self.num_items) + train.items
         self._bits = np.zeros(-(-self.num_users * self.num_items // 8), dtype=np.uint8)
         np.bitwise_or.at(self._bits, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
-        # CSR-style per-user item lists for complement fallbacks; no lexsort:
-        # a pair key sorts as its (user, item), and int64 lexsort is far slower
-        self._items_by_user = np.sort(keys) % self.num_items
-        self._indptr = np.r_[0, np.cumsum(np.bincount(train.users, minlength=self.num_users))]
         if spec.kind == "pns":
             item_deg = np.bincount(train.items, minlength=self.num_items).astype(np.float64)
             weights = np.power(item_deg, spec.alpha)
@@ -82,9 +79,16 @@ class NegativeSampler:
             self._pop_weights = weights
 
     # --- membership helpers ------------------------------------------------
+    def _row(self, u: int) -> np.ndarray:
+        """User u's bitset row unpacked, one 0/1 byte per item."""
+        start = u * self.num_items
+        bits = np.unpackbits(self._bits[start >> 3 : (start + self.num_items + 7) >> 3],
+                             bitorder="little")
+        return bits[start & 7 :][: self.num_items]
+
     def user_items(self, u: int) -> np.ndarray:
-        """Sorted train items of user u."""
-        return self._items_by_user[self._indptr[u] : self._indptr[u + 1]]
+        """Ascending distinct train items of user u."""
+        return np.flatnonzero(self._row(u))
 
     def _interacted(self, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
         keys = users * np.int64(self.num_items) + cands
@@ -92,7 +96,7 @@ class NegativeSampler:
 
     # --- uniform / popularity candidate draws -------------------------------
     def _complement(self, u: int) -> np.ndarray:
-        comp = np.setdiff1d(np.arange(self.num_items), self.user_items(u), assume_unique=True)
+        comp = np.flatnonzero(self._row(u) == 0)
         if not comp.size:
             raise ValueError(f"user {u} interacted with every item; no negative exists")
         return comp

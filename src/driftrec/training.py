@@ -191,15 +191,6 @@ def _block_indptr(head: np.ndarray, counts: np.ndarray, num_cols: int) -> np.nda
     return indptr
 
 
-def _occurrence_sq_norms(block: np.ndarray, distinct: np.ndarray, rows: np.ndarray,
-                         num_rows: int) -> np.ndarray:
-    """Squared norm of each entry of `rows`, read from `block`, whose row j
-    holds stacked row distinct[j]."""
-    position = np.empty(num_rows, dtype=np.intp)
-    position[distinct] = np.arange(distinct.size)
-    return np.einsum("ij,ij->i", block, block)[position[rows]]
-
-
 def batch_gradients(
     model: EmbeddingModel,
     users: np.ndarray,
@@ -245,8 +236,8 @@ def batch_gradients(
     step reuse the heap the last one freed instead of faulting in fresh
     pages.
 
-    The reported loss reads each occurrence's squared norm from its
-    distinct row.
+    The reported loss takes each of the 3b loss rows' squared norm from its
+    own base row, gathered again once the scatter's columns are freed.
     """
     num_users, num_items = model.num_users, model.num_items
     _check_index("users", users, num_users)
@@ -269,14 +260,15 @@ def batch_gradients(
     scoring = model.scoring_params()
     # [e_p - e_n; e_u; e_u], the loss columns, then MF's regularizer block
     block = min(3 * b, n)
-    gathered = np.empty((3 * b + (block if mf else 0), model.dim))
-    diff, ue, ue2 = gathered[:b], gathered[b : 2 * b], gathered[2 * b : 3 * b]
+    cols = np.empty((3 * b + (block if mf else 0), model.dim))
+    diff, ue, ue2 = cols[:b], cols[b : 2 * b], cols[2 * b : 3 * b]
     np.take(scoring, loss_rows[b : 2 * b], axis=0, out=diff, mode="clip")
     np.take(scoring, loss_rows[2 * b :], axis=0, out=ue2, mode="clip")
     diff -= ue2
     np.take(scoring, loss_rows[:b], axis=0, out=ue, mode="clip")
     ue2[...] = ue
     margin = np.einsum("ij,ij->i", ue, diff)
+    del diff, ue, ue2
     # d bpr / d margin, the expression bpr_loss uses
     dmargin = -expit(-margin)
     if pair_weights is not None:
@@ -286,13 +278,11 @@ def batch_gradients(
     loss_scales[b : 2 * b] = coeff
     np.negative(coeff, out=loss_scales[2 * b :])
 
-    if mf:
-        cols = gathered
-    else:
-        g_stack = _scatter_rows(n, loss_rows, loss_scales, gathered, _csc_indptr(3 * b))
+    if not mf:
+        g_stack = _scatter_rows(n, loss_rows, loss_scales, cols, _csc_indptr(3 * b))
         # each buffer is freed before the next is allocated: the scoring rows
         # before propagation, the loss gradient before the stacked buffer
-        del gathered, diff, ue, ue2
+        del cols
         propagated = propagate_matrix(model.adjacency, g_stack, model.num_prop_layers)
         del g_stack
         # [propagated gradient; regularizer block], the propagated rows
@@ -303,8 +293,7 @@ def batch_gradients(
         rows[:n] = np.arange(n)
         scales[:n] = 1.0
     distinct, counts = _distinct_rows(loss_rows)
-    reg_rows = cols[head : head + distinct.size]
-    np.take(model.params, distinct, axis=0, out=reg_rows, mode="clip")
+    np.take(model.params, distinct, axis=0, out=cols[head : head + distinct.size], mode="clip")
     rows[head:] = np.repeat(distinct, counts)
     scales[head:] = l2 / b
     grad = _scatter_rows(
@@ -312,12 +301,14 @@ def batch_gradients(
     )
     if not loss:
         return None, grad
+    del cols  # freed before the loss report gathers its 3b base rows
 
     loss_vec, _ = bpr_loss(margin)
     if pair_weights is not None:
         loss_vec = loss_vec * pair_weights
-    # squared norms of the regularizer rows of each pair's user, positive and negative
-    sq_u, sq_p, sq_n = np.split(_occurrence_sq_norms(reg_rows, distinct, loss_rows, n), 3)
+    # squared norms of the base rows of each pair's user, positive and negative
+    occ = model.params[loss_rows]
+    sq_u, sq_p, sq_n = np.split(np.einsum("ij,ij->i", occ, occ), 3)
     reg = 0.5 * l2 * (sq_u + sq_p + sq_n)
     return float(np.mean(loss_vec + reg)), grad
 

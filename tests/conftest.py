@@ -243,51 +243,53 @@ def oracle_batch_gradients(model, users, pos_items, neg_items, l2, pair_weights=
     return float(np.mean(loss_vec + reg)), grad_user, grad_item
 
 
-def _oracle_interacted(sampler, users, items):
-    """Train membership by searchsorted over sorted pair keys, built from the
-    sampler's per-user item lists, independent of its bitset."""
-    keys = np.sort(
-        np.repeat(np.arange(sampler.num_users, dtype=np.int64), np.diff(sampler._indptr))
-        * np.int64(sampler.num_items) + sampler._items_by_user
-    )
-    query = users * np.int64(sampler.num_items) + items
+def _oracle_interacted(train, users, items):
+    """Train membership by searchsorted over the train log's sorted pair keys,
+    independent of the sampler's bitset."""
+    keys = np.sort(train.users * np.int64(train.num_items) + train.items)
+    query = users * np.int64(train.num_items) + items
     pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
     return keys[pos] == query
 
 
-def _oracle_draw_uniform_valid(sampler, users, rng):
+def _oracle_complement(train, user):
+    """Ascending items user has no train interaction with, from the train log."""
+    return np.setdiff1d(np.arange(train.num_items), train.items[train.users == user])
+
+
+def _oracle_draw_uniform_valid(sampler, train, users, rng):
     out = rng.integers(0, sampler.num_items, size=users.shape[0])
-    bad = _oracle_interacted(sampler, users, out)
+    bad = _oracle_interacted(train, users, out)
     rounds = 0
     while np.any(bad) and rounds < REJECTION_ROUNDS:
         out[bad] = rng.integers(0, sampler.num_items, size=int(bad.sum()))
-        bad = _oracle_interacted(sampler, users, out)
+        bad = _oracle_interacted(train, users, out)
         rounds += 1
     for idx in np.nonzero(bad)[0]:
-        comp = sampler._complement(int(users[idx]))
+        comp = _oracle_complement(train, users[idx])
         out[idx] = comp[rng.integers(0, comp.size)]
     return out
 
 
-def _oracle_draw_popularity_valid(sampler, users, rng):
+def _oracle_draw_popularity_valid(sampler, train, users, rng):
     total = sampler._pop_cumsum[-1]
     size = users.shape[0]
     if total > 0:
         out = np.searchsorted(sampler._pop_cumsum, rng.random(size) * total, side="right")
-        bad = _oracle_interacted(sampler, users, out)
+        bad = _oracle_interacted(train, users, out)
         rounds = 0
         while np.any(bad) and rounds < REJECTION_ROUNDS:
             nbad = int(bad.sum())
             out[bad] = np.searchsorted(
                 sampler._pop_cumsum, rng.random(nbad) * total, side="right"
             )
-            bad = _oracle_interacted(sampler, users, out)
+            bad = _oracle_interacted(train, users, out)
             rounds += 1
     else:
         out = np.zeros(size, dtype=np.int64)
         bad = np.ones(size, dtype=bool)
     for idx in np.nonzero(bad)[0]:
-        comp = sampler._complement(int(users[idx]))
+        comp = _oracle_complement(train, users[idx])
         w = sampler._pop_weights[comp]
         tot = w.sum()
         if tot > 0:
@@ -297,17 +299,19 @@ def _oracle_draw_popularity_valid(sampler, users, rng):
     return out
 
 
-def oracle_sample_batch(sampler, users, model, rng):
-    """NegativeSampler.sample_batch with every rejection round re-checking the whole batch."""
+def oracle_sample_batch(sampler, train, users, model, rng):
+    """NegativeSampler.sample_batch with every rejection round re-checking the
+    whole batch, and train membership read from the sampler's train log."""
     users = np.asarray(users, dtype=np.int64)
     kind = sampler.spec.kind
     if kind == "rns":
-        return _oracle_draw_uniform_valid(sampler, users, rng)
+        return _oracle_draw_uniform_valid(sampler, train, users, rng)
     if kind == "pns":
-        return _oracle_draw_popularity_valid(sampler, users, rng)
+        return _oracle_draw_popularity_valid(sampler, train, users, rng)
     width = sampler.spec.pool if kind == "dns" else sampler.spec.n
     b = users.shape[0]
-    cands = _oracle_draw_uniform_valid(sampler, np.repeat(users, width), rng).reshape(b, width)
+    cands = _oracle_draw_uniform_valid(sampler, train, np.repeat(users, width),
+                                       rng).reshape(b, width)
     score_u, score_i = model.scoring_embeddings()
     scores = np.einsum(
         "ij,ij->i", score_u[np.repeat(users, width)], score_i[cands.ravel()]

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -600,6 +601,28 @@ class TestEvaluateShapeGuard:
         with pytest.raises(ValueError, match=rf"{shape[0]} users x {shape[1]} items.*"
                                              r"60 users x 90 items"):
             evaluate(model, drift_split)
+
+
+def test_int32_log_is_evaluated_on_int64_pair_keys():
+    """users x items past 2**31: an int32-indexed split reports what the same
+    split in int64 reports, not wrapped (user, item) keys."""
+    rng = np.random.default_rng(41)
+    num_users = num_items = 50_000
+    users = rng.integers(45_000, num_users, size=300)
+    items = rng.integers(0, num_items, size=300)
+    split = split_of(zip(users[:200], items[:200]), zip(users[200:], items[200:]),
+                     num_users, num_items)
+    narrow = replace(split, **{
+        part: replace(log, users=log.users.astype(np.int32), items=log.items.astype(np.int32))
+        for part, log in (("train", split.train), ("validation", split.validation),
+                          ("test", split.test))
+    })
+    assert narrow.test.users.dtype == np.int32
+    model = init_xavier(num_users, num_items, 2, seed=4)
+    want = evaluate(model, split, ks=(5, 20))
+    got = evaluate(model, narrow, ks=(5, 20))
+    assert [r["user"] for r in got.per_user] == sorted(set(users[200:].tolist()))
+    assert got.to_dict() == want.to_dict()
 
 
 def test_block_cap_bounds_evaluation_memory():

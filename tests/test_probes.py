@@ -9,6 +9,7 @@ so gain, bound, and residual are all checkable against exact algebra.
 """
 
 import copy
+from dataclasses import replace
 import math
 import tracemalloc
 from collections import Counter
@@ -30,7 +31,7 @@ from driftrec.probes import (
     expected_margin,
     probe_one_step,
 )
-from driftrec.samplers import NegativeSampler
+from driftrec.samplers import NegativeSampler, SamplerSpec
 from driftrec.synthetic import SyntheticSpec, generate
 from driftrec.training import AdamState, init_training, train_epoch
 from conftest import make_log
@@ -397,6 +398,40 @@ class TestExpectedMargin:
         model = EmbeddingModel(np.ones((1, 1)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="every item"):
             expected_margin(model, 0, 0, np.array([0, 1]))
+
+
+class TestRepeatedTrainRow:
+    """A train log that repeats a (user, item) row probes as its deduplicated
+    log: the pair counts once among the user's interacted items."""
+
+    @staticmethod
+    def with_repeat(split):
+        """`split` whose train log logs its first row a second time."""
+        train = split.train
+        repeated = replace(train, **{name: np.append(getattr(train, name), getattr(train, name)[0])
+                                     for name in ("users", "items", "times")})
+        return replace(split, train=repeated)
+
+    def test_expected_margin(self, drift_split):
+        repeated = self.with_repeat(drift_split)
+        model = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=3)
+        u, p = int(drift_split.train.users[0]), int(drift_split.train.items[0])
+        spec = SamplerSpec()
+        items = NegativeSampler(spec, repeated.train).user_items(u)
+        assert items.tolist() == NegativeSampler(spec, drift_split.train).user_items(u).tolist()
+        want = expected_margin(model, u, p, drift_split.train.items[drift_split.train.users == u])
+        assert expected_margin(model, u, p, items) == want
+
+    def test_cumulative_separation(self, drift_split):
+        repeated = self.with_repeat(drift_split)
+        pss = train_positives(drift_split)
+        config = ExperimentConfig(lr=0.01, batch_size=256, epochs=2, d=8, seeds=(0,))
+        train = drift_split.train
+        pairs = [(int(u), int(i)) for u, i in zip(train.users[:4], train.items[:4])]
+        runs = {"plain": (pss, None)}
+        got = cumulative_separation(repeated, runs, config, epochs=2, probe_pairs=pairs)
+        want = cumulative_separation(drift_split, runs, config, epochs=2, probe_pairs=pairs)
+        assert got.to_dict() == want.to_dict()
 
 
 class TestCumulativeSeparation:

@@ -363,7 +363,7 @@ class TestBlockedScoring:
             # exact ties in the last row of one block and the first of the next
             assert np.any(tied[2::3][: tied[3::3].size] & tied[3::3])
             got = sampler.sample_batch(users, model, np.random.default_rng(seed))
-            want = oracle_sample_batch(sampler, users, model, np.random.default_rng(seed))
+            want = oracle_sample_batch(sampler, log, users, model, np.random.default_rng(seed))
             assert np.array_equal(got, want)
 
     def test_dns_peak_memory_is_below_a_full_batch_gather(self):
@@ -399,7 +399,7 @@ class TestRedrawOnlyRejection:
         for size in (512, 37, 1):
             users = train.users[order[:size]]
             got = sampler.sample_batch(users, model, np.random.default_rng(size))
-            want = oracle_sample_batch(sampler, users, model, np.random.default_rng(size))
+            want = oracle_sample_batch(sampler, train, users, model, np.random.default_rng(size))
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -415,7 +415,7 @@ class TestRedrawOnlyRejection:
         users = np.array([0, 1, 3, 0, 2, 3, 0, 1] * 8)
         for seed in range(3):
             got = sampler.sample_batch(users, model, np.random.default_rng(seed))
-            want = oracle_sample_batch(sampler, users, model, np.random.default_rng(seed))
+            want = oracle_sample_batch(sampler, log, users, model, np.random.default_rng(seed))
             assert np.array_equal(got, want)
             assert set(got[users == 0].tolist()) <= {297, 298, 299}
             assert set(got[users == 3].tolist()) <= {0, 1}
@@ -478,3 +478,16 @@ class TestUserItems:
         for u in range(num_users + 2):
             want = sorted((keys[keys // num_items == u] % num_items).tolist())
             assert sampler.user_items(u).tolist() == want, u
+
+    def test_repeated_pair_is_listed_once(self):
+        """A hand-built log that logs (user 0, item 2) twice lists item 2 once,
+        as its deduplicated log does, and keeps it out of the complement."""
+        log = InteractionLog(
+            users=np.array([0, 0, 1, 0]), items=np.array([2, 5, 2, 2]),
+            times=np.arange(4, dtype=np.int64),
+            user_vocab={"a": 0, "b": 1}, item_vocab={f"i{k}": k for k in range(7)},
+        )
+        sampler = NegativeSampler(SamplerSpec(), log)
+        assert sampler.user_items(0).tolist() == [2, 5]
+        assert sampler.user_items(1).tolist() == [2]
+        assert sampler._complement(0).tolist() == [0, 1, 3, 4, 6]

@@ -578,7 +578,7 @@ class TestTrainingStepMatchesOracle:
             for start in range(0, order.shape[0], config.batch_size):
                 idx = order[start : start + config.batch_size]
                 users, pos = pss.users[idx], pss.items[idx]
-                negs = oracle_sample_batch(sampler, users, model, rng)
+                negs = oracle_sample_batch(sampler, split.train, users, model, rng)
                 w = pair_weights[idx] if pair_weights is not None else None
                 _, grad_u, grad_i = oracle_batch_gradients(model, users, pos, negs, config.l2, w)
                 t += 1
