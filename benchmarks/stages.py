@@ -52,7 +52,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py: BLAS cap and program import)
 
-# seconds per epoch: the spans train_epoch calls, by the name recorded here
+# record key -> span of each stage train_epoch calls directly, timed per epoch
 EPOCH_STAGES = {
     "sampling": "samplers.NegativeSampler.sample_batch",
     "gradients": "training.batch_gradients",
