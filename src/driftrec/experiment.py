@@ -37,7 +37,7 @@ from .data import (
 )
 from .decay import DecaySpec, build_weighted_graph
 from .metrics import evaluate
-from .models import check_backbone, save_checkpoint
+from .models import check_backbone
 from .positives import (
     PositiveSampleSet,
     build_pss,
@@ -312,9 +312,8 @@ def train_and_test(
     """Fit the config's first seed, then evaluate it on the test part.
 
     Returns the seed's record: seed, best_epoch, evaluations,
-    users_evaluated, pss_size and recall/ndcg at each cutoff. When fit
-    wrote no checkpoint to ``checkpoint_path`` (no validation improvement),
-    the final model is saved there before the test evaluation.
+    users_evaluated, pss_size and recall/ndcg at each cutoff. The paths
+    go to :func:`~driftrec.training.fit`, which writes both files.
     """
     model, history = fit(
         split,
@@ -325,8 +324,6 @@ def train_and_test(
         metrics_path=metrics_path,
         checkpoint_path=checkpoint_path,
     )
-    if checkpoint_path and model.best_epoch is None:
-        save_checkpoint(model, checkpoint_path)
     report = evaluate(model, split, ks=config.ks, part="test", per_user=False)
     record = {
         "seed": config.seeds[0],

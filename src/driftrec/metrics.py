@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import SplitDataset
-from .models import EmbeddingModel
+from .models import EmbeddingModel, check_index
 
 BLOCK_SCORES = 2**17  # scores ranked at once: 1 MiB of float64 per block of users
 GEMM_MACS = 2**18  # multiply-adds per np.matmul; OpenBLAS runs products this small on one thread
@@ -90,7 +90,9 @@ class EvalReport:
 
 def rank_items(model: EmbeddingModel, user: int, exclude: np.ndarray) -> np.ndarray:
     """All items ordered by descending score, ties by ascending index,
-    with excluded items removed."""
+    with excluded items removed. An excluded index outside [0, num_items)
+    raises IndexError."""
+    check_index("exclude", exclude, model.num_items)
     scores = model.score_all(user)
     order = np.argsort(-scores, kind="stable")
     if exclude.size:
@@ -225,11 +227,12 @@ def evaluate(
     part: str = "test",
     per_user: bool = True,
 ) -> EvalReport:
-    """Mean recall and NDCG at each cutoff over users with held-out positives.
+    """Mean recall and NDCG at each cutoff over users with held-out positives
+    in `part`, "validation" or "test"; a user's train items are not ranked.
 
     The model must have the split's shape; a mismatch raises ValueError.
     """
-    if part not in ("validation", "test", "train"):
+    if part not in ("validation", "test"):
         raise ValueError(f"unknown part {part!r}")
     ks = tuple(sorted(set(int(k) for k in ks)))
     if not ks or ks[0] <= 0:
@@ -241,8 +244,7 @@ def evaluate(
         )
     num_items = split.num_items
     kmax = ks[-1]
-    log = {"validation": split.validation, "test": split.test, "train": split.train}[part]
-    holdout = _pair_keys(log, num_items)
+    holdout = _pair_keys(getattr(split, part), num_items)
     hold_users = holdout // num_items
     starts = np.flatnonzero(np.diff(hold_users, prepend=-1))
     users = hold_users[starts]  # ascending, as the per-user loop visited them
@@ -251,7 +253,7 @@ def evaluate(
 
     # the training pairs of evaluated users, as (row in users, item): the
     # sorted train keys of users[j] are train[lo[j]:hi[j]]
-    train = _pair_keys(split.train, num_items) if part != "train" else np.empty(0, np.int64)
+    train = _pair_keys(split.train, num_items)
     lo, hi = np.searchsorted(train, [users * num_items, (users + 1) * num_items])
     excl_row = np.repeat(np.arange(n_users), hi - lo)
     first = np.cumsum(hi - lo) - (hi - lo)  # each row's first position in excl
@@ -299,8 +301,10 @@ def margin_surrogate(model: EmbeddingModel, user: int, item: int) -> float:
     """Smooth rank surrogate 1 / (1 + sum_q exp(s_uq - s_up)) in (0, 1).
 
     The sum runs over every other item; computed through logsumexp so large
-    score gaps cannot overflow.
+    score gaps cannot overflow. An item outside [0, num_items) raises
+    IndexError.
     """
+    check_index("item", item, model.num_items)
     scores = model.score_all(user)
     diffs = np.delete(scores - scores[item], item)
     return float(np.exp(-logsumexp(np.r_[0.0, diffs])))

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 __all__ = [
     "EmbeddingModel",
     "check_backbone",
+    "check_index",
     "init_xavier",
     "build_norm_adjacency",
     "propagate_matrix",
@@ -42,6 +43,14 @@ def check_backbone(backbone: str) -> None:
     """Raise ValueError unless ``backbone`` is one of :data:`BACKBONES`."""
     if backbone not in BACKBONES:
         raise ValueError(f"unknown backbone {backbone!r}, expected one of {BACKBONES}")
+
+
+def check_index(name: str, index, size: int) -> None:
+    """Raise IndexError unless every entry of `index`, an int or an int
+    array, lies in [0, size); a negative index would wrap silently."""
+    index = np.asarray(index)
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise IndexError(f"{name} index out of range [0, {size})")
 
 
 def build_norm_adjacency(
@@ -161,21 +170,17 @@ class EmbeddingModel:
         self._propagated = None
 
     # --- propagation ------------------------------------------------------
-    def propagate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Propagated (user, item) embeddings: row views of the stacked
-        result, which is cached until a parameter update drops it."""
+    def propagate(self) -> np.ndarray:
+        """The propagated stacked rows, cached until a parameter update drops them."""
         if self.backbone != "lightgcn":
             raise ValueError("propagate() is only defined for the lightgcn backbone")
         if self._propagated is None:
             self._propagated = propagate_matrix(self.adjacency, self._params, self.num_prop_layers)
-        return self._propagated[: self.num_users], self._propagated[self.num_users :]
+        return self._propagated
 
     def scoring_params(self) -> np.ndarray:
         """The stacked rows scores are computed from, in the parameters' row space."""
-        if self.backbone == "lightgcn":
-            self.propagate()
-            return self._propagated
-        return self.params
+        return self.propagate() if self.backbone == "lightgcn" else self.params
 
     def scoring_embeddings(self) -> tuple[np.ndarray, np.ndarray]:
         """The (user, item) matrices scores are computed from."""
@@ -318,8 +323,9 @@ def load_checkpoint(path: str, adjacency: sp.spmatrix | None = None) -> Embeddin
 
     The adjacency operator is not serialized; pass one when loading a
     propagation-backbone checkpoint. A malformed record, a vector of the
-    wrong length, or a missing, duplicate or out-of-range row raises
-    ValueError naming the file, so a truncated checkpoint never loads.
+    wrong length, a missing, duplicate or out-of-range row, or a NaN or
+    infinite value raises ValueError naming the file, so a truncated or
+    corrupted checkpoint never loads.
     """
     with open(path) as f:
         header = _read_header(f, path)
@@ -354,6 +360,10 @@ def load_checkpoint(path: str, adjacency: sp.spmatrix | None = None) -> Embeddin
                 f"{path}: {missing.size} {name} rows missing (first {int(missing[0])}); "
                 "the checkpoint is truncated"
             )
+    bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
+    if bad.size:
+        name, start = ("user", 0) if bad[0] < num_users else ("item", num_users)
+        raise ValueError(f"{path}: {name} row {int(bad[0]) - start} holds a non-finite value")
     return EmbeddingModel(
         params[:num_users],
         params[num_users:],

@@ -49,7 +49,6 @@ class LayeredGraph:
     n: int
     thresholds: np.ndarray
     labels: np.ndarray
-    range_mode: str
 
     def layer_edge_indices(self, layer: int) -> np.ndarray:
         """Edge indices of one layer (1-based), in original edge order."""
@@ -170,7 +169,7 @@ def filtrate(
     # weights at or above the last interior threshold fall through to layer n,
     # which closes the top interval.
     labels = np.searchsorted(thresholds[1:-1], w, side="right").astype(np.int64) + 1
-    return LayeredGraph(graph=graph, n=n, thresholds=thresholds, labels=labels, range_mode=range_mode)
+    return LayeredGraph(graph=graph, n=n, thresholds=thresholds, labels=labels)
 
 
 def _edge_multiset(edges, rows: np.ndarray, layers, weights) -> PositiveSampleSet:

@@ -24,7 +24,8 @@ from scipy.special import expit
 
 from .data import SplitDataset
 from .experiment import ExperimentConfig
-from .models import EmbeddingModel, init_xavier  # noqa: F401  (perfbench traces probes.init_xavier)
+from .models import EmbeddingModel, check_index
+from .models import init_xavier  # noqa: F401  (perfbench traces probes.init_xavier)
 from .positives import PositiveSampleSet
 from .training import SGD, AdamState, init_training, train_epoch
 
@@ -180,7 +181,10 @@ def count_updates(
 def expected_margin(
     model: EmbeddingModel, user: int, item: int, train_items: np.ndarray
 ) -> float:
-    """Score gap to the mean score over the user's uninteracted items."""
+    """Score gap to the mean score over the user's uninteracted items; an
+    item or train item outside [0, num_items) raises IndexError."""
+    check_index("item", item, model.num_items)
+    check_index("train_items", train_items, model.num_items)
     scores = model.score_all(user)
     total = float(scores.sum())
     interacted = float(scores[train_items].sum())

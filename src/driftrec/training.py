@@ -30,8 +30,8 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import SplitDataset
-from .models import EmbeddingModel, build_norm_adjacency, init_xavier, propagate_matrix
-from .positives import PositiveSampleSet, train_positives
+from .models import EmbeddingModel, build_norm_adjacency, check_index, init_xavier, propagate_matrix
+from .positives import PositiveSampleSet
 from .samplers import NegativeSampler
 
 if TYPE_CHECKING:  # experiment imports this module
@@ -80,14 +80,13 @@ class AdamState:
     Every step updates all rows in place. One scratch buffer holds the
     intermediate terms and then the step's divisor, and the update is built
     in the gradient's own buffer, so a step allocates no full-size arrays
-    and the state holds three (num_rows, d) arrays.
+    and the state holds three (num_rows, d) arrays. beta1, beta2, eps are fixed.
     """
 
     probe_label = "adam_diag"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, num_rows: int, d: int,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, num_rows: int, d: int):
         self.step_count = 0
         self.m, self.v = np.zeros((num_rows, d)), np.zeros((num_rows, d))
         self._tmp = np.empty((num_rows, d))
@@ -164,11 +163,6 @@ def _scatter_rows(num_rows: int, rows: np.ndarray, scales: np.ndarray,
     return select @ x
 
 
-def _check_index(name: str, index: np.ndarray, size: int) -> None:
-    if index.size and (index.min() < 0 or index.max() >= size):
-        raise IndexError(f"{name} index out of range [0, {size})")
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending int32 distinct values of the row indices `rows` and how
     often each occurs, as ``np.unique(rows, return_counts=True)`` gives
@@ -240,9 +234,9 @@ def batch_gradients(
     own base row, gathered again once the scatter's columns are freed.
     """
     num_users, num_items = model.num_users, model.num_items
-    _check_index("users", users, num_users)
-    _check_index("pos_items", pos_items, num_items)
-    _check_index("neg_items", neg_items, num_items)
+    check_index("users", users, num_users)
+    check_index("pos_items", pos_items, num_items)
+    check_index("neg_items", neg_items, num_items)
     b = users.shape[0]
     n = num_users + num_items
     mf = model.backbone == "mf"
@@ -408,13 +402,13 @@ def train_epoch(
 def fit(
     split: SplitDataset,
     config: ExperimentConfig,
-    pss: PositiveSampleSet | None = None,
+    pss: PositiveSampleSet,
     pair_weights: np.ndarray | None = None,
     ks: tuple[int, ...] = (20, 30),
     metrics_path: str | None = None,
     checkpoint_path: str | None = None,
 ):
-    """Train for the configured epoch budget; keep the best-validation model.
+    """Train on `pss` for the configured epoch budget; keep the best-validation model.
 
     Training starts from :func:`init_training`, so it trains the config's
     first seed. Validation reports the cutoffs `ks` (callers pass
@@ -424,15 +418,14 @@ def fit(
     one record per evaluation epoch.
     When a metrics path is given, the file is rewritten for this run with
     one line-delimited record per evaluation; when a checkpoint path is
-    given, the file is rewritten on every validation improvement.
+    given, the file is rewritten on every validation improvement, or with
+    the final model when no validation pass ran: it holds the returned model.
     """
     # imported per call, not with the module: perfbench's tracer wraps metrics.evaluate
     # and models.save_checkpoint, and fit's validation and checkpoint calls must reach it
     from .metrics import evaluate
     from .models import save_checkpoint
 
-    if pss is None:
-        pss = train_positives(split)
     model, optimizer, sampler, rng = init_training(split, config)
 
     select_k = min(ks)
@@ -475,6 +468,8 @@ def fit(
     if best is not None:
         model.set_params(best[0])
         model.best_epoch = best[1]
+    elif checkpoint_path:
+        save_checkpoint(model, checkpoint_path)
     return model, history
 
 

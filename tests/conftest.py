@@ -166,9 +166,9 @@ def oracle_evaluate_loop(model, split, ks, part="test", per_user=True):
             out.setdefault(u, set()).add(i)
         return {u: np.array(sorted(items), dtype=np.int64) for u, items in out.items()}
 
-    log = {"validation": split.validation, "test": split.test, "train": split.train}[part]
+    log = {"validation": split.validation, "test": split.test}[part]
     pos_by_user = by_user(log)
-    train_by_user = by_user(split.train) if part != "train" else {}
+    train_by_user = by_user(split.train)
     sums = {k: {"recall": 0.0, "ndcg": 0.0} for k in ks}
     records = []
     for user in sorted(pos_by_user):

@@ -547,7 +547,7 @@ class TestCli:
     def test_train_writes_checkpoint_once_per_improvement(self, tiny_tsv, tmp_path, capsys,
                                                           monkeypatch, epochs, eval_every):
         """fit writes on each validation improvement and restores that model,
-        so the CLI saves again only when fit wrote nothing."""
+        and writes the final model once when no validation pass ran."""
         import driftrec.experiment as experiment
         import driftrec.models as models
 
@@ -564,7 +564,6 @@ class TestCli:
             return result
 
         monkeypatch.setattr(models, "save_checkpoint", counting_save)
-        monkeypatch.setattr(experiment, "save_checkpoint", counting_save)
         monkeypatch.setattr(experiment, "fit", capturing_fit)
         ckpt, metrics = tmp_path / "model.ckpt", tmp_path / "epochs.jsonl"
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", str(epochs),
@@ -606,6 +605,26 @@ class TestCli:
             err = json.loads(captured.err)
             assert err["error"] == "ValueError"
             assert str(ckpt) in err["message"] and message in err["message"]
+
+    def test_non_finite_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--checkpoint-out", str(ckpt))
+        assert rc == 0
+        lines = ckpt.read_text().splitlines(keepends=True)
+        for line_no, value in ((3, "nan"), (9, "inf")):
+            record = json.loads(lines[line_no])
+            record["v"][0] = value
+            lines[line_no] = json.dumps(record) + "\n"
+        ckpt.write_text("".join(lines))
+        capsys.readouterr()
+        rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err == {"error": "ValueError",
+                       "message": f"{ckpt}: user row 2 holds a non-finite value"}
 
     @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
     def test_checkpoint_of_another_dataset_is_json_error(self, tiny_tsv, tmp_path, capsys,

@@ -21,6 +21,7 @@ from driftrec.metrics import (
     recall_at_k,
 )
 from driftrec.experiment import ExperimentConfig
+from driftrec.positives import train_positives
 from driftrec.training import fit
 from conftest import (
     oracle_evaluate,
@@ -221,8 +222,9 @@ class TestEvaluate:
     def test_bad_args(self):
         model = model_with_scores([[0.9, 0.5]])
         split = split_of([], [(0, 0)], 1, 2)
-        with pytest.raises(ValueError, match="part"):
-            evaluate(model, split, part="holdout")
+        for part in ("holdout", "train"):
+            with pytest.raises(ValueError, match="part"):
+                evaluate(model, split, part=part)
         with pytest.raises(ValueError, match="positive"):
             evaluate(model, split, ks=(0,))
 
@@ -266,14 +268,14 @@ def random_pairs(rng, num_users, num_items, per_user):
 def trained_drift_model(request, drift_split):
     config = ExperimentConfig(lr=0.02, batch_size=512, epochs=8, d=16, seeds=(3,),
                               eval_every=4, backbone=request.param, prop_layers=2)
-    model, _ = fit(drift_split, config)
+    model, _ = fit(drift_split, config, pss=train_positives(drift_split))
     return model
 
 
 class TestBlockedEvaluationMatchesLoop:
     """The blocked, vectorised evaluate against the per-user argsort loop, with ==."""
 
-    @pytest.mark.parametrize("part", ["train", "validation", "test"])
+    @pytest.mark.parametrize("part", ["validation", "test"])
     @pytest.mark.parametrize("ks", [(20,), (20, 30), (1, 5, 50)])
     def test_trained_drift_models(self, trained_drift_model, drift_split, part, ks):
         assert_matches_loop(trained_drift_model, drift_split, ks, part=part)
@@ -303,7 +305,7 @@ class TestBlockedEvaluationMatchesLoop:
             cut = len(pairs) // 2
             split = split_of(pairs[:cut], pairs[cut:], num_users, num_items,
                              val_pairs=pairs[cut : cut + 3])
-            for part in ("train", "validation", "test"):
+            for part in ("validation", "test"):
                 assert_matches_loop(model_with_scores(scores), split, (1, 3, 10), part=part)
 
     @pytest.mark.parametrize("d", [8, 32])
@@ -675,6 +677,16 @@ def test_selection_scratch_is_below_a_block_sized_index(monkeypatch):
     assert report.users_evaluated == num_users
     assert peaks[0][0] == rows
     assert max(peak for _, peak in peaks) < rows * num_items * 8 / 2
+
+
+def test_item_index_out_of_range_raises():
+    """A negative item would wrap onto item num_items - 1 instead of failing."""
+    model = init_xavier(3, 5, 4, seed=0)
+    for item in (-1, 5):
+        with pytest.raises(IndexError, match=r"item index out of range \[0, 5\)"):
+            margin_surrogate(model, 0, item)
+        with pytest.raises(IndexError, match=r"exclude index out of range \[0, 5\)"):
+            rank_items(model, 0, np.array([0, item]))
 
 
 class TestMarginSurrogate:

@@ -292,9 +292,11 @@ class TestPropagation:
     def test_model_propagate_splits_users_items(self):
         m = init_xavier(2, 2, 3, seed=2, backbone="lightgcn", num_prop_layers=2,
                         adjacency=tiny_adjacency())
-        pu, pi = m.propagate()
+        pu, pi = m.scoring_embeddings()
         stacked = np.vstack([m.user_emb, m.item_emb])
         want = propagate_matrix(m.adjacency, stacked, 2)
+        assert m.propagate() is m.scoring_params()
+        assert np.array_equal(m.propagate(), want)
         assert np.array_equal(pu, want[:2])
         assert np.array_equal(pi, want[2:])
 
@@ -303,7 +305,7 @@ class TestPropagation:
                         adjacency=tiny_adjacency())
         m.propagate()
         m.add_to_params(np.random.default_rng(3).standard_normal((4, 3)))
-        pu, pi = m.propagate()
+        pu, pi = m.scoring_embeddings()
         want = propagate_matrix(m.adjacency, m.params, 2)
         assert np.array_equal(np.concatenate([pu, pi]), want)
 
@@ -320,7 +322,7 @@ class TestPropagation:
         after = m.score(0, 0)
         assert before != after
         # scores must track the fresh embeddings, not a stale cache
-        pu, pi = m.propagate()
+        pu, pi = m.scoring_embeddings()
         assert m.score(0, 0) == pytest.approx(float(pu[0] @ pi[0]), abs=1e-15)
 
     def test_set_params_invalidates_cache(self):
@@ -418,6 +420,10 @@ class TestCheckpoint:
             ({"m": "user", "row": 1.0, "v": ["0x0p+0"] * 3}, "no 'user' row 1.0"),
             ({"m": "item", "row": 7, "v": ["0x0p+0"] * 3}, "duplicate item row 7"),
             ({"m": "item", "row": 59, "v": ["0x0p+0"] * 2}, "has 2 values, expected 3"),
+            ({"m": "item", "row": 59, "v": ["0x0p+0", "nan", "0x0p+0"]},
+             "item row 59 holds a non-finite value"),
+            ({"m": "item", "row": 59, "v": ["-inf", "0x0p+0", "inf"]},
+             "item row 59 holds a non-finite value"),
         ],
     )
     def test_bad_record_rejected(self, tmp_path, record, message):

@@ -399,6 +399,15 @@ class TestExpectedMargin:
         with pytest.raises(ValueError, match="every item"):
             expected_margin(model, 0, 0, np.array([0, 1]))
 
+    def test_item_index_out_of_range_raises(self):
+        """A negative item would wrap onto item num_items - 1 instead of failing."""
+        model = init_xavier(3, 5, 4, seed=0)
+        for item in (-1, 5):
+            with pytest.raises(IndexError, match=r"^item index out of range \[0, 5\)"):
+                expected_margin(model, 0, item, np.array([1]))
+            with pytest.raises(IndexError, match=r"train_items index out of range \[0, 5\)"):
+                expected_margin(model, 0, 2, np.array([1, item]))
+
 
 class TestRepeatedTrainRow:
     """A train log that repeats a (user, item) row probes as its deduplicated

@@ -542,7 +542,7 @@ class TestLossGate:
                 return inner(*args, loss=loss or force_loss, **kwargs)
 
             monkeypatch.setattr(training, "train_epoch", spy)
-            model, history = fit(drift_split, config)
+            model, history = fit(drift_split, config, pss=train_positives(drift_split))
             return model, history, flags
 
         gated, history, flags = run(force_loss=False)
@@ -853,7 +853,7 @@ class TestTrainEpoch:
         optimizer = training.init_training(split, config)[1]
         assert isinstance(optimizer, SGD) and vars(optimizer) == {}  # no moment arrays
         with pytest.raises(TrainingDiverged) as exc:
-            fit(split, config)
+            fit(split, config, pss=train_positives(split))
         assert str(exc.value) == "non-finite parameters after SGD batch 2 of the epoch"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -956,47 +956,49 @@ class TestFit:
 
     def test_epochs_zero_returns_init(self, drift_split):
         config = self.small_config(epochs=0)
-        model, history = fit(drift_split, config)
+        model, history = fit(drift_split, config, pss=train_positives(drift_split))
         assert history == []
         init = init_xavier(drift_split.num_users, drift_split.num_items, 8, seed=0)
         assert np.array_equal(model.user_emb, init.user_emb)
 
     def test_fit_trains_the_first_seed(self, drift_split):
-        model, history = fit(drift_split, self.small_config(seeds=(5, 6)))
-        first, first_history = fit(drift_split, self.small_config().train_config(5))
+        pss = train_positives(drift_split)
+        model, history = fit(drift_split, self.small_config(seeds=(5, 6)), pss=pss)
+        first, first_history = fit(drift_split, self.small_config().train_config(5), pss=pss)
         assert np.array_equal(model.params, first.params)
         assert history == first_history
 
     def test_history_length(self, drift_split):
-        model, history = fit(drift_split, self.small_config())
+        model, history = fit(drift_split, self.small_config(), pss=train_positives(drift_split))
         assert len(history) == 12 // 4
         assert [h["epoch"] for h in history] == [4, 8, 12]
 
     def test_best_model_attains_max_validation_recall(self, drift_split):
         from driftrec.metrics import evaluate
 
-        model, history = fit(drift_split, self.small_config(), ks=(20, 30))
+        model, history = fit(drift_split, self.small_config(), pss=train_positives(drift_split),
+                             ks=(20, 30))
         best_in_history = max(h["recall@20"] for h in history)
         report = evaluate(model, drift_split, ks=(20,), part="validation", per_user=False)
         assert report.aggregates[20]["recall"] == pytest.approx(best_in_history, abs=1e-15)
         assert model.best_epoch in [h["epoch"] for h in history]
 
     def test_deterministic(self, drift_split):
-        m1, h1 = fit(drift_split, self.small_config())
-        m2, h2 = fit(drift_split, self.small_config())
+        m1, h1 = fit(drift_split, self.small_config(), pss=train_positives(drift_split))
+        m2, h2 = fit(drift_split, self.small_config(), pss=train_positives(drift_split))
         assert np.array_equal(m1.user_emb, m2.user_emb)
         assert np.array_equal(m1.item_emb, m2.item_emb)
         assert h1 == h2
 
     def test_loss_decreases(self, drift_split):
         config = self.small_config(epochs=15, eval_every=1, lr=0.05)
-        _, history = fit(drift_split, config)
+        _, history = fit(drift_split, config, pss=train_positives(drift_split))
         losses = [h["loss"] for h in history]
         assert np.mean(losses[-3:]) < np.mean(losses[:3])
 
     def test_metrics_jsonl(self, drift_split, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
-        fit(drift_split, self.small_config(), metrics_path=path)
+        fit(drift_split, self.small_config(), pss=train_positives(drift_split), metrics_path=path)
         lines = [json.loads(line) for line in open(path)]
         assert len(lines) == 3
         for rec in lines:
@@ -1006,10 +1008,19 @@ class TestFit:
 
     def test_checkpoint_written_on_improvement(self, drift_split, tmp_path):
         path = str(tmp_path / "best.ckpt")
-        model, history = fit(drift_split, self.small_config(), checkpoint_path=path)
+        model, history = fit(drift_split, self.small_config(), pss=train_positives(drift_split),
+                             checkpoint_path=path)
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.user_emb, model.user_emb)
         assert np.array_equal(loaded.item_emb, model.item_emb)
+
+    def test_checkpoint_without_validation_holds_the_final_model(self, drift_split, tmp_path):
+        path = str(tmp_path / "final.ckpt")
+        model, history = fit(drift_split, self.small_config(epochs=3, eval_every=4),
+                             pss=train_positives(drift_split), checkpoint_path=path)
+        assert history == [] and model.best_epoch is None
+        loaded = load_checkpoint(path)
+        assert np.array_equal(loaded.params, model.params)
 
     def test_layered_pss_trains(self, drift_split):
         graph = build_weighted_graph(drift_split.train, DecaySpec(rate=0.05))
@@ -1020,7 +1031,7 @@ class TestFit:
 
     def test_lightgcn_fit_runs(self, drift_split):
         config = self.small_config(epochs=4, backbone="lightgcn", prop_layers=2)
-        model, history = fit(drift_split, config)
+        model, history = fit(drift_split, config, pss=train_positives(drift_split))
         assert model.backbone == "lightgcn"
         assert len(history) == 1
         assert np.all(np.isfinite(model.score_all(0)))
