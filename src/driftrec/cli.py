@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 from dataclasses import fields, replace
 
@@ -235,6 +236,8 @@ def cmd_probe(args) -> None:
     pos = split.train.items[idx]
     negs = sampler.sample_batch(users, model, rng)
     etas = [float(e) for e in args.etas.split(",")]
+    if not all(math.isfinite(eta) for eta in etas):
+        raise ValueError(f"etas must be finite numbers, got {args.etas!r}")
 
     increases = 0
     total = 0

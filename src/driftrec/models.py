@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,13 @@ __all__ = [
 BACKBONES = ("mf", "lightgcn")
 
 CHECKPOINT_FORMAT = "driftrec-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# what reading an archive raises when the file is not an intact one:
+# EOFError (empty), BadZipFile (truncated, or a failed CRC), KeyError (a
+# missing member), ValueError (a text, pickled or .npy file), and OSError,
+# NotImplementedError or RuntimeError (damaged zip records)
+_UNREADABLE = (EOFError, KeyError, OSError, NotImplementedError, RuntimeError, ValueError,
+               zipfile.BadZipFile)
 # gathered candidate rows per block of users in a 2-D pair_scores call
 SCORE_BLOCK_BYTES = 2**19
 
@@ -210,6 +217,8 @@ class EmbeddingModel:
         transient memory is bounded rather than b * w * d * 8 bytes. Every
         score is the same d-term reduction whatever the block size.
         """
+        check_index("user", users, self.num_users)
+        check_index("item", items, self.num_items)
         ue, ie = self.scoring_embeddings()
         if np.ndim(items) != 2:
             return np.einsum("ij,ij->i", ue[users], ie[items])
@@ -248,48 +257,53 @@ def init_xavier(
 
 
 def save_checkpoint(model: EmbeddingModel, path: str) -> None:
-    """Write a line-delimited text checkpoint with hex floats.
+    """Write the model as one uncompressed NumPy archive: ``header``, the
+    JSON string of the fields below, and ``params``, the stacked float64 rows.
 
-    Hex float literals round-trip 64-bit values exactly, so a save/load
-    cycle is bit-identical. The file is written to a temporary name in the
-    same directory and renamed over `path`, so a crash mid-write never
-    leaves a truncated checkpoint behind.
+    Raw float64 rows make a save/load cycle bit-identical, and each member's
+    fixed 1980-01-01 zip stamp makes two saves of one model byte-identical.
+    The file is written to a temporary name in the same directory and
+    renamed over `path`, so a crash mid-write never leaves a truncated
+    checkpoint behind.
     """
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        "backbone": model.backbone,
+        "num_prop_layers": model.num_prop_layers,
+        "d": model.dim,
+        "num_users": model.num_users,
+        "num_items": model.num_items,
+        "seed": model.seed,
+    }
     tmp_path = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp_path, "w") as f:
-            f.write(
-                json.dumps(
-                    {
-                        "format": CHECKPOINT_FORMAT,
-                        "version": CHECKPOINT_VERSION,
-                        "backbone": model.backbone,
-                        "num_prop_layers": model.num_prop_layers,
-                        "d": model.dim,
-                        "num_users": model.num_users,
-                        "num_items": model.num_items,
-                        "seed": model.seed,
-                    }
-                )
-                + "\n"
-            )
-            for name, mat in (("user", model.user_emb), ("item", model.item_emb)):
-                for row_idx in range(mat.shape[0]):
-                    f.write(
-                        json.dumps(
-                            {"m": name, "row": row_idx, "v": [x.hex() for x in mat[row_idx]]}
-                        )
-                        + "\n"
-                    )
+        # a file object, because np.savez appends ".npz" to a path without it
+        with open(tmp_path, "wb") as f:
+            np.savez(f, header=np.array(json.dumps(header)), params=model.params)
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
 
 
-def _read_header(f, path: str) -> dict:
+def _read_checkpoint(path: str) -> tuple[dict, np.ndarray]:
+    """The checked header and the unchecked params of a :func:`save_checkpoint` archive."""
+    with open(path, "rb") as f:  # a missing file is an OSError of its own
+        try:
+            archive = np.load(f, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single array, not an archive")
+            with archive:
+                header_text = str(archive["header"])
+                params = archive["params"]
+        except _UNREADABLE:
+            raise ValueError(
+                f"{path}: not a readable {CHECKPOINT_FORMAT} archive (truncated, corrupted "
+                "or another format)"
+            ) from None
     try:
-        header = json.loads(f.readline())
+        header = json.loads(header_text)
     except ValueError:
         raise ValueError(f"{path}: malformed checkpoint header") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
@@ -309,57 +323,31 @@ def _read_header(f, path: str) -> dict:
     # null is what save_checkpoint writes for a model built with no seed
     if header["seed"] is not None and type(header["seed"]) is not int:
         raise ValueError(f"{path}: bad seed {header['seed']!r}")
-    return header
+    return header, params
 
 
 def checkpoint_header(path: str) -> dict:
     """The validated header record of a :func:`save_checkpoint` file."""
-    with open(path) as f:
-        return _read_header(f, path)
+    return _read_checkpoint(path)[0]
 
 
 def load_checkpoint(path: str, adjacency: sp.spmatrix | None = None) -> EmbeddingModel:
     """Rebuild a model from :func:`save_checkpoint` output.
 
     The adjacency operator is not serialized; pass one when loading a
-    propagation-backbone checkpoint. A malformed record, a vector of the
-    wrong length, a missing, duplicate or out-of-range row, or a NaN or
-    infinite value raises ValueError naming the file, so a truncated or
-    corrupted checkpoint never loads.
+    propagation-backbone checkpoint. A file that is not an intact archive
+    (truncated, a failed CRC, a missing member, a text file such as a
+    version 1 checkpoint, a pickle or a .npy array), a bad header, a
+    ``params`` array of another dtype or shape than the header's, or a NaN
+    or infinite value raises ValueError naming the file.
     """
-    with open(path) as f:
-        header = _read_header(f, path)
-        num_users, num_items, d = (header[key] for key in ("num_users", "num_items", "d"))
-        # (first stacked row, row count) of each record kind
-        blocks = {"user": (0, num_users), "item": (num_users, num_items)}
-        params = np.empty((num_users + num_items, d), dtype=np.float64)
-        seen = np.zeros(num_users + num_items, dtype=bool)
-        for lineno, line in enumerate(f, start=2):
-            try:
-                rec = json.loads(line)
-                name, row, vec = rec["m"], rec["row"], rec["v"]
-                values = [float.fromhex(h) for h in vec]
-            except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{path}: line {lineno}: malformed checkpoint record") from None
-            if name not in ("user", "item") or type(row) is not int or not (
-                0 <= row < blocks[name][1]
-            ):
-                raise ValueError(f"{path}: line {lineno}: no {name!r} row {row!r} in the header shape")
-            if seen[blocks[name][0] + row]:
-                raise ValueError(f"{path}: line {lineno}: duplicate {name} row {row}")
-            if len(values) != d:
-                raise ValueError(
-                    f"{path}: line {lineno}: {name} row {row} has {len(values)} values, expected {d}"
-                )
-            params[blocks[name][0] + row] = values
-            seen[blocks[name][0] + row] = True
-    for name, (start, count) in blocks.items():
-        missing = np.flatnonzero(~seen[start : start + count])
-        if missing.size:
-            raise ValueError(
-                f"{path}: {missing.size} {name} rows missing (first {int(missing[0])}); "
-                "the checkpoint is truncated"
-            )
+    header, params = _read_checkpoint(path)
+    num_users, num_items, d = (header[key] for key in ("num_users", "num_items", "d"))
+    if params.dtype != np.float64 or params.shape != (num_users + num_items, d):
+        raise ValueError(
+            f"{path}: params is {params.dtype} {params.shape}, expected float64 "
+            f"{(num_users + num_items, d)}"
+        )
     bad = np.flatnonzero(~np.isfinite(params).all(axis=1))
     if bad.size:
         name, start = ("user", 0) if bad[0] < num_users else ("item", num_users)

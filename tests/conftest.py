@@ -7,7 +7,11 @@ code is checked against genuinely separate arithmetic.
 
 from __future__ import annotations
 
+import io
+import json
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,54 @@ def log_with_exact_edges(num_edges, num_users, num_items, seed, t_lo=0, t_hi=10_
         user_vocab={f"u{k}": k for k in range(num_users)},
         item_vocab={f"i{k}": k for k in range(num_items)},
     )
+
+
+# --------------------------------------------------------------------------
+# checkpoint archives, intact and damaged
+
+
+def read_checkpoint_members(path):
+    """(header dict, params array) of a save_checkpoint archive."""
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(str(archive["header"])), archive["params"]
+
+
+def checkpoint_bytes(**members):
+    """An archive of `members` as save_checkpoint lays it out; a dict is
+    stored as its JSON string."""
+    buf = io.BytesIO()
+    np.savez(buf, **{k: json.dumps(v) if isinstance(v, dict) else v for k, v in members.items()})
+    return buf.getvalue()
+
+
+def damaged_checkpoints(path):
+    """{name: file bytes} of damaged or foreign versions of the checkpoint at
+    `path`, none of which may load."""
+    raw = Path(path).read_bytes()
+    header, params = read_checkpoint_members(path)
+    payload = raw.index(params.tobytes())  # the params member's float64 rows
+    flipped = bytearray(raw)
+    flipped[payload + params.nbytes // 2] ^= 0x01
+    v1_text = json.dumps({**header, "version": 1}) + "\n" + "".join(
+        json.dumps({"m": name, "row": r, "v": [x.hex() for x in row]}) + "\n"
+        for name, rows in (("user", params[: header["num_users"]]),
+                           ("item", params[header["num_users"]:]))
+        for r, row in enumerate(rows.tolist())
+    )
+    npy = io.BytesIO()
+    np.save(npy, params)
+    return {
+        **{f"truncated at {n}": raw[:n] for n in (0, 1, 40, payload + 8, len(raw) - 1)},
+        "a flipped payload byte": bytes(flipped),
+        "no params member": checkpoint_bytes(header=header),
+        "no header member": checkpoint_bytes(params=params),
+        "float32 params": checkpoint_bytes(header=header, params=params.astype(np.float32)),
+        "params a row short": checkpoint_bytes(header=header, params=params[1:]),
+        "params a column short": checkpoint_bytes(header=header, params=params[:, 1:]),
+        "version 1 text": v1_text.encode(),
+        "a single .npy array": npy.getvalue(),
+        "a pickle": pickle.dumps({"header": header, "params": params}),
+    }
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,12 @@ from driftrec.experiment import (
 )
 from driftrec.positives import AUDIT_CHUNK, PositiveSampleSet, build_pss, filtrate
 from driftrec.synthetic import SyntheticSpec, generate, write_tsv
-from conftest import pair_weight_lookup
+from conftest import (
+    checkpoint_bytes,
+    damaged_checkpoints,
+    pair_weight_lookup,
+    read_checkpoint_members,
+)
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +521,19 @@ class TestCli:
             assert rc == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    @pytest.mark.parametrize("etas", ["nan,inf", "0.01,-inf", "NaN"])
+    def test_probe_non_finite_eta_is_json_error(self, tiny_tsv, tmp_path, capsys, etas):
+        """A NaN or infinite step size would write NaN rows and a summary
+        that is not JSON; it fails before the CSV is opened."""
+        out = tmp_path / "probes.csv"
+        rc = self.run_cli("probe", "--data", tiny_tsv, "--d", "8", "--num-pairs", "5",
+                          "--etas", etas, "--out", str(out))
+        assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": f"etas must be finite numbers, got {etas!r}"}
+
     def test_gen_synth_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "synth.tsv")
         rc = self.run_cli(
@@ -589,42 +607,43 @@ class TestCli:
         real_save(fitted[0], str(final))
         assert ckpt.read_bytes() == final.read_bytes()
 
-    def test_corrupt_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
-        ckpt = tmp_path / "model.ckpt"
-        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
-                          "--d", "4", "--checkpoint-out", str(ckpt))
-        assert rc == 0
-        lines = ckpt.read_text().splitlines(keepends=True)
-        for corrupt, message in ((lines[:-40], "truncated"), (["{" + lines[0]], "header")):
-            ckpt.write_text("".join(corrupt))
-            capsys.readouterr()
-            rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
-            assert rc == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            err = json.loads(captured.err)
-            assert err["error"] == "ValueError"
-            assert str(ckpt) in err["message"] and message in err["message"]
-
-    def test_non_finite_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
-        ckpt = tmp_path / "model.ckpt"
-        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
-                          "--d", "4", "--checkpoint-out", str(ckpt))
-        assert rc == 0
-        lines = ckpt.read_text().splitlines(keepends=True)
-        for line_no, value in ((3, "nan"), (9, "inf")):
-            record = json.loads(lines[line_no])
-            record["v"][0] = value
-            lines[line_no] = json.dumps(record) + "\n"
-        ckpt.write_text("".join(lines))
+    def assert_eval_json_error(self, tiny_tsv, ckpt, capsys):
+        """eval of `ckpt` prints nothing to stdout and one ValueError record
+        naming the file to stderr, with exit code 1; returns its message."""
         capsys.readouterr()
         rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
-        assert err == {"error": "ValueError",
-                       "message": f"{ckpt}: user row 2 holds a non-finite value"}
+        assert err["error"] == "ValueError" and str(ckpt) in err["message"]
+        return err["message"]
+
+    def test_corrupt_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
+        """Truncation, a flipped byte, a missing member, a params array of
+        another shape or dtype, a version 1 text checkpoint and other foreign
+        files all end in the JSON error record."""
+        ckpt = tmp_path / "model.ckpt"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--checkpoint-out", str(ckpt))
+        assert rc == 0
+        for name, data in damaged_checkpoints(ckpt).items():
+            ckpt.write_bytes(data)
+            message = self.assert_eval_json_error(tiny_tsv, ckpt, capsys)
+            if name == "version 1 text":
+                assert "not a readable driftrec-checkpoint archive" in message
+
+    def test_non_finite_checkpoint_is_json_error(self, tiny_tsv, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
+                          "--d", "4", "--checkpoint-out", str(ckpt))
+        assert rc == 0
+        header, params = read_checkpoint_members(ckpt)
+        params[2, 0] = np.nan
+        params[header["num_users"] + 3, 0] = np.inf
+        ckpt.write_bytes(checkpoint_bytes(header=header, params=params))
+        message = self.assert_eval_json_error(tiny_tsv, ckpt, capsys)
+        assert message == f"{ckpt}: user row 2 holds a non-finite value"
 
     @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
     def test_checkpoint_of_another_dataset_is_json_error(self, tiny_tsv, tmp_path, capsys,
@@ -662,18 +681,10 @@ class TestCli:
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
                           "--d", "4", "--backbone", "lightgcn", "--checkpoint-out", str(ckpt))
         assert rc == 0
-        header, rest = ckpt.read_text().split("\n", 1)
-        header = json.loads(header)
+        header, params = read_checkpoint_members(ckpt)
         header["num_prop_layers"] = layers
-        ckpt.write_text(json.dumps(header) + "\n" + rest)
-        capsys.readouterr()
-        rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"] == "ValueError"
-        assert str(ckpt) in err["message"] and "num_prop_layers" in err["message"]
+        ckpt.write_bytes(checkpoint_bytes(header=header, params=params))
+        assert "num_prop_layers" in self.assert_eval_json_error(tiny_tsv, ckpt, capsys)
 
     @pytest.mark.parametrize("key,value", [
         ("backbone", None), ("seed", None), ("backbone", "gcn"), ("seed", "x"), ("seed", 1.5),
@@ -685,21 +696,13 @@ class TestCli:
         rc = self.run_cli("train", "--data", tiny_tsv, "--epochs", "1", "--eval-every", "1",
                           "--d", "4", "--checkpoint-out", str(ckpt))
         assert rc == 0
-        header, rest = ckpt.read_text().split("\n", 1)
-        header = json.loads(header)
+        header, params = read_checkpoint_members(ckpt)
         if value is None:
             del header[key]
         else:
             header[key] = value
-        ckpt.write_text(json.dumps(header) + "\n" + rest)
-        capsys.readouterr()
-        rc = self.run_cli("eval", "--data", tiny_tsv, "--checkpoint", str(ckpt))
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"] == "ValueError"
-        assert str(ckpt) in err["message"] and key in err["message"]
+        ckpt.write_bytes(checkpoint_bytes(header=header, params=params))
+        assert key in self.assert_eval_json_error(tiny_tsv, ckpt, capsys)
 
     @pytest.mark.parametrize("command,config,message", [
         ("split", {"lr": 0}, "lr must be positive"),

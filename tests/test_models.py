@@ -1,7 +1,7 @@
 """Embedding model, graph propagation, and checkpoint tests."""
 
-import json
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,11 +11,13 @@ from driftrec import models
 from driftrec.models import (
     EmbeddingModel,
     build_norm_adjacency,
+    checkpoint_header,
     init_xavier,
     load_checkpoint,
     propagate_matrix,
     save_checkpoint,
 )
+from conftest import checkpoint_bytes, damaged_checkpoints, read_checkpoint_members
 
 
 def tiny_adjacency():
@@ -148,6 +150,16 @@ class TestScoring:
             want = m.pair_scores(np.repeat(users, w), items.ravel()).reshape(b, w)
             assert got.shape == (b, w)
             assert np.array_equal(got, want)
+
+    def test_pair_scores_index_out_of_range_raises(self):
+        """A negative index would wrap onto the last row instead of failing."""
+        m = init_xavier(3, 5, 4, seed=0)
+        for users, items, name, size in (([0], [-1], "item", 5), ([0], [5], "item", 5),
+                                         ([-1], [0], "user", 3), ([3], [0], "user", 3),
+                                         ([0, 1], [[0, 4], [5, 1]], "item", 5),
+                                         ([0, -1], [[0, 4], [2, 1]], "user", 3)):
+            with pytest.raises(IndexError, match=rf"{name} index out of range \[0, {size}\)"):
+                m.pair_scores(np.array(users), np.array(items))
 
     def test_lightgcn_score_consistency(self):
         m = init_xavier(2, 2, 4, seed=5, backbone="lightgcn", num_prop_layers=2,
@@ -378,85 +390,121 @@ class TestCheckpoint:
         assert loaded.num_prop_layers == 3
         assert loaded.score(0, 1) == m.score(0, 1)
 
-    def test_save_is_deterministic_text(self, tmp_path):
+    def test_save_is_deterministic(self, tmp_path):
+        """Two uncompressed members, each stamped 1980-01-01, so the bytes
+        depend on the model alone and not on the clock."""
         m = init_xavier(3, 3, 2, seed=22)
-        p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        save_checkpoint(m, p1)
-        save_checkpoint(m, p2)
-        assert open(p1).read() == open(p2).read()
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(m, str(p1))
+        save_checkpoint(m, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+        with zipfile.ZipFile(p1) as archive:
+            infos = archive.infolist()
+        assert [info.filename for info in infos] == ["header.npy", "params.npy"]
+        assert all(info.date_time == (1980, 1, 1, 0, 0, 0) for info in infos)
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
 
-    def checkpoint_lines(self, tmp_path):
-        path = tmp_path / "ckpt.txt"
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt.txt"  # no .npz suffix is needed or added
         save_checkpoint(init_xavier(5, 60, 3, seed=23), str(path))
-        return path, path.read_text().splitlines(keepends=True)
+        return path
 
-    def test_truncated_checkpoint_rejected(self, tmp_path):
-        path, lines = self.checkpoint_lines(tmp_path)
-        path.write_text("".join(lines[:-40]))
-        with pytest.raises(ValueError, match="40 item rows missing.*truncated") as err:
-            load_checkpoint(str(path))
-        assert str(path) in str(err.value)
-
-    def test_missing_user_row_rejected(self, tmp_path):
-        path, lines = self.checkpoint_lines(tmp_path)
-        path.write_text("".join(lines[:2] + lines[3:]))
-        with pytest.raises(ValueError, match="1 user rows missing"):
-            load_checkpoint(str(path))
-
-    def test_cut_mid_record_rejected(self, tmp_path):
-        path, lines = self.checkpoint_lines(tmp_path)
-        path.write_text("".join(lines)[:-25])
-        with pytest.raises(ValueError, match="malformed checkpoint record") as err:
-            load_checkpoint(str(path))
-        assert str(path) in str(err.value)
-
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ({"m": "item", "row": 0, "v": None}, "malformed"),
-            ({"m": "item", "row": 60, "v": ["0x0p+0"] * 3}, "no 'item' row 60"),
-            ({"m": "item", "row": -1, "v": ["0x0p+0"] * 3}, "no 'item' row -1"),
-            ({"m": "bias", "row": 0, "v": ["0x0p+0"] * 3}, "no 'bias' row 0"),
-            ({"m": "user", "row": 1.0, "v": ["0x0p+0"] * 3}, "no 'user' row 1.0"),
-            ({"m": "item", "row": 7, "v": ["0x0p+0"] * 3}, "duplicate item row 7"),
-            ({"m": "item", "row": 59, "v": ["0x0p+0"] * 2}, "has 2 values, expected 3"),
-            ({"m": "item", "row": 59, "v": ["0x0p+0", "nan", "0x0p+0"]},
-             "item row 59 holds a non-finite value"),
-            ({"m": "item", "row": 59, "v": ["-inf", "0x0p+0", "inf"]},
-             "item row 59 holds a non-finite value"),
-        ],
-    )
-    def test_bad_record_rejected(self, tmp_path, record, message):
-        path, lines = self.checkpoint_lines(tmp_path)
-        if "duplicate" not in message:
-            lines = lines[:-1]  # keep the row count right so only the bad record fails
-        path.write_text("".join(lines) + json.dumps(record) + "\n")
+    def assert_rejected(self, path, data, message="not a readable driftrec-checkpoint archive"):
+        path.write_bytes(data)
         with pytest.raises(ValueError, match=message) as err:
             load_checkpoint(str(path))
         assert str(path) in str(err.value)
 
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        path = self.checkpoint(tmp_path)
+        raw = path.read_bytes()
+        for size in (0, 1, 40, len(raw) // 2, len(raw) - 22, len(raw) - 1):
+            self.assert_rejected(path, raw[:size])
+
+    def test_cut_mid_record_rejected(self, tmp_path):
+        """A cut inside the params member's rows."""
+        path = self.checkpoint(tmp_path)
+        raw = path.read_bytes()
+        payload = raw.index(read_checkpoint_members(path)[1].tobytes())
+        for size in (payload, payload + 1, payload + 8 * 3 * 64 + 5):
+            self.assert_rejected(path, raw[:size])
+
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        """The zip CRC catches a changed digit the text format let through."""
+        path = self.checkpoint(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(read_checkpoint_members(path)[1].tobytes()) + 100] ^= 0x10
+        self.assert_rejected(path, bytes(raw))
+
+    def test_damaged_or_foreign_file_rejected(self, tmp_path):
+        path = self.checkpoint(tmp_path)
+        for name, data in damaged_checkpoints(path).items():
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(str(path))
+            assert str(path) in str(err.value), name
+
+    def test_missing_user_row_rejected(self, tmp_path):
+        path = self.checkpoint(tmp_path)
+        header, params = read_checkpoint_members(path)
+        self.assert_rejected(path, checkpoint_bytes(header=header, params=np.delete(params, 1, 0)),
+                             r"params is float64 \(64, 3\), expected float64 \(65, 3\)")
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda params: params[:, :2], r"params is float64 \(65, 2\), expected float64 \(65, 3\)"),
+        (lambda params: params.astype(np.float32), r"params is float32 \(65, 3\), expected float64"),
+        (lambda params: params.ravel(), r"params is float64 \(195,\), expected float64 \(65, 3\)"),
+        (lambda params: params.astype(object), "not a readable"),  # would need a pickle
+    ], ids=["short-vectors", "float32", "flat", "object"])
+    def test_bad_params_rejected(self, tmp_path, bad, message):
+        path = self.checkpoint(tmp_path)
+        header, params = read_checkpoint_members(path)
+        self.assert_rejected(path, checkpoint_bytes(header=header, params=bad(params)), message)
+
+    @pytest.mark.parametrize("row, value, message", [
+        (2, np.nan, "user row 2 holds a non-finite value"),
+        (5 + 59, np.nan, "item row 59 holds a non-finite value"),
+        (5 + 59, -np.inf, "item row 59 holds a non-finite value"),
+    ], ids=["user-nan", "item-nan", "item-inf"])
+    def test_non_finite_row_rejected(self, tmp_path, row, value, message):
+        path = self.checkpoint(tmp_path)
+        header, params = read_checkpoint_members(path)
+        params[row, 1] = value
+        self.assert_rejected(path, checkpoint_bytes(header=header, params=params), message)
+
     def test_bad_header_rejected(self, tmp_path):
-        path, lines = self.checkpoint_lines(tmp_path)
-        header = json.loads(lines[0])
-        path.write_text(json.dumps({**header, "d": 0}) + "\n" + "".join(lines[1:]))
-        with pytest.raises(ValueError, match="bad checkpoint shape"):
-            load_checkpoint(str(path))
-        path.write_text("{not json\n")
-        with pytest.raises(ValueError, match="malformed checkpoint header"):
-            load_checkpoint(str(path))
+        path = self.checkpoint(tmp_path)
+        header, params = read_checkpoint_members(path)
+        for bad, message in (({**header, "d": 0}, "bad checkpoint shape"),
+                             ({**header, "num_users": 5.0}, "bad checkpoint shape"),
+                             ({**header, "version": 1}, "unsupported checkpoint version 1"),
+                             ({**header, "format": "other"}, "not a driftrec-checkpoint file"),
+                             ("{not json", "malformed checkpoint header"),
+                             (np.array([1.0, 2.0]), "malformed checkpoint header"),
+                             (np.array(7), "not a driftrec-checkpoint file")):
+            self.assert_rejected(path, checkpoint_bytes(header=bad, params=params), message)
+
+    def test_checkpoint_header_shares_the_checks(self, tmp_path):
+        path = self.checkpoint(tmp_path)
+        header, params = read_checkpoint_members(path)
+        assert checkpoint_header(str(path)) == header
+        path.write_bytes(checkpoint_bytes(header={**header, "backbone": "gcn"}, params=params))
+        with pytest.raises(ValueError, match="bad backbone 'gcn'"):
+            checkpoint_header(str(path))
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="not a readable"):
+            checkpoint_header(str(path))
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
-        path, lines = self.checkpoint_lines(tmp_path)
-        calls = []
+        path = self.checkpoint(tmp_path)
+        before = path.read_bytes()
 
-        def failing_dumps(obj):
-            calls.append(obj)
-            if len(calls) > 10:
-                raise OSError("disk full")
-            return json.JSONEncoder().encode(obj)
+        def failing_savez(f, **members):
+            f.write(before[:100])
+            raise OSError("disk full")
 
-        monkeypatch.setattr(models.json, "dumps", failing_dumps)
+        monkeypatch.setattr(models.np, "savez", failing_savez)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(init_xavier(5, 60, 3, seed=24), str(path))
-        assert path.read_text().splitlines(keepends=True) == lines
+        assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.txt"]

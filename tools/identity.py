@@ -25,6 +25,9 @@ imports that tree's ``src/`` and calls ``driftrec.cli.main`` in-process:
   the number of stacked rows and the regularizer block of
   ``training.batch_gradients`` has 3b rows (the other cells' batches give
   it all ``num_users + num_items`` rows at the default shape);
+- ``train --checkpoint-out`` with ``--eval-every`` above ``--epochs``, so no
+  validation pass runs and ``fit`` saves the final model, and ``eval`` of
+  that checkpoint;
 - ``train`` with ``--optimizer sgd`` and with ``adam`` at ``--lr 1e200``,
   which overflows, so both end in the ``TrainingDiverged`` error record;
 - one ``run`` with ``--epoch-mode pi_sample``;
@@ -171,6 +174,13 @@ def matrix(users: int, items: int, events: int, epochs: int) -> list[tuple[str, 
             "--checkpoint-out", f"train-{name}/model.ckpt",
             "--metrics-out", f"train-{name}/metrics.jsonl",
         ]))
+    # eval_every above epochs: no validation pass runs, so fit saves the final model
+    cells += [
+        ("train-final-model", ["train", *train, "--eval-every", str(epochs + 1),
+                               "--checkpoint-out", "train-final-model/model.ckpt"]),
+        ("eval-final-model", ["eval", "--data", data, "--checkpoint",
+                              "train-final-model/model.ckpt", "--ks", "5,10"]),
+    ]
     for optimizer in ("sgd", "adam"):
         cells.append((f"train-diverge-{optimizer}", [
             "train", *train, "--optimizer", optimizer, "--lr", "1e200",
